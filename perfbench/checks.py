@@ -17,6 +17,18 @@ import numpy as np
 # Largest n for which the benchmark brute-forces eta_A / eta_R itself.
 OWN_ETA_MAX_N = 16
 
+_BYTE_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+
+
+def popcount(masks):
+    """Element-wise popcount of an int64 array of non-negative masks, byte by
+    byte through a table (np.bitwise_count needs NumPy 2)."""
+    masks = np.asarray(masks, dtype=np.int64)
+    total = np.zeros(masks.shape, dtype=np.int64)
+    for shift in range(0, 63, 8):
+        total += _BYTE_POPCOUNT[(masks >> shift) & 0xFF]
+    return total
+
 
 def clog2(x):
     """ceil(log2 x), 0 for x <= 1."""
@@ -178,7 +190,7 @@ def basis_eta(clean, dirty, weights, n):
     r = int(clean_tops[0]).bit_count()
     eta_a = eta_r = 0
     for s in _max_weight_sets(dirty, weights, n):
-        m = int(np.bitwise_count(clean_tops & s).max())
+        m = int(popcount(clean_tops & s).max())
         eta_a = max(eta_a, r - m)
         eta_r = max(eta_r, int(s).bit_count() - m)
     return eta_a, eta_r
@@ -188,7 +200,7 @@ def _partition_independence(cfg, masks):
     ok = np.ones(masks.shape, dtype=bool)
     for cls, c in zip(cfg["classes"], cfg["caps"]):
         m = np.int64(sum(1 << e for e in cls))
-        ok &= np.bitwise_count(masks & m) <= c
+        ok &= popcount(masks & m) <= c
     return ok
 
 
@@ -202,7 +214,7 @@ def intersection_errors(clean1, clean2, dirty1, dirty2, n):
     id1, id2 = _partition_independence(dirty1, masks), _partition_independence(dirty2, masks)
     eta_1 = int((id1 & ~ic1).sum())
     eta_2 = int((id2 & ~ic2).sum())
-    sizes = np.bitwise_count(masks).astype(np.int64)
+    sizes = popcount(masks)
     common_d = id1 & id2
     s_d_star = int(sizes[common_d].max())
     worst = 0

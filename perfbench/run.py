@@ -7,9 +7,10 @@ process) and prints one JSON result as the last line of standard output.
 Every trial is one call of ``matoracle.bench.run_trial``.  The workload's
 trials form a round; a run repeats whole rounds until the next one would end
 after ``--seconds``.  With ``--trace 0`` the result holds the end-to-end
-metrics; with ``--trace 1`` the first half of the time runs untraced and the
-second half traced, and the result holds the per-layer metrics of the traced
-rounds (the tracing overhead is written to the output file and to stderr).
+metrics, with times scaled to a reference host speed (see hostspeed.py);
+with ``--trace 1`` the first half of the time runs untraced and the second
+half traced, and the result holds the per-layer metrics of the traced rounds
+(the tracing overhead is written to the output file and to stderr).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import resource
 import statistics
@@ -26,13 +28,15 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import hostspeed
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT_DIR = HERE / "out"
-SETUP_REPEATS = 5  # at least, and until SETUP_MIN_SECONDS have been spent
-SETUP_MIN_SECONDS = 1.0
+SETUP_BATCH_SECONDS = 0.1  # one set-up sample times a batch of whole set-ups at least this long
 INTERSECTION_GUARD = 16  # the library's default intersection enumeration guard
 ROBUST_TAGS = ("robust", "weighted-robust")
+STRICT_TAGS = ("greedy", "simple", "errdep", "robust")  # run_trial verifies their certificate
 BASIS_TAGS = ("greedy", "simple", "errdep", "robust", "weighted", "weighted-robust", "rank", "pairquery", "costly")
 KEPT_FAILURE = "transcript sets were not stored"
 WORKLOADS = ("basis-scale", "sweep-guarded", "intersection")
@@ -100,28 +104,48 @@ def _dirty_config(spec, bench):
     mode = spec.dirty.get("mode", "matroid")
     if spec.is_intersection or mode == "matroid":
         return spec.dirty
-    if mode == "identity":
-        return spec.matroid
     # perturbed dirty oracles are defined by the program's make_dirty
     return bench.generate(spec).pair.dirty.to_config()
 
 
-def set_up(plans, seed):
+def set_up(plans, seed, batch):
     """Generate every instance spec from its seed, round-trip it through
-    InstanceSpec JSON and materialise it; returns (specs, seconds)."""
+    InstanceSpec JSON and materialise it, `batch` times over; returns (specs,
+    seconds per set-up)."""
     from matoracle import bench
     from matoracle.bench import InstanceSpec
 
     import workloads
 
-    gc.collect()
     t0 = time.perf_counter()
-    specs = []
-    for plan in plans:
-        spec = InstanceSpec.from_json(plan.make(workloads.instance_seed(seed, plan)).to_json())
-        bench.generate(spec)
-        specs.append(spec)
-    return specs, time.perf_counter() - t0
+    for _ in range(batch):
+        specs = []
+        for plan in plans:
+            spec = InstanceSpec.from_json(plan.make(workloads.instance_seed(seed, plan)).to_json())
+            bench.generate(spec)
+            specs.append(spec)
+    return specs, (time.perf_counter() - t0) / batch
+
+
+class SetupSampler:
+    """Set-up timed as samples of `batch` whole set-ups, one sample after each
+    round of the timed phase, so the samples span the run as the trials do;
+    the untimed first set-up sizes the batch."""
+
+    def __init__(self, plans, seed):
+        self.plans = plans
+        self.seed = seed
+        self.specs, first = set_up(plans, seed, 1)
+        self.batch = max(1, math.ceil(SETUP_BATCH_SECONDS / first))
+        self.samples = []  # seconds per set-up, at reference host speed
+        self.wall_samples = []
+
+    def sample(self):
+        gc.collect()
+        before = hostspeed.unit_seconds()
+        dt = set_up(self.plans, self.seed, self.batch)[1]
+        self.samples.append(hostspeed.scale(dt, before, hostspeed.unit_seconds()))
+        self.wall_samples.append(dt)
 
 
 def _counts(ledger):
@@ -156,6 +180,8 @@ def check_basis_trial(slot, spec, ref, rec, output, ledger):
         problems.append(f"record r={rec.r}, r_d={rec.r_d}; reference {ref.rank_weight[0]}, {ref.r_d}")
     if rec.correct is not True:
         problems.append(f"record says correct={rec.correct}")
+    if slot.alg in STRICT_TAGS and rec.certificate != "strict-pass":
+        problems.append(f"record certificate {rec.certificate!r}, expected 'strict-pass'")
     if ref.eta is not None and rec.eta_A is not None and (rec.eta_A, rec.eta_R) != ref.eta:
         problems.append(f"record eta {(rec.eta_A, rec.eta_R)} != brute force {ref.eta}")
     eta_known = rec.eta_A is not None
@@ -234,8 +260,9 @@ class Runner:
         self.problems = []
         self.attempted = 0
         self.failed = 0
-        self.round_seconds = []  # time spent in run_trial per round
-        self.trial_seconds = []
+        self.round_seconds = []  # wall time spent in run_trial per round
+        self.trial_seconds = []  # wall time of each call
+        self.scaled_seconds = []  # the same at reference host speed
         self.tracer = None
 
     def _trial(self, slot, round_index):
@@ -247,12 +274,14 @@ class Runner:
             self.tracer.tag = slot.alg
             self.tracer.instance = slot.instance
         rec = error = None
+        unit_before = hostspeed.unit_seconds()
         t0 = time.perf_counter()
         try:
             rec = self.run_trial(spec, slot.alg, k=slot.k, p=slot.p)
         except Exception as exc:  # a failing trial is one failed operation
             error = exc
         dt = time.perf_counter() - t0
+        self.scaled_seconds.append(hostspeed.scale(dt, unit_before, hostspeed.unit_seconds()))
         self.attempted += 1
         problems = []
         if error is not None:
@@ -275,7 +304,7 @@ class Runner:
             self.problems.append(f"{slot.plan.label} {slot.alg} k={slot.k} p={slot.p}: {p}")
         return dt
 
-    def run(self, budget_s):
+    def run(self, budget_s, after_round=None):
         gc.collect()
         start = time.perf_counter()
         rounds = 0
@@ -284,6 +313,8 @@ class Runner:
             rounds += 1
             self.trial_seconds += times
             self.round_seconds.append(sum(times))
+            if after_round is not None:
+                after_round()
             elapsed = time.perf_counter() - start
             if elapsed + elapsed / rounds > budget_s:
                 return rounds
@@ -306,10 +337,8 @@ def run_workload(name, seed, seconds, trace):
     import workloads
 
     plans = workloads.WORKLOADS[name]()
-    setup_times = []
-    while len(setup_times) < SETUP_REPEATS or (sum(setup_times) < SETUP_MIN_SECONDS and len(setup_times) < 50):
-        specs, dt = set_up(plans, seed)
-        setup_times.append(dt)
+    setup = SetupSampler(plans, seed)
+    specs = setup.specs
     refs = [Reference(spec, _dirty_config(spec, bench)) for spec in specs]
     slots = build_slots(plans)
 
@@ -318,15 +347,24 @@ def run_workload(name, seed, seconds, trace):
     capture.install(patches)
     runner = Runner(slots, specs, refs, capture)
     detail = {"workload": name, "seed": seed, "seconds": seconds, "trace": trace,
-              "trials_per_round": len(slots), "instances": len(specs), "setup_s_samples": setup_times}
+              "trials_per_round": len(slots), "instances": len(specs), "setup_batch": setup.batch}
     try:
         if not trace:
-            rounds = runner.run(seconds)
+            rounds = runner.run(seconds, after_round=setup.sample)
             per_round = _per_round_counts(slots)
+            # each trial's median over the rounds, so that a slow stretch of
+            # the host moves no trial's time unless it covers half the rounds
+            typical = _typical(runner.scaled_seconds, len(slots))
+            wall_typical = _typical(runner.trial_seconds, len(slots))
+            detail.update(setup_s_samples=setup.samples, wall_setup_s_samples=setup.wall_samples, wall_metrics={
+                "setup_s": statistics.median(setup.wall_samples),
+                "trials_per_s": len(slots) / sum(wall_typical),
+                "trial_p50_s": statistics.median(wall_typical),
+            })
             metrics = {
-                "setup_s": (statistics.median(setup_times), "s"),
-                "trials_per_s": (runner.attempted / sum(runner.trial_seconds), "trials/s"),
-                "trial_p50_s": (statistics.median(runner.trial_seconds), "s"),
+                "setup_s": (statistics.median(setup.samples), "s"),
+                "trials_per_s": (len(slots) / sum(typical), "trials/s"),
+                "trial_p50_s": (statistics.median(typical), "s"),
                 "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
                 "clean_queries": (per_round["clean"], "count"),
                 "dirty_queries": (per_round["dirty"], "count"),
@@ -372,6 +410,11 @@ def run_workload(name, seed, seconds, trace):
     for p in runner.problems[:20]:
         print(f"perfbench: CHECK FAILED {p}", file=sys.stderr)
     return result
+
+
+def _typical(seconds, per_round):
+    """Each trial's median time over the rounds (`seconds` is round-major)."""
+    return [statistics.median(seconds[i::per_round]) for i in range(per_round)]
 
 
 def _per_round_counts(slots):

@@ -43,6 +43,12 @@ def test_clog2_convention():
     assert [checks.clog2(x) for x in (0, 1, 2, 3, 4, 5, 8, 9)] == [0, 0, 1, 2, 2, 3, 3, 4]
 
 
+def test_popcount_matches_bit_count():
+    rng = random.Random(3)
+    masks = [0, 1, 2**62 - 1, 2**62 + 5] + [rng.randrange(2**63) for _ in range(200)]
+    assert checks.popcount(masks).tolist() == [m.bit_count() for m in masks]
+
+
 def test_max_weight_basis_matches_enumeration():
     rng = random.Random(11)
     for trial in range(150):

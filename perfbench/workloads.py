@@ -59,8 +59,8 @@ def _shift_caps(rng, caps, delta, count):
     return out
 
 
-def partition(n, n_classes, weight_mode, dirty, cap_frac=0.5):
-    """Equal-size classes with caps at cap_frac of each class.
+def partition(n, n_classes, weight_mode, dirty):
+    """Equal-size classes with caps at half of each class.
 
     dirty is ("caps", delta, count): same classes, caps moved by delta on
     count classes (delta > 0 is removal-heavy, delta < 0 addition-heavy); or
@@ -70,7 +70,7 @@ def partition(n, n_classes, weight_mode, dirty, cap_frac=0.5):
     def make(seed):
         rng = random.Random(seed)
         classes = _classes(rng, n, n_classes)
-        caps = [int(len(c) * cap_frac) for c in classes]
+        caps = [len(c) // 2 for c in classes]
         if dirty[0] == "caps":
             _, delta, count = dirty
             dirty_cfg = {"mode": "matroid", "kind": "partition", "classes": classes,
@@ -206,10 +206,15 @@ def _basis_scale():
 
 def _sweep_guarded():
     plans = []
-    # sizes chosen so trial costs form one continuous band around the median
+    # the round's median trial falls in the middle of one cluster of equal-cost
+    # trials (three n = 16 removal-heavy partition instances, 27 trials), with
+    # as many trials cheaper than the cluster as dearer ones, so it does not
+    # jump to a neighbouring cost step when the host or the seed shifts a few
     for n in (15, 16, 17):
-        plans.append((f"partition-{n}-rem", partition(n, n // 4, "unit", ("caps", 1, 2)), _unit_sweep()))
+        for copy in range(3 if n == 16 else 1):
+            plans.append((f"partition-{n}-rem-{copy}", partition(n, n // 4, "unit", ("caps", 1, 2)), _unit_sweep()))
         plans.append((f"partition-{n}-add-int", partition(n, n // 4, "int", ("caps", -1, 2)), _weighted_sweep()))
+    plans.append(("uniform-13-rem-1", uniform(13, 6, 8, "unit"), _unit_sweep()))
     for n in (13, 14, 15):
         plans.append((f"uniform-{n}-rem", uniform(n, n // 2, n // 2 + 2, "unit"), _unit_sweep()))
         plans.append((f"uniform-{n}-add-int", uniform(n, n // 2, n // 2 - 2, "int"), _weighted_sweep()))
