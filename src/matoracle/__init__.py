@@ -24,7 +24,6 @@ from .core import (
     PredictedBasisOracle,
     UniformMatroid,
     ceil_log2,
-    enumerate_max_weight_bases,
     greedy_max_weight_basis,
     greedy_native,
     is_independent,
@@ -36,6 +35,7 @@ from .errors import (
     IntersectionErrorReport,
     compute_eta,
     compute_intersection_errors,
+    enumerate_max_weight_bases,
     modification_sets,
 )
 from .intersection import (
@@ -51,13 +51,10 @@ from .intersection import (
 )
 from .oracles import (
     IncompatiblePerturbation,
-    MemoizedPair,
     OraclePair,
     PerturbationSpec,
     QueryLedger,
     QueryRecord,
-    billed_independent,
-    billed_rank,
     greedy_basis,
     make_dirty,
     replay_record,

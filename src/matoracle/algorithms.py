@@ -38,7 +38,8 @@ def binary_search_smallest_dependent_prefix(member_positions, probe_dependent, l
     dependent"; it must be monotone over the listed positions.  lo_idx indexes
     a position known independent (-1 for the empty prefix), hi_idx one known
     dependent.  Issues at most ceil(log2(hi_idx - lo_idx)) probes, maintaining
-    the independent-lo / dependent-hi sandwich throughout.
+    the independent-lo / dependent-hi sandwich throughout.  Searches over
+    plain indices pass a range as member_positions.
     """
     lo, hi = lo_idx, hi_idx
     while hi - lo > 1:
@@ -65,17 +66,8 @@ def simple_basis(bd, pair):
     """
     g = pair.ground
     bd_mask = mask_of(bd)
-    if pair.query_independent(ROLE_CLEAN, bd_mask):
-        cur = bd_mask
-        scan = [p for p in range(g.n) if not bd_mask >> g.order[p] & 1]
-    else:
-        cur = 0
-        scan = range(g.n)
-    for p in scan:
-        e = g.order[p]
-        if pair.query_independent(ROLE_CLEAN, cur | 1 << e):
-            cur |= 1 << e
-    return ElementSet(g.n, cur), pair.ledger
+    start = bd_mask if pair.query_independent(ROLE_CLEAN, bd_mask) else 0
+    return ElementSet(g.n, _augment_outside(pair, g, start, start)), pair.ledger
 
 
 def _augment_outside(pair, g, cur, bd_mask, events=None):
@@ -90,6 +82,23 @@ def _augment_outside(pair, g, cur, bd_mask, events=None):
     return cur
 
 
+def _remove_smallest_dependent(pair, g, bd_mask, cur, lo_pos, events):
+    """Bit of the element ending the smallest dependent prefix of cur, found
+    by binary search above lo_pos (a member of cur whose prefix is
+    independent, or -1); it must lie inside the dirty basis."""
+    positions = g.positions(cur)
+    lo_idx = positions.index(lo_pos) if lo_pos >= 0 else -1
+    pos = binary_search_smallest_dependent_prefix(
+        positions, _prefix_probe(pair, g, cur), lo_idx, len(positions) - 1
+    )
+    e = g.element_at(pos)
+    if not bd_mask >> e & 1:
+        raise RuntimeError("removals must stay inside the dirty basis")
+    if events is not None:
+        events.append(("remove", e))
+    return 1 << e
+
+
 def error_dependent_basis(bd, pair, events=None):
     """Binary-search removals from the dirty basis, then greedy augmentation.
 
@@ -101,14 +110,7 @@ def error_dependent_basis(bd, pair, events=None):
     bd_mask = mask_of(bd)
     cur = bd_mask
     while not pair.query_independent(ROLE_CLEAN, cur):
-        positions = g.positions(cur)
-        pos = binary_search_smallest_dependent_prefix(
-            positions, _prefix_probe(pair, g, cur), -1, len(positions) - 1
-        )
-        e = g.element_at(pos)
-        cur &= ~(1 << e)
-        if events is not None:
-            events.append(("remove", e))
+        cur &= ~_remove_smallest_dependent(pair, g, bd_mask, cur, -1, events)
     cur = _augment_outside(pair, g, cur, bd_mask, events)
     return ElementSet(g.n, cur), pair.ledger
 
@@ -157,15 +159,9 @@ def robust_basis(bd, pair, params, events=None):
             if found is None:
                 # remainder (k*lg, m]: prefix k*lg verified independent, the
                 # whole segment known dependent from the gate
-                assert m > k * lg
-                lo_c, hi_c = k * lg, m
-                while hi_c - lo_c > 1:
-                    mid = (lo_c + hi_c + 1) // 2
-                    if pair.query_independent(ROLE_CLEAN, upto(mid)):
-                        lo_c = mid
-                    else:
-                        hi_c = mid
-                found = hi_c
+                found = binary_search_smallest_dependent_prefix(
+                    range(m + 1), lambda i: not pair.query_independent(ROLE_CLEAN, upto(i)), k * lg, m
+                )
         if events is not None:
             events.append(("remove", g.element_at(seg[found - 1])))
         b = upto(found - 1)
@@ -184,24 +180,11 @@ def weighted_basis(bd, pair, events=None):
     g = pair.ground
     bd_mask = mask_of(bd)
     a_mask, r_mask = 0, 0
-
-    def remove_smallest_dependent(cur, lo_pos):
-        positions = g.positions(cur)
-        lo_idx = positions.index(lo_pos) if lo_pos >= 0 else -1
-        pos = binary_search_smallest_dependent_prefix(
-            positions, _prefix_probe(pair, g, cur), lo_idx, len(positions) - 1
-        )
-        e = g.element_at(pos)
-        assert bd_mask >> e & 1, "removals must stay inside the dirty basis"
-        if events is not None:
-            events.append(("remove", e))
-        return 1 << e
-
     while True:
         cur = (bd_mask & ~r_mask) | a_mask
         if pair.query_independent(ROLE_CLEAN, cur):
             break
-        r_mask |= remove_smallest_dependent(cur, -1)
+        r_mask |= _remove_smallest_dependent(pair, g, bd_mask, cur, -1, events)
     for p in range(g.n):
         e = g.order[p]
         if bd_mask >> e & 1:
@@ -213,7 +196,7 @@ def weighted_basis(bd, pair, events=None):
                 events.append(("add", e))
             cur |= 1 << e
             if not pair.query_independent(ROLE_CLEAN, cur):
-                r_mask |= remove_smallest_dependent(cur, p)
+                r_mask |= _remove_smallest_dependent(pair, g, bd_mask, cur, p, events)
     return ElementSet(g.n, (bd_mask & ~r_mask) | a_mask), pair.ledger
 
 
@@ -242,17 +225,6 @@ def robust_weighted_basis(bd, pair, params, events=None):
 
     def current():
         return (bd_mask & ~r_mask) | a_mask
-
-    def binary_remove(cur, lo_pos):
-        members = g.positions(cur)
-        pos = binary_search_smallest_dependent_prefix(
-            members, _prefix_probe(pair, g, cur), members.index(lo_pos), len(members) - 1
-        )
-        e = g.element_at(pos)
-        assert bd_mask >> e & 1, "removals must stay inside the dirty basis"
-        if events is not None:
-            events.append(("remove", e))
-        return 1 << e
 
     for p in range(g.n):
         e = g.order[p]
@@ -294,8 +266,9 @@ def robust_weighted_basis(bd, pair, params, events=None):
             else:
                 known_dep = True
         elif q == k * lg:
-            assert known_dep, "binary search fired without a dependent upper bound"
-            r_mask |= binary_remove(current(), p)
+            if not known_dep:
+                raise RuntimeError("binary search fired without a dependent upper bound")
+            r_mask |= _remove_smallest_dependent(pair, g, bd_mask, current(), p, events)
             q = 0
             known_dep = False
     return ElementSet(g.n, (bd_mask & ~r_mask) | a_mask), pair.ledger
@@ -334,7 +307,7 @@ def rank_oracle_basis(bd, pair):
         r = pair.query_rank(ROLE_CLEAN, g.full_mask)
         if r == 0:
             return ElementSet(g.n, 0), pair.ledger
-        return ElementSet(g.n, _rank_additions(pair, g, 0, 0, r, list(range(g.n)))), pair.ledger
+        return ElementSet(g.n, _rank_additions(pair, g, 0, 0, r, range(g.n))), pair.ledger
 
     q1 = pair.query_rank(ROLE_CLEAN, bd_mask)
     d_r = r_d - q1
@@ -388,13 +361,9 @@ def _rank_additions(pair, g, cur, cur_rank, target_rank, outside_positions):
         while cur_rank < target_rank:
             # rank over all candidates reaches the target, so the upper end is
             # known rank-increasing without a probe
-            lo2, hi = lo, m - 1
-            while hi - lo2 > 1:
-                mid = (lo2 + hi + 1) // 2
-                if pair.query_rank(ROLE_CLEAN, cur | cum[mid]) > cur_rank:
-                    hi = mid
-                else:
-                    lo2 = mid
+            hi = binary_search_smallest_dependent_prefix(
+                range(m), lambda i: pair.query_rank(ROLE_CLEAN, cur | cum[i]) > cur_rank, lo, m - 1
+            )
             cur |= 1 << g.element_at(outside_positions[hi])
             cur_rank += 1
             lo = hi  # earlier candidates stay spanned
@@ -484,22 +453,18 @@ def _costly_remove_from_e(pair, known_r):
     """
     g = pair.ground
     cur = g.full_mask
-    if not pair.query_independent(ROLE_CLEAN, cur):
-        if known_r is not None:
-            removals = g.n - known_r
-            for _ in range(removals):
-                pos = binary_search_smallest_dependent_prefix(
-                    list(range(g.n)), _prefix_probe(pair, g, cur), -1, g.n - 1
-                )
-                cur &= ~(1 << g.element_at(pos))
+    dependent = not pair.query_independent(ROLE_CLEAN, cur)
+    removed = 0
+    while dependent:
+        pos = binary_search_smallest_dependent_prefix(
+            range(g.n), _prefix_probe(pair, g, cur), -1, g.n - 1
+        )
+        cur &= ~(1 << g.element_at(pos))
+        removed += 1
+        if known_r is None:
+            dependent = not pair.query_independent(ROLE_CLEAN, cur)
         else:
-            while True:
-                pos = binary_search_smallest_dependent_prefix(
-                    list(range(g.n)), _prefix_probe(pair, g, cur), -1, g.n - 1
-                )
-                cur &= ~(1 << g.element_at(pos))
-                if pair.query_independent(ROLE_CLEAN, cur):
-                    break
+            dependent = removed < g.n - known_r
     return ElementSet(g.n, cur)
 
 

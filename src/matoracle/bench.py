@@ -13,7 +13,7 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from . import algorithms as alg
@@ -36,6 +36,7 @@ from .oracles import (
     ROLE_CLEAN,
     OraclePair,
     PerturbationSpec,
+    TranscriptNotStored,
     greedy_basis,
     make_dirty,
     verify_certificate,
@@ -110,9 +111,13 @@ class InstanceSpec:
 
     @classmethod
     def from_dict(cls, doc):
+        if not isinstance(doc, dict):
+            raise InvalidSpec("instance", "must be a JSON object")
         for key in ("n", "weights", "matroid", "dirty"):
             if key not in doc:
                 raise InvalidSpec(key, "required field missing")
+        if not isinstance(doc["n"], int) or doc["n"] < 0:
+            raise InvalidSpec("n", "must be a non-negative integer")
         return cls(
             n=doc["n"],
             weights=doc["weights"],
@@ -141,6 +146,18 @@ def _weights_list(spec):
     if not isinstance(spec.weights, list) or len(spec.weights) != spec.n:
         raise InvalidSpec("weights", "must be 'unit' or a list of length n")
     return spec.weights
+
+
+def _checked(field_name, build, *args, **kwargs):
+    """Call a spec constructor; malformed input becomes InvalidSpec(field_name)."""
+    try:
+        return build(*args, **kwargs)
+    except InvalidSpec:
+        raise
+    except KeyError as exc:
+        raise InvalidSpec(field_name, f"missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(field_name, str(exc)) from exc
 
 
 def _build_dirty(clean, dirty_cfg, ground):
@@ -176,21 +193,21 @@ class GeneratedInstance:
 
 
 def generate(spec):
-    """Materialize an OraclePair (or intersection oracles) from an instance spec."""
-    try:
-        ground = GroundSet(_weights_list(spec))
-    except ValueError as exc:
-        raise InvalidSpec("weights", str(exc)) from exc
+    """Materialize an OraclePair (or intersection oracles) from an instance spec.
+
+    Raises InvalidSpec naming the field of a malformed spec.
+    """
+    ground = _checked("weights", GroundSet, _weights_list(spec))
     if spec.is_intersection:
-        c1 = spec_from_config(ground, spec.matroid)
-        c2 = spec_from_config(ground, spec.matroid2)
-        d1 = _build_dirty(c1, spec.dirty, ground)
-        d2 = _build_dirty(c2, spec.dirty2 or {"mode": "identity"}, ground)
+        c1 = _checked("matroid", spec_from_config, ground, spec.matroid)
+        c2 = _checked("matroid2", spec_from_config, ground, spec.matroid2)
+        d1 = _checked("dirty", _build_dirty, c1, spec.dirty, ground)
+        d2 = _checked("dirty2", _build_dirty, c2, spec.dirty2 or {"mode": "identity"}, ground)
         gen = GeneratedInstance(spec, ground, oracles=IntersectionOracles(ground, c1, c2, d1, d2))
     else:
-        clean = spec_from_config(ground, spec.matroid)
-        dirty = _build_dirty(clean, spec.dirty, ground)
-        gen = GeneratedInstance(spec, ground, pair=OraclePair(clean, dirty, ground))
+        clean = _checked("matroid", spec_from_config, ground, spec.matroid)
+        dirty = _checked("dirty", _build_dirty, clean, spec.dirty, ground)
+        gen = GeneratedInstance(spec, ground, pair=_checked("matroid", OraclePair, clean, dirty, ground))
     if spec.family and "eta" in spec.family:
         gen.known_eta = dict(spec.family["eta"])
     return gen
@@ -286,14 +303,14 @@ FAMILIES = {
 def family_instance(tag, **params):
     """Materialize a named family instance as a full InstanceSpec."""
     if tag == "random":
-        return random_instance(**params)
+        return _checked("family.params", random_instance, **params)
     if tag == "random_intersection":
-        return random_intersection_instance(**params)
+        return _checked("family.params", random_intersection_instance, **params)
     if tag not in FAMILIES:
         raise InvalidSpec("family.tag", f"unknown family {tag!r}")
+    matroid, dirty, eta = _checked("family.params", FAMILIES[tag], **params)
     n = params["n"]
     seed = params.get("seed", 0)
-    matroid, dirty, eta = FAMILIES[tag](**params)
     weights = [n - i for i in range(n)] if tag == "lb_weighted" else "unit"
     return InstanceSpec(
         n=n,
@@ -491,53 +508,30 @@ def bound(tag, **params):
 
 @dataclass
 class TrialRecord:
+    """One CSV row; the defaults describe a trial that never ran."""
+
     instance_id: str
     algorithm: str
     k: int | None
     p: str | None
     n: int
-    r: int | None
-    r_d: int | None
-    eta_A: int | None
-    eta_R: int | None
-    eta_1: int | None
-    eta_2: int | None
-    eta_r: int | None
-    clean_ind_queries: int
-    clean_rank_queries: int
-    dirty_queries: int
-    bound: str | None
-    within_bound: bool | None
-    correct: bool | None
-    certificate: str
-    eta_source: str
-    error: str
-    wall_time_s: float
-
-    COLUMNS = (
-        "instance_id",
-        "algorithm",
-        "k",
-        "p",
-        "n",
-        "r",
-        "r_d",
-        "eta_A",
-        "eta_R",
-        "eta_1",
-        "eta_2",
-        "eta_r",
-        "clean_ind_queries",
-        "clean_rank_queries",
-        "dirty_queries",
-        "bound",
-        "within_bound",
-        "correct",
-        "certificate",
-        "eta_source",
-        "error",
-        "wall_time_s",
-    )
+    r: int | None = None
+    r_d: int | None = None
+    eta_A: int | None = None
+    eta_R: int | None = None
+    eta_1: int | None = None
+    eta_2: int | None = None
+    eta_r: int | None = None
+    clean_ind_queries: int = 0
+    clean_rank_queries: int = 0
+    dirty_queries: int = 0
+    bound: str | None = None
+    within_bound: bool | None = None
+    correct: bool | None = None
+    certificate: str = "n/a"
+    eta_source: str = "skipped"
+    error: str = ""
+    wall_time_s: float = 0.0
 
     def to_row(self):
         def cell(v):
@@ -561,6 +555,14 @@ class TrialRecord:
     def clean_queries(self):
         return self.clean_ind_queries + self.clean_rank_queries
 
+    @property
+    def violation(self):
+        """Bound exceeded, wrong output, or a strict certificate left unchecked."""
+        return self.within_bound is False or self.correct is False or self.certificate == "unverified"
+
+
+TrialRecord.COLUMNS = tuple(f.name for f in fields(TrialRecord))
+
 
 def _eta_for_trial(gen, pair):
     if gen.known_eta:
@@ -582,12 +584,8 @@ def _basis_trial(gen, algorithm, k, p):
         instance_id=spec.instance_id,
         algorithm=algorithm,
         k=k,
-        p=str(p) if p is not None else None,
+        p=_p_text(p),
         n=g0.n,
-        eta_1=None,
-        eta_2=None,
-        eta_r=None,
-        error="",
     )
     t0 = time.perf_counter()
     if algorithm == "costly":
@@ -694,11 +692,6 @@ def _intersection_trial(gen, algorithm):
         k=None,
         p=None,
         n=g.n,
-        r_d=None,
-        eta_A=None,
-        eta_R=None,
-        certificate="n/a",
-        error="",
     )
     try:
         eta = errmod.compute_intersection_errors(ox.dirty[0], ox.dirty[1], ox.clean[0], ox.clean[1])
@@ -740,12 +733,9 @@ def _intersection_trial(gen, algorithm):
             clean_ind_queries=ox.ledger.clean_independence_count,
             clean_rank_queries=ox.ledger.clean_rank_count,
             dirty_queries=ox.ledger.dirty_count,
-            bound=None,
-            within_bound=None,
-            correct=None,
             eta_source=eta_source,
-            wall_time_s=0.0,
-            **{**record_kwargs, "error": f"SupersetViolation: {exc}"},
+            error=f"SupersetViolation: {exc}",
+            **record_kwargs,
         )
     wall = time.perf_counter() - t0
     return TrialRecord(
@@ -765,8 +755,17 @@ def _intersection_trial(gen, algorithm):
     )
 
 
+def _p_text(p):
+    return str(p) if p is not None else None
+
+
 def run_trial(spec, algorithm, k=None, p=None):
-    """Execute one algorithm on one instance and fill a TrialRecord."""
+    """Execute one algorithm on one instance and fill a TrialRecord.
+
+    Raises InvalidSpec for a malformed spec or an algorithm that does not
+    apply, and TranscriptNotStored when a strict certificate cannot be checked
+    because the ledger stored no query sets (n above SET_STORAGE_LIMIT).
+    """
     if algorithm not in ALGORITHMS:
         raise InvalidSpec("algorithm", f"unknown algorithm {algorithm!r}")
     gen = generate(spec)
@@ -783,7 +782,13 @@ def run_trial(spec, algorithm, k=None, p=None):
 
 def sweep(config, out_path=None):
     """Run instance specs x algorithms x parameter grids; returns (records,
-    violations).  Rows are sorted by instance id, algorithm, k before write."""
+    violations).  Rows are sorted by instance id, algorithm, k before write.
+
+    A malformed instance raises InvalidSpec before any trial runs.  An
+    algorithm that does not apply to an instance gives an error row; a trial
+    whose strict certificate could not be checked gives an error row with
+    certificate "unverified", which counts as a violation.
+    """
     records = []
     instances = []
     for inst_cfg in config.get("instances", []):
@@ -795,6 +800,8 @@ def sweep(config, out_path=None):
                 instances.append(family_instance(inst_cfg["family"], **params))
         else:
             instances.append(InstanceSpec.from_dict(inst_cfg))
+    for inst in instances:
+        generate(inst)
     algorithms = config.get("algorithms", [])
     ks = config.get("k", [None])
     ps = config.get("p", [None])
@@ -807,39 +814,15 @@ def sweep(config, out_path=None):
                     try:
                         records.append(run_trial(inst, algo, k=k, p=p))
                     except (InvalidSpec, GuardExceeded) as exc:
-                        records.append(_error_record(inst, algo, k, p, str(exc)))
+                        records.append(TrialRecord(inst.instance_id, algo, k, _p_text(p), inst.n, error=str(exc)))
+                    except TranscriptNotStored as exc:
+                        records.append(TrialRecord(inst.instance_id, algo, k, _p_text(p), inst.n,
+                                                   certificate="unverified", error=f"TranscriptNotStored: {exc}"))
     records.sort(key=lambda rec: (rec.instance_id, rec.algorithm, rec.k or 0, rec.p or ""))
     if out_path is not None:
         write_csv(records, out_path)
-    violations = [rec for rec in records if rec.within_bound is False or rec.correct is False]
+    violations = [rec for rec in records if rec.violation]
     return records, violations
-
-
-def _error_record(spec, algorithm, k, p, message):
-    return TrialRecord(
-        instance_id=spec.instance_id,
-        algorithm=algorithm,
-        k=k,
-        p=str(p) if p is not None else None,
-        n=spec.n,
-        r=None,
-        r_d=None,
-        eta_A=None,
-        eta_R=None,
-        eta_1=None,
-        eta_2=None,
-        eta_r=None,
-        clean_ind_queries=0,
-        clean_rank_queries=0,
-        dirty_queries=0,
-        bound=None,
-        within_bound=None,
-        correct=None,
-        certificate="n/a",
-        eta_source="skipped",
-        error=message,
-        wall_time_s=0.0,
-    )
 
 
 def write_csv(records, path):
@@ -864,7 +847,7 @@ def summary_lines(records):
             if rec.bound not in (None, "", "0") and rec.within_bound is not None
         ]
         worst = max(ratios) if ratios else None
-        bad = sum(1 for rec in recs if rec.within_bound is False or rec.correct is False)
+        bad = sum(1 for rec in recs if rec.violation)
         errored = sum(1 for rec in recs if rec.error)
         worst_txt = f"{float(worst):.3f}" if worst is not None else "n/a"
         line = f"{algo}: trials={len(recs)} max(measured/bound)={worst_txt} violations={bad}"

@@ -1,4 +1,9 @@
-"""Benchmark command line: gen, run, verify, bench subcommands."""
+"""Benchmark command line: gen, run, verify, bench subcommands.
+
+Exit codes: 0 when every trial is correct and within its bound, 1 on a
+violation, an incorrect output or an unchecked certificate, 2 on a malformed
+spec or command line.
+"""
 
 from __future__ import annotations
 
@@ -18,16 +23,23 @@ from .bench import (
     summary_lines,
     sweep,
 )
+from .oracles import TranscriptNotStored
+
+
+def _load_json(path):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidSpec(path, f"not valid JSON: {exc}") from exc
 
 
 def _load_instance(path):
-    with open(path) as fh:
-        return InstanceSpec.from_json(fh.read())
+    return InstanceSpec.from_dict(_load_json(path))
 
 
 def _cmd_gen(args):
-    with open(args.spec) as fh:
-        cfg = json.load(fh)
+    cfg = _load_json(args.spec)
     if "family" in cfg:
         params = dict(cfg.get("params", {}))
         inst = family_instance(cfg["family"], **params)
@@ -69,11 +81,7 @@ def _cmd_verify(args):
         return 2
     failures = 0
     for algo in _compatible_algorithms(inst):
-        try:
-            rec = run_trial(inst, algo, k=args.k, p=args.p)
-        except InvalidSpec as exc:
-            print(f"{algo}: skipped ({exc})")
-            continue
+        rec = run_trial(inst, algo, k=args.k, p=args.p)
         ok = not rec.error and rec.correct is not False and rec.within_bound is not False
         cert = f" cert={rec.certificate}" if rec.certificate != "n/a" else ""
         print(
@@ -86,8 +94,9 @@ def _cmd_verify(args):
 
 
 def _cmd_bench(args):
-    with open(args.config) as fh:
-        config = json.load(fh)
+    config = _load_json(args.config)
+    if not isinstance(config, dict):
+        raise InvalidSpec(args.config, "a sweep config must be a JSON object")
     records, violations = sweep(config, out_path=args.out)
     for line in summary_lines(records):
         print(line)
@@ -131,7 +140,14 @@ def main(argv=None):
     p_bench.set_defaults(func=_cmd_bench)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvalidSpec as exc:
+        print(f"matoracle: invalid spec: {exc}", file=sys.stderr)
+        return 2
+    except TranscriptNotStored as exc:
+        print(f"matoracle: certificate not checked: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -189,9 +189,6 @@ class GroundSet:
     def weight(self, s):
         return sum(self.weights[e] for e in iter_bits(mask_of(s)))
 
-    def set(self, elems=()):
-        return ElementSet.from_iterable(self.n, elems)
-
     @property
     def unit_weights(self):
         return all(w == self.weights[0] for w in self.weights) if self.n else True
@@ -458,26 +455,3 @@ def greedy_native(spec, ground=None):
     g = ground or spec.ground
     return greedy_max_weight_basis(spec.is_independent_mask, g)
 
-
-def enumerate_max_weight_bases(spec, ground=None):
-    """All inclusion-maximal independent sets of maximum total weight.
-
-    Exhaustive subset scan, guarded; used only by error metrics and tests.
-    """
-    g = ground or spec.ground
-    n = g.n
-    if n > enumeration_guard():
-        raise GuardExceeded(f"n={n} exceeds enumeration guard")
-    best_w = None
-    best = []
-    for m in range(1 << n):
-        if not spec.is_independent_mask(m):
-            continue
-        if any(spec.is_independent_mask(m | 1 << e) for e in iter_bits(g.full_mask & ~m)):
-            continue  # not maximal
-        w = g.weight(m)
-        if best_w is None or w > best_w:
-            best_w, best = w, [m]
-        elif w == best_w:
-            best.append(m)
-    return [ElementSet(n, m) for m in sorted(best)]

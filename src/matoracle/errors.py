@@ -72,10 +72,8 @@ def independence_array(spec):
     raise TypeError(f"cannot enumerate kind {spec.kind!r}")
 
 
-def _max_weight_top_masks(spec, ground):
-    """Masks of the maximum-weight inclusion-maximal independent sets."""
-    n = ground.n
-    ind = independence_array(spec)
+def _maximal_masks(ind, n):
+    """Masks of the inclusion-maximal sets of an independence array over 2^n."""
     masks = np.arange(1 << n, dtype=np.int64)
     # maximal: no single-element extension stays independent
     maximal = ind.copy()
@@ -85,14 +83,30 @@ def _max_weight_top_masks(spec, ground):
         ext_ok = np.zeros(1 << n, dtype=bool)
         ext_ok[without] = ind[(masks[without] | bit)]
         maximal &= ~(without & ext_ok)
-    cand = masks[maximal]
-    if ground.unit_weights:
+    return masks[maximal]
+
+
+def _max_weight_top_masks(spec, ground):
+    """Masks of the maximum-weight inclusion-maximal independent sets."""
+    cand = _maximal_masks(independence_array(spec), ground.n)
+    # equal positive weights rank sets by size; all-zero weights tie every
+    # maximal set, which matters for non-matroid systems
+    if ground.unit_weights and any(ground.weights):
         sizes = popcounts(cand)
         best = sizes.max()
         return sorted(int(m) for m in cand[sizes == best])
     weights = [ground.weight(int(m)) for m in cand]
     best = max(weights)
     return sorted(int(m) for m, w in zip(cand, weights) if w == best)
+
+
+def enumerate_max_weight_bases(spec, ground=None):
+    """All inclusion-maximal independent sets of maximum total weight.
+
+    Exhaustive subset scan, guarded; used only by error metrics and tests.
+    """
+    g = ground or spec.ground
+    return [ElementSet(g.n, m) for m in _max_weight_top_masks(spec, g)]
 
 
 class ErrorReport(NamedTuple):
@@ -135,14 +149,7 @@ def dirty_top_sets(pair):
     if isinstance(pair.dirty, ExplicitSystem):
         if not g.unit_weights:
             raise ValueError("explicit dirty systems are supported for unit weights only")
-        ind = independence_array(pair.dirty)
-        masks = np.arange(1 << g.n, dtype=np.int64)
-        out = []
-        for m in masks[ind]:
-            m = int(m)
-            if not any(pair.dirty.is_independent_mask(m | 1 << e) for e in iter_bits(g.full_mask & ~m)):
-                out.append(m)
-        return sorted(out)
+        return sorted(int(m) for m in _maximal_masks(independence_array(pair.dirty), g.n))
     return _max_weight_top_masks(pair.dirty, g)
 
 
@@ -177,7 +184,8 @@ def compute_eta(pair):
     )
     if pair.dirty.is_matroid:
         r_d = pair.dirty.full_rank()
-        assert r == r_d + eta_a - eta_r, "rank identity r = r_d + eta_A - eta_R violated"
+        if r != r_d + eta_a - eta_r:
+            raise RuntimeError("rank identity r = r_d + eta_A - eta_R violated")
     return ErrorReport(eta_a, eta_r, witness, per_basis)
 
 

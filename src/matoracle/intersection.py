@@ -84,13 +84,6 @@ class ExchangeGraph:
         self.y1 = tuple(sorted(y1))
         self.y2 = tuple(sorted(y2))
 
-    @property
-    def y1_mask(self):
-        m = 0
-        for e in self.y1:
-            m |= 1 << e
-        return m
-
 
 def build_exchange_graph(ox, x_mask, role, exclusions=None):
     """Query-built exchange graph; excluded (false) defining sets produce no
@@ -122,18 +115,11 @@ def build_exchange_graph(ox, x_mask, role, exclusions=None):
     return ExchangeGraph(x_mask, {e: tuple(sorted(v)) for e, v in arcs_out.items()}, y1, y2)
 
 
-def shortest_augmenting_path(graph):
-    """Lexicographically smallest shortest y1 -> y2 vertex path, or None."""
-    targets = set(graph.y2)
-    sources = sorted(set(graph.y1))
-    if not sources:
-        return None
-    # distance-to-target over reversed arcs
-    dist_t = {}
-    dq = deque()
-    for t in sorted(targets):
-        dist_t[t] = 0
-        dq.append(t)
+def _distances_to_y2(graph):
+    """Arc distance to y2 of every vertex with a directed path to y2 (BFS
+    over reversed arcs)."""
+    dist_t = {t: 0 for t in graph.y2}
+    dq = deque(graph.y2)
     preds = {e: [] for e in graph.arcs_out}
     for u, vs in graph.arcs_out.items():
         for v in vs:
@@ -144,6 +130,15 @@ def shortest_augmenting_path(graph):
             if u not in dist_t:
                 dist_t[u] = dist_t[v] + 1
                 dq.append(u)
+    return dist_t
+
+
+def shortest_augmenting_path(graph):
+    """Lexicographically smallest shortest y1 -> y2 vertex path, or None."""
+    sources = graph.y1
+    if not sources:
+        return None
+    dist_t = _distances_to_y2(graph)
     reachable = [s for s in sources if s in dist_t]
     if not reachable:
         return None
@@ -169,26 +164,6 @@ class OptimalityCertificate:
         )
 
 
-def _reaches_y2_mask(graph, n):
-    targets = set(graph.y2)
-    seen = set(targets)
-    dq = deque(sorted(targets))
-    preds = {e: [] for e in graph.arcs_out}
-    for u, vs in graph.arcs_out.items():
-        for v in vs:
-            preds[v].append(u)
-    while dq:
-        v = dq.popleft()
-        for u in preds[v]:
-            if u not in seen:
-                seen.add(u)
-                dq.append(u)
-    m = 0
-    for e in seen:
-        m |= 1 << e
-    return m
-
-
 def textbook_intersection(ox, role=ROLE_CLEAN):
     """Shortest-augmenting-path matroid intersection against one oracle side.
 
@@ -205,17 +180,13 @@ def textbook_intersection(ox, role=ROLE_CLEAN):
             return ElementSet(g.n, x_mask), OptimalityCertificate(0), ox.ledger
         path = shortest_augmenting_path(graph)
         if path is None:
-            return (
-                ElementSet(g.n, x_mask),
-                OptimalityCertificate(_reaches_y2_mask(graph, g.n)),
-                ox.ledger,
-            )
+            u_mask = sum(1 << e for e in _distances_to_y2(graph))
+            return ElementSet(g.n, x_mask), OptimalityCertificate(u_mask), ox.ledger
         for v in path:
             x_mask ^= 1 << v
         side = ox.clean if role == ROLE_CLEAN else ox.dirty
-        assert side[0].is_independent_mask(x_mask) and side[1].is_independent_mask(x_mask), (
-            "augmentation along a shortest exchange path must keep double independence"
-        )
+        if not (side[0].is_independent_mask(x_mask) and side[1].is_independent_mask(x_mask)):
+            raise RuntimeError("augmentation along a shortest exchange path must keep double independence")
 
 
 def _path_checkpoints(x_mask, path, which):
@@ -253,17 +224,14 @@ def _locate_false_set(ox, x_mask, path, which, false_lists):
     dependent from the failed verification, so the search costs at most
     ceil(log2 n) clean queries."""
     sets, candidates = _path_checkpoints(x_mask, path, which)
-    lo, hi = -1, len(sets) - 1  # X itself (lo) is clean-feasible
-    while hi - lo > 1:
-        mid = (lo + hi + 1) // 2
-        if ox.query_independent(ROLE_CLEAN, which, sets[mid]):
-            lo = mid
-        else:
-            hi = mid
+    # X itself (index -1) is clean-feasible
+    hi = binary_search_smallest_dependent_prefix(
+        range(len(sets)), lambda i: not ox.query_independent(ROLE_CLEAN, which, sets[i]), -1, len(sets) - 1
+    )
     false_lists.add(which, candidates[hi])
 
 
-def dirty_intersection(ox, precheck=True):
+def dirty_intersection(ox):
     """Augmenting-path intersection driven by the dirty oracles.
 
     Candidate paths come from the dirty exchange graph (free queries); each is
@@ -278,7 +246,7 @@ def dirty_intersection(ox, precheck=True):
     for spec in ox.clean:
         if not isinstance(spec, PartitionMatroid):
             raise ValueError("dirty augmenting paths require partition clean matroids")
-    if precheck and g.n <= enumeration_guard(14):
+    if g.n <= enumeration_guard(14):
         for m in range(1 << g.n):
             for i in (0, 1):
                 if ox.clean[i].is_independent_mask(m) and not ox.dirty[i].is_independent_mask(m):

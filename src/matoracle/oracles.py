@@ -45,12 +45,12 @@ class QueryRecord(NamedTuple):
 class QueryLedger:
     """Per-run transcript and counters of clean and dirty oracle queries."""
 
-    def __init__(self, n, cost_p=1, store_sets=None):
+    def __init__(self, n, cost_p=1):
         self.n = n
         self.cost_p = Fraction(cost_p)
         if self.cost_p < 1:
             raise ValueError("clean-call cost p must be >= 1")
-        self.store_sets = (n <= SET_STORAGE_LIMIT) if store_sets is None else store_sets
+        self.store_sets = n <= SET_STORAGE_LIMIT
         self.transcript = []
         self.clean_independence_count = 0
         self.clean_rank_count = 0
@@ -102,66 +102,23 @@ class OraclePair:
         self.dirty = dirty.rebind(ground)
         self.ledger = ledger if ledger is not None else QueryLedger(ground.n, cost_p=cost_p)
 
-    def _spec(self, role):
-        if role == ROLE_CLEAN:
-            return self.clean
-        if role == ROLE_DIRTY:
-            return self.dirty
-        raise ValueError(f"unknown oracle role {role!r}")
-
     def query_independent(self, role, s):
         mask = mask_of(s)
-        answer = self._spec(role).is_independent_mask(mask)
+        # an unknown role reaches the dirty spec; the ledger rejects it unbilled
+        answer = (self.clean if role == ROLE_CLEAN else self.dirty).is_independent_mask(mask)
         self.ledger.record(role, KIND_IND, answer, mask)
         return answer
 
     def query_rank(self, role, s):
         mask = mask_of(s)
-        answer = self._spec(role).rank_mask(mask)
+        answer = (self.clean if role == ROLE_CLEAN else self.dirty).rank_mask(mask)
         self.ledger.record(role, KIND_RANK, answer, mask)
         return answer
 
-    def with_ground(self, ground):
-        """Same oracles and ledger, rebased on a reordered ground set."""
-        return OraclePair(self.clean, self.dirty, ground, ledger=self.ledger)
-
     def with_dirty_basis(self, bd):
-        return self.with_ground(self.ground.with_dirty_basis(mask_of(bd)))
-
-
-class MemoizedPair:
-    """Opt-in wrapper that answers repeated identical queries from cache.
-
-    Cached hits are not billed; bound-compliance tests run without this.
-    """
-
-    def __init__(self, pair):
-        self.pair = pair
-        self.ground = pair.ground
-        self.clean = pair.clean
-        self.dirty = pair.dirty
-        self.ledger = pair.ledger
-        self._cache = {}
-
-    def query_independent(self, role, s):
-        key = (role, KIND_IND, mask_of(s))
-        if key not in self._cache:
-            self._cache[key] = self.pair.query_independent(role, s)
-        return self._cache[key]
-
-    def query_rank(self, role, s):
-        key = (role, KIND_RANK, mask_of(s))
-        if key not in self._cache:
-            self._cache[key] = self.pair.query_rank(role, s)
-        return self._cache[key]
-
-
-def billed_independent(pair, role, s):
-    return pair.query_independent(role, s)
-
-
-def billed_rank(pair, role, s):
-    return pair.query_rank(role, s)
+        """Same oracles and ledger, rebased on the order around a dirty basis."""
+        ground = self.ground.with_dirty_basis(mask_of(bd))
+        return OraclePair(self.clean, self.dirty, ground, ledger=self.ledger)
 
 
 def greedy_basis(pair, role=ROLE_DIRTY):
@@ -262,6 +219,11 @@ def make_dirty(clean, pert):
     raise IncompatiblePerturbation(pert.kind)
 
 
+class TranscriptNotStored(ValueError):
+    """The transcript dropped its query sets (n above SET_STORAGE_LIMIT), so
+    the certificate cannot be checked."""
+
+
 class CertificateReport(NamedTuple):
     ok: bool
     independence_witnessed: bool
@@ -286,7 +248,7 @@ def verify_certificate(transcript, output_basis, ground, mode="unweighted"):
     out = mask_of(output_basis)
     clean_ind = [r for r in transcript if r.role == ROLE_CLEAN and not r.kind.startswith(KIND_RANK)]
     if any(r.mask is None for r in clean_ind):
-        raise ValueError("transcript sets were not stored; cannot verify")
+        raise TranscriptNotStored("transcript sets were not stored; cannot verify")
     ind_ok = out == 0 or any(r.answer and out & ~r.mask == 0 for r in clean_ind)
     dep_records = [r for r in clean_ind if not r.answer]
     unwitnessed = []

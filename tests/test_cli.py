@@ -1,0 +1,106 @@
+import json
+
+import pytest
+
+from matoracle import cli
+from matoracle.bench import InstanceSpec, InvalidSpec, family_instance, generate, run_trial, sweep
+from matoracle.oracles import SET_STORAGE_LIMIT
+
+UNCOVERED = {
+    "n": 4,
+    "weights": "unit",
+    "matroid": {"kind": "partition", "classes": [[0, 1], [2]], "caps": [1, 1]},
+    "dirty": {"mode": "identity"},
+}
+
+SHORT_WEIGHTS = {
+    "n": 4,
+    "weights": [3, 2, 1],
+    "matroid": {"kind": "uniform", "k": 2},
+    "dirty": {"mode": "identity"},
+}
+
+# above SET_STORAGE_LIMIT the ledger keeps no query sets, so greedy's strict
+# certificate cannot be checked
+UNSTORED = {
+    "n": SET_STORAGE_LIMIT + 1,
+    "weights": "unit",
+    "matroid": {"kind": "uniform", "k": 4},
+    "dirty": {"mode": "matroid", "kind": "uniform", "k": 4},
+}
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    return err
+
+
+class TestSpecErrors:
+    def test_uncovered_partition_names_the_field(self):
+        with pytest.raises(InvalidSpec) as err:
+            generate(InstanceSpec.from_dict(UNCOVERED))
+        assert err.value.field == "matroid"
+
+    def test_weights_message_has_one_prefix(self):
+        with pytest.raises(InvalidSpec) as err:
+            generate(InstanceSpec.from_dict(SHORT_WEIGHTS))
+        assert str(err.value) == "weights: must be 'unit' or a list of length n"
+
+    def test_missing_family_parameter(self):
+        with pytest.raises(InvalidSpec) as err:
+            family_instance("lb_rem", n=8, r_d=4)
+        assert err.value.field == "family.params"
+
+    def test_run_exits_2(self, tmp_path, capsys):
+        inst = _write(tmp_path, "inst.json", UNCOVERED)
+        code = cli.main(["run", "--instance", inst, "--alg", "errdep", "--out", str(tmp_path / "rec.json")])
+        assert code == 2
+        assert "matroid: classes do not cover the ground set" in _one_line_error(capsys)
+
+    def test_verify_wrong_weight_length_fails(self, tmp_path, capsys):
+        inst = _write(tmp_path, "inst.json", SHORT_WEIGHTS)
+        assert cli.main(["verify", "--instance", inst, "--all"]) == 2
+        out = capsys.readouterr()
+        assert "skipped" not in out.out
+        assert "weights: must be" in out.err and "weights: weights:" not in out.err
+
+    def test_bench_malformed_instance_exits_2(self, tmp_path, capsys):
+        config = _write(tmp_path, "sweep.json", {"instances": [UNCOVERED], "algorithms": ["errdep"]})
+        assert cli.main(["bench", "--config", config, "--out", str(tmp_path / "r.csv")]) == 2
+        assert "matroid:" in _one_line_error(capsys)
+
+    def test_invalid_json_exits_2(self, tmp_path, capsys):
+        inst = _write(tmp_path, "inst.json", '{"n": 4,')
+        assert cli.main(["run", "--instance", inst, "--alg", "errdep", "--out", str(tmp_path / "rec.json")]) == 2
+        assert "not valid JSON" in _one_line_error(capsys)
+
+
+class TestUnstoredTranscript:
+    def test_run_trial_still_raises(self):
+        with pytest.raises(ValueError, match="transcript sets were not stored"):
+            run_trial(InstanceSpec.from_dict(UNSTORED), "greedy")
+
+    def test_sweep_records_a_violation_row_and_continues(self):
+        records, violations = sweep({"instances": [UNSTORED], "algorithms": ["greedy", "rank"]})
+        by_alg = {rec.algorithm: rec for rec in records}
+        assert by_alg["greedy"].certificate == "unverified"
+        assert "transcript sets were not stored" in by_alg["greedy"].error
+        assert by_alg["rank"].correct and not by_alg["rank"].error
+        assert violations == [by_alg["greedy"]]
+
+    def test_run_exits_1(self, tmp_path, capsys):
+        inst = _write(tmp_path, "inst.json", UNSTORED)
+        assert cli.main(["run", "--instance", inst, "--alg", "greedy", "--out", str(tmp_path / "rec.json")]) == 1
+        assert "transcript sets were not stored" in _one_line_error(capsys)
+
+    def test_bench_exits_1(self, tmp_path, capsys):
+        config = _write(tmp_path, "sweep.json", {"instances": [UNSTORED], "algorithms": ["greedy"]})
+        assert cli.main(["bench", "--config", config, "--out", str(tmp_path / "r.csv")]) == 1
+        assert "violations=1" in capsys.readouterr().out

@@ -7,7 +7,6 @@ from matoracle import (
     GraphicMatroid,
     GroundSet,
     IncompatiblePerturbation,
-    MemoizedPair,
     OraclePair,
     PartitionMatroid,
     PerturbationSpec,
@@ -50,6 +49,14 @@ class TestLedger:
         pair.query_independent(ROLE_CLEAN, 0b11)
         assert pair.ledger.clean_independence_count == 2
         assert len(pair.ledger.transcript) == 2
+
+    def test_unknown_role_rejected_unbilled(self):
+        pair = simple_pair()
+        with pytest.raises(ValueError, match="unknown oracle role"):
+            pair.query_independent("oracle", 0b11)
+        with pytest.raises(ValueError, match="unknown oracle role"):
+            pair.query_rank("oracle", 0b11)
+        assert pair.ledger.transcript == []
 
     def test_counts_match_transcript(self):
         pair = simple_pair()
@@ -136,17 +143,6 @@ class TestBilledRank:
             if m & ~bd.mask == 0 and clean.is_independent_mask(m)
         )
         assert got == brute == pair.clean.rank_mask(bd.mask)
-
-
-class TestMemoized:
-    def test_cached_repeats_not_billed(self):
-        pair = simple_pair()
-        memo = MemoizedPair(pair)
-        assert memo.query_independent(ROLE_CLEAN, 0b11) == memo.query_independent(ROLE_CLEAN, 0b11)
-        assert pair.ledger.clean_independence_count == 1
-        memo.query_rank(ROLE_CLEAN, 0b11)
-        memo.query_rank(ROLE_CLEAN, 0b11)
-        assert pair.ledger.clean_rank_count == 1
 
 
 class TestMakeDirty:
