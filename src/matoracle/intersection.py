@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .algorithms import binary_search_smallest_dependent_prefix
+from . import algorithms as alg
 from .core import ElementSet, PartitionMatroid, enumeration_guard, iter_bits, mask_of
 from .oracles import ROLE_CLEAN, ROLE_DIRTY, QueryLedger
 
@@ -225,7 +225,7 @@ def _locate_false_set(ox, x_mask, path, which, false_lists):
     ceil(log2 n) clean queries."""
     sets, candidates = _path_checkpoints(x_mask, path, which)
     # X itself (index -1) is clean-feasible
-    hi = binary_search_smallest_dependent_prefix(
+    hi = alg.binary_search_smallest_dependent_prefix(
         range(len(sets)), lambda i: not ox.query_independent(ROLE_CLEAN, which, sets[i]), -1, len(sets) - 1
     )
     false_lists.add(which, candidates[hi])
@@ -287,7 +287,7 @@ def warm_start(ox):
     for which in (1, 2):
         while not ox.query_independent(ROLE_CLEAN, which, cur):
             members = g.positions(cur)
-            pos = binary_search_smallest_dependent_prefix(
+            pos = alg.binary_search_smallest_dependent_prefix(
                 members,
                 lambda p: not ox.query_independent(ROLE_CLEAN, which, cur & g.prefix_mask(p)),
                 -1,
