@@ -135,11 +135,10 @@ def _distances_to_y2(graph):
 
 def shortest_augmenting_path(graph):
     """Lexicographically smallest shortest y1 -> y2 vertex path, or None."""
-    sources = graph.y1
-    if not sources:
+    if not graph.y1:
         return None
     dist_t = _distances_to_y2(graph)
-    reachable = [s for s in sources if s in dist_t]
+    reachable = [s for s in graph.y1 if s in dist_t]
     if not reachable:
         return None
     best = min(dist_t[s] for s in reachable)
