@@ -19,6 +19,7 @@ from fractions import Fraction
 from . import algorithms as alg
 from . import errors as errmod
 from .core import (
+    ExplicitSystem,
     GroundSet,
     GuardExceeded,
     ceil_log2,
@@ -207,6 +208,9 @@ def generate(spec):
     else:
         clean = _checked("matroid", spec_from_config, ground, spec.matroid)
         dirty = _checked("dirty", _build_dirty, clean, spec.dirty, ground)
+        # the error oracle ranks an explicit system's maximal sets by size only
+        if isinstance(dirty, ExplicitSystem) and not ground.unit_weights:
+            raise InvalidSpec("dirty", "explicit dirty systems need unit weights")
         gen = GeneratedInstance(spec, ground, pair=_checked("matroid", OraclePair, clean, dirty, ground))
     if spec.family and "eta" in spec.family:
         gen.known_eta = dict(spec.family["eta"])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import cached_property
 
 
 DEFAULT_ENUM_GUARD = 20
@@ -181,7 +182,15 @@ class GroundSet:
 
     def positions(self, s):
         """Sorted canonical positions of the members of s."""
-        return sorted(self.pos[e] for e in iter_bits(mask_of(s)))
+        # one scan of the binary string is linear in n; iter_bits rewrites
+        # the whole int at every step
+        bits = bin(mask_of(s))[:1:-1]
+        out = []
+        e = bits.find("1")
+        while e >= 0:
+            out.append(self.pos[e])
+            e = bits.find("1", e + 1)
+        return sorted(out)
 
     def element_at(self, p):
         return self.order[p]
@@ -357,8 +366,8 @@ class ExplicitSystem(MatroidSpec):
     """Downward-closed system given by its maximal sets; not necessarily a matroid.
 
     Accepted as a dirty oracle only.  ``has_augmentation`` records whether the
-    system satisfies the matroid augmentation axiom (checked at build when the
-    guard allows, else None).
+    system satisfies the matroid augmentation axiom (checked on first access
+    when the guard allows, else None).
     """
 
     kind = "explicit"
@@ -373,7 +382,6 @@ class ExplicitSystem(MatroidSpec):
         self.maximal_masks = tuple(sorted(m for m in masks if not any(m != o and m & ~o == 0 for o in masks)))
         if not self.maximal_masks:
             self.maximal_masks = (0,)
-        self.has_augmentation = self._check_augmentation() if self.n <= enumeration_guard() else None
 
     def is_independent_mask(self, mask):
         return any(mask & ~m == 0 for m in self.maximal_masks)
@@ -387,6 +395,10 @@ class ExplicitSystem(MatroidSpec):
             if mask >> e & 1 and self.is_independent_mask(cur | 1 << e):
                 cur |= 1 << e
         return cur.bit_count()
+
+    @cached_property
+    def has_augmentation(self):
+        return self._check_augmentation() if self.n <= enumeration_guard() else None
 
     def _check_augmentation(self):
         by_size = {}

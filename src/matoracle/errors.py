@@ -3,10 +3,19 @@
 These are test-time oracles only: the basis algorithms never see them (module
 boundary: ``algorithms`` has no dependency on this module).  Everything here
 enumerates subsets under a size guard and is exact.
+
+All subset enumeration runs as whole-array NumPy passes over the 2^n table
+indexed by subset mask.  Every pass has one of two shapes: the subsets in
+``[2**e, 2**(e+1))`` are the subsets below ``2**e`` plus element e, so a
+table grows by its top bit; or each subset without e is paired with the same
+subset plus e (see ``_pairs``).  A full table costs O(n·2^n), with no Python
+per subset.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -25,23 +34,92 @@ from .core import (
     mask_of,
 )
 
-_POP16 = None
+
+def _subset_sums(values, dtype):
+    """Sum of values[e] over e in S for every subset mask S, by top-bit doubling."""
+    out = np.zeros(1 << len(values), dtype=dtype)
+    for e, v in enumerate(values):
+        np.add(out[: 1 << e], v, out=out[1 << e : 2 << e])
+    return out
 
 
-def _popcount_table():
-    global _POP16
-    if _POP16 is None:
-        t = np.zeros(1 << 16, dtype=np.uint8)
-        for i in range(16):
-            t[(np.arange(1 << 16) >> i) & 1 == 1] += 1
-        _POP16 = t
-    return _POP16
+def subset_sizes(n):
+    """|S| for every subset mask S of an n-element ground set (int8)."""
+    return _subset_sums([1] * n, np.int8)
 
 
-def popcounts(masks):
-    """Vectorized popcount for an int64 array of masks (n <= 32)."""
-    t = _popcount_table()
-    return t[masks & 0xFFFF].astype(np.int64) + t[(masks >> 16) & 0xFFFF]
+# below 2**6 the rows of a (-1, 2, 2**e) view are too short for NumPy's inner
+# loops, and shifted whole-table slices under a mask are several times faster
+_SHIFT_BELOW = 6
+
+
+def _pairs(n, *tables):
+    """For each element e, yield ``(lacks, (lo, hi), ...)``, one pair per
+    2^n table: wherever ``lacks`` is true, ``lo`` holds a subset S without e
+    and ``hi`` at the same index holds S + e.  Both are views.  Combine them
+    so that a false ``lacks`` changes nothing."""
+    for e in range(n):
+        b = 1 << e
+        if e < _SHIFT_BELOW:
+            lacks = np.tile(np.arange(2 * b) < b, 1 << (n - 1 - e))[:-b]
+            yield lacks, *((t[:-b], t[b:]) for t in tables)
+        else:
+            yield True, *((v[:, 0], v[:, 1]) for v in (t.reshape(-1, 2, b) for t in tables))
+
+
+def _close_down(marks, n):
+    """In place: mark every subset of a marked set."""
+    for lacks, (lo, hi) in _pairs(n, marks):
+        lo |= hi & lacks
+    return marks
+
+
+def _subset_max(vals, n):
+    """In place: vals[S] becomes the maximum of vals[T] over T ⊆ S (vals >= 0)."""
+    for lacks, (lo, hi) in _pairs(n, vals):
+        np.maximum(hi, lo * lacks, out=hi)
+    return vals
+
+
+def _partition_step(spec):
+    """S + e is independent iff S is and e's class still has room in S."""
+    low = np.arange(1 << max(spec.n - 1, 0))
+    sizes = subset_sizes(max(spec.n - 1, 0))
+    class_of = {}
+    for m, c in zip(spec.class_masks, spec.caps):
+        for e in iter_bits(m):
+            class_of[e] = (m, min(c, spec.n))
+
+    def step(e, half):
+        m, cap = class_of[e]
+        return sizes[low[:half] & m] < cap
+
+    return step
+
+
+def _graphic_step(spec):
+    """S + e is independent iff S is and e joins two components of S.
+
+    ``lab[S, x]`` is the component label of vertex x in the forest S; the
+    labels of S + (u, v) relabel v's component to u's.  Self-loops and
+    parallel edges need no special case.  Only vertices some edge touches get
+    a column, and the last element's labels are never needed.
+    """
+    verts = {x: i for i, x in enumerate(sorted({x for edge in spec.edges for x in edge}))}
+    lab = np.empty((1 << max(spec.n - 1, 0), len(verts)), dtype=np.int16)
+    lab[0] = np.arange(len(verts))
+
+    def step(e, half):
+        u, v = (verts[x] for x in spec.edges[e])
+        low = lab[:half]
+        joins = low[:, u] != low[:, v]
+        if 2 * half <= len(lab):
+            high = lab[half : 2 * half]
+            high[:] = low
+            np.copyto(high, low[:, u : u + 1], where=low == low[:, v : v + 1])
+        return joins
+
+    return step
 
 
 def independence_array(spec):
@@ -49,55 +127,75 @@ def independence_array(spec):
     n = spec.n
     if n > enumeration_guard():
         raise GuardExceeded(f"n={n} exceeds enumeration guard")
-    masks = np.arange(1 << n, dtype=np.int64)
     if isinstance(spec, UniformMatroid):
-        return popcounts(masks) <= spec.k
-    if isinstance(spec, PartitionMatroid):
-        ok = np.ones(1 << n, dtype=bool)
-        for m, c in zip(spec.class_masks, spec.caps):
-            ok &= popcounts(masks & m) <= c
-        return ok
-    if isinstance(spec, PredictedBasisOracle):
-        return masks & ~np.int64(spec.basis_mask) == 0
+        return subset_sizes(n) <= min(spec.k, n)
     if isinstance(spec, ExplicitSystem):
         ok = np.zeros(1 << n, dtype=bool)
-        for m in spec.maximal_masks:
-            ok |= masks & ~np.int64(m) == 0
-        return ok
-    if isinstance(spec, GraphicMatroid):
-        ok = np.empty(1 << n, dtype=bool)
-        for m in range(1 << n):
-            ok[m] = spec.is_independent_mask(m)
-        return ok
-    raise TypeError(f"cannot enumerate kind {spec.kind!r}")
+        ok[list(spec.maximal_masks)] = True
+        return _close_down(ok, n)
+    if isinstance(spec, PartitionMatroid):
+        step = _partition_step(spec)
+    elif isinstance(spec, GraphicMatroid):
+        step = _graphic_step(spec)
+    elif isinstance(spec, PredictedBasisOracle):
+        step = lambda e, half: bool(spec.basis_mask >> e & 1)  # noqa: E731
+    else:
+        raise TypeError(f"cannot enumerate kind {spec.kind!r}")
+    ok = np.empty(1 << n, dtype=bool)
+    ok[0] = True
+    for e in range(n):
+        half = 1 << e
+        np.logical_and(ok[:half], step(e, half), out=ok[half : 2 * half])
+    return ok
 
 
 def _maximal_masks(ind, n):
-    """Masks of the inclusion-maximal sets of an independence array over 2^n."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    # maximal: no single-element extension stays independent
+    """Ascending masks of the inclusion-maximal sets of an independence array."""
     maximal = ind.copy()
-    for e in range(n):
-        bit = 1 << e
-        without = masks & bit == 0
-        ext_ok = np.zeros(1 << n, dtype=bool)
-        ext_ok[without] = ind[(masks[without] | bit)]
-        maximal &= ~(without & ext_ok)
-    return masks[maximal]
+    # a set without e is not maximal if adding e keeps it independent
+    for lacks, (lo, _), (_, ind_hi) in _pairs(n, maximal, ind):
+        lo &= ~(ind_hi & lacks)
+    return np.flatnonzero(maximal)
+
+
+def _weight_scores(cand, ground):
+    """Exact scores of the candidate masks that order them as their weights do."""
+    den = math.lcm(*(Fraction(w).denominator for w in ground.weights))
+    scaled = [int(w * den) for w in ground.weights]
+    if sum(scaled) < 1 << 63:
+        return _subset_sums(scaled, np.int64)[cand]
+    return np.array([ground.weight(int(m)) for m in cand], dtype=object)
 
 
 def _max_weight_top_masks(spec, ground):
-    """Masks of the maximum-weight inclusion-maximal independent sets."""
-    cand = _maximal_masks(independence_array(spec), ground.n)
-    # equal positive weights rank sets by size; all-zero weights tie every
-    # maximal set, which matters for non-matroid systems
-    if ground.unit_weights and any(ground.weights):
-        sizes = popcounts(cand)
-        best = sizes.max()
-        return sorted(int(m) for m in cand[sizes == best])
-    weights = [ground.weight(int(m)) for m in cand]
-    best = max(weights)
-    return sorted(int(m) for m, w in zip(cand, weights) if w == best)
+    """Ascending masks of the maximum-weight inclusion-maximal independent sets."""
+    ind = independence_array(spec)
+    if isinstance(spec, ExplicitSystem):
+        cand = _maximal_masks(ind, ground.n)
+    else:
+        # the maximal independent sets of a matroid are those of full rank
+        cand = np.flatnonzero(ind & (subset_sizes(ground.n) == spec.full_rank()))
+    scores = _weight_scores(cand, ground)
+    return cand[scores == scores.max()]
+
+
+def _lex_min(masks, n):
+    """The mask whose ascending element tuple is lexicographically smallest."""
+    if len(masks) == 1:
+        return int(masks[0])
+    elems = np.arange(n)
+    table = np.where((masks[:, None] >> elems) & 1 == 1, elems, n)
+    table.sort(axis=1)
+    table[table == n] = -1  # pad so that a proper prefix sorts first
+    return int(masks[np.lexsort(table.T[::-1])[0]])
+
+
+def _overlap_table(tops, sizes, n):
+    """max over B in tops of |S ∩ B|, for every subset mask S (int8)."""
+    closed = np.zeros(1 << n, dtype=bool)
+    closed[tops] = True
+    _close_down(closed, n)
+    return _subset_max(sizes * closed, n)
 
 
 def enumerate_max_weight_bases(spec, ground=None):
@@ -106,7 +204,7 @@ def enumerate_max_weight_bases(spec, ground=None):
     Exhaustive subset scan, guarded; used only by error metrics and tests.
     """
     g = ground or spec.ground
-    return [ElementSet(g.n, m) for m in _max_weight_top_masks(spec, g)]
+    return [ElementSet(g.n, m) for m in _max_weight_top_masks(spec, g).tolist()]
 
 
 class ErrorReport(NamedTuple):
@@ -123,10 +221,6 @@ class IntersectionErrorReport(NamedTuple):
     eta_r: int
 
 
-def _lex_key(mask):
-    return tuple(iter_bits(mask))
-
-
 def modification_sets(s, clean, ground=None):
     """Smallest addition/removal sets turning s into a superset/subset of some
     maximum-weight clean basis (independent minimizations; one basis attains
@@ -137,19 +231,20 @@ def modification_sets(s, clean, ground=None):
         raise GuardExceeded(f"n={g.n} exceeds enumeration guard")
     s_mask = mask_of(s)
     tops = _max_weight_top_masks(clean, g)
-    best = max((s_mask & b).bit_count() for b in tops)
-    witness = min((b for b in tops if (s_mask & b).bit_count() == best), key=_lex_key)
+    overlap = subset_sizes(g.n)[tops & s_mask]
+    witness = _lex_min(tops[overlap == overlap.max()], g.n)
     return ElementSet(g.n, witness & ~s_mask), ElementSet(g.n, s_mask & ~witness)
 
 
 def dirty_top_sets(pair):
-    """Maximum-weight dirty bases; for explicit (downward-closed, unweighted)
-    dirty oracles, all inclusion-maximal independent sets instead."""
+    """Ascending masks of the maximum-weight dirty bases; for explicit
+    (downward-closed, unweighted) dirty oracles, all inclusion-maximal
+    independent sets instead."""
     g = pair.ground
     if isinstance(pair.dirty, ExplicitSystem):
         if not g.unit_weights:
             raise ValueError("explicit dirty systems are supported for unit weights only")
-        return sorted(int(m) for m in _maximal_masks(independence_array(pair.dirty), g.n))
+        return _maximal_masks(independence_array(pair.dirty), g.n)
     return _max_weight_top_masks(pair.dirty, g)
 
 
@@ -157,35 +252,30 @@ def compute_eta(pair):
     """Brute-forced addition/removal errors for a clean/dirty oracle pair.
 
     Per dirty top set S, |A(S)| = r - max_B |S ∩ B| and |R(S)| = |S| - max_B
-    |S ∩ B| over maximum-weight clean bases B; with unit weights max_B |S ∩ B|
-    is exactly the clean rank of S, which is the cheap shortcut.
+    |S ∩ B| over maximum-weight clean bases B.  One overlap table gives max_B
+    |S ∩ B| for every S at once: the sets below some B, each scored by its
+    size, maximised over subsets.  With unit weights it is the clean rank.
     """
     g = pair.ground
     if g.n > enumeration_guard():
         raise GuardExceeded(f"n={g.n} exceeds enumeration guard")
-    clean = pair.clean
-    r = clean.full_rank()
+    n = g.n
+    r = pair.clean.full_rank()
+    sizes = subset_sizes(n)
     dirty_tops = dirty_top_sets(pair)
-    use_shortcut = g.unit_weights
-    tops = None if use_shortcut else _max_weight_top_masks(clean, g)
-    per_basis = {}
-    for s_mask in dirty_tops:
-        if use_shortcut:
-            m = clean.rank_mask(s_mask)
-        else:
-            m = max((s_mask & b).bit_count() for b in tops)
-        per_basis[ElementSet(g.n, s_mask)] = (r - m, s_mask.bit_count() - m)
-    eta_a = max(a for a, _ in per_basis.values())
-    eta_r = max(rr for _, rr in per_basis.values())
-    max_dist = max(a + rr for a, rr in per_basis.values())
-    witness = min(
-        (s for s, (a, rr) in per_basis.items() if a + rr == max_dist),
-        key=lambda s: _lex_key(s.mask),
-    )
-    if pair.dirty.is_matroid:
-        r_d = pair.dirty.full_rank()
-        if r != r_d + eta_a - eta_r:
-            raise RuntimeError("rank identity r = r_d + eta_A - eta_R violated")
+    overlap = _overlap_table(_max_weight_top_masks(pair.clean, g), sizes, n)[dirty_tops].astype(np.int64)
+    adds = r - overlap
+    rems = sizes[dirty_tops] - overlap
+    per_basis = {
+        ElementSet(n, m): (a, rr) for m, a, rr in zip(dirty_tops.tolist(), adds.tolist(), rems.tolist())
+    }
+    eta_a, eta_r = int(adds.max()), int(rems.max())
+    dist = adds + rems
+    witness = ElementSet(n, _lex_min(dirty_tops[dist == dist.max()], n))
+    # the identity holds for every matroid; only a failure needs to know
+    # whether the dirty system is one
+    if r != pair.dirty.full_rank() + eta_a - eta_r and pair.dirty.is_matroid:
+        raise RuntimeError("rank identity r = r_d + eta_A - eta_R violated")
     return ErrorReport(eta_a, eta_r, witness, per_basis)
 
 
@@ -205,16 +295,10 @@ def compute_intersection_errors(dirty1, dirty2, clean1, clean2):
     eta_1 = int((id1 & ~ic1).sum())
     eta_2 = int((id2 & ~ic2).sum())
     common_d = id1 & id2
-    common_c = ic1 & ic2
-    masks = np.arange(1 << n, dtype=np.int64)
-    sizes = popcounts(masks)
+    sizes = subset_sizes(n)
     s_d_star = int(sizes[common_d].max())
-    # f[S] = size of the largest clean-common subset of S, by subset DP
-    f = np.where(common_c, sizes, -1)
-    for e in range(n):
-        bit = np.int64(1 << e)
-        idx = masks[(masks & bit) != 0]
-        f[idx] = np.maximum(f[idx], f[idx & ~bit])
-    top = masks[common_d & (sizes == s_d_star)]
-    eta_r = int((s_d_star - f[top]).max())
+    # f[S] = size of the largest clean-common subset of S
+    f = _subset_max(sizes * (ic1 & ic2), n)
+    top = common_d & (sizes == s_d_star)
+    eta_r = int((s_d_star - f[top].astype(np.int64)).max())
     return IntersectionErrorReport(eta_1, eta_2, s_d_star, eta_r)

@@ -20,6 +20,14 @@ SHORT_WEIGHTS = {
     "dirty": {"mode": "identity"},
 }
 
+# the error oracle ranks an explicit system's maximal sets by size only
+WEIGHTED_EXPLICIT = {
+    "n": 4,
+    "weights": [4, 3, 2, 1],
+    "matroid": {"kind": "uniform", "k": 2},
+    "dirty": {"mode": "explicit", "maximal_sets": [[0, 1], [2, 3]]},
+}
+
 # above SET_STORAGE_LIMIT the ledger keeps no query sets, so greedy's strict
 # certificate cannot be checked
 UNSTORED = {
@@ -63,6 +71,18 @@ class TestSpecErrors:
         code = cli.main(["run", "--instance", inst, "--alg", "errdep", "--out", str(tmp_path / "rec.json")])
         assert code == 2
         assert "matroid: classes do not cover the ground set" in _one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", ["run", "verify", "bench"])
+    def test_weighted_explicit_dirty_exits_2(self, tmp_path, capsys, command):
+        inst = _write(tmp_path, "inst.json", WEIGHTED_EXPLICIT)
+        args = {
+            "run": ["run", "--instance", inst, "--alg", "weighted", "--out", str(tmp_path / "rec.json")],
+            "verify": ["verify", "--instance", inst, "--all"],
+            "bench": ["bench", "--config", _write(tmp_path, "sweep.json", {"instances": [WEIGHTED_EXPLICIT]}),
+                      "--out", str(tmp_path / "r.csv")],
+        }[command]
+        assert cli.main(args) == 2
+        assert "dirty: explicit dirty systems need unit weights" in _one_line_error(capsys)
 
     def test_verify_wrong_weight_length_fails(self, tmp_path, capsys):
         inst = _write(tmp_path, "inst.json", SHORT_WEIGHTS)

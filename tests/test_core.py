@@ -83,6 +83,15 @@ class TestGroundSet:
         with pytest.raises(ValueError):
             GroundSet([1, -1])
 
+    @pytest.mark.parametrize("n", [1, 7, 64, 65, 300])
+    def test_positions_match_bit_walk(self, n):
+        rng = random.Random(n)
+        g = GroundSet([rng.randint(0, 3) for _ in range(n)])
+        masks = [0, g.full_mask] + [rng.getrandbits(n) for _ in range(20)]
+        for mask in masks:
+            assert g.positions(mask) == sorted(g.pos[e] for e in iter_bits(mask))
+            assert g.positions(ElementSet(n, mask)) == g.positions(mask)
+
 
 class TestIndependence:
     def test_uniform_example(self):
@@ -282,6 +291,21 @@ class TestExplicitSystem:
         assert ExplicitSystem(g, [[0, 1], [2]]).has_augmentation is False
         # uniform(1) disguised: a matroid
         assert ExplicitSystem(g, [[0], [1], [2]]).has_augmentation is True
+
+    def test_augmentation_checked_on_first_access(self, monkeypatch):
+        g = GroundSet.unit(3)
+        sys_ = ExplicitSystem(g, [[0, 1], [2]])
+        calls = []
+        check = sys_._check_augmentation
+        monkeypatch.setattr(sys_, "_check_augmentation", lambda: calls.append(1) or check())
+        assert calls == []
+        assert sys_.has_augmentation is False and sys_.has_augmentation is False
+        assert calls == [1]
+
+    def test_augmentation_unknown_above_guard(self, monkeypatch):
+        monkeypatch.setenv("MATORACLE_GUARD_N", "2")
+        sys_ = ExplicitSystem(GroundSet.unit(3), [[0], [1], [2]])
+        assert sys_.has_augmentation is None and not sys_.is_matroid
 
     def test_dominated_sets_dropped(self):
         g = GroundSet.unit(3)
