@@ -1,7 +1,6 @@
 """Two-oracle (clean/dirty) matroid basis algorithms with query accounting."""
 
 from .algorithms import (
-    RobustParams,
     binary_search_smallest_dependent_prefix,
     costly_strategies,
     default_k,

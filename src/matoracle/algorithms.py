@@ -12,20 +12,6 @@ from .core import ElementSet, ceil_log2, iter_bits, mask_of
 from .oracles import ROLE_CLEAN, ROLE_DIRTY, greedy_basis
 
 
-class RobustParams:
-    """Trade-off parameter k plus the precomputed ceil(log2 r_d) the bounds use."""
-
-    def __init__(self, k, lg_rd):
-        if k < 1:
-            raise ValueError("k must be a positive integer")
-        self.k = int(k)
-        self.lg_rd = int(lg_rd)
-
-    @classmethod
-    def for_run(cls, k, r_d):
-        return cls(k, ceil_log2(r_d))
-
-
 def default_k(n):
     """Exposed default; bound tests always sweep k explicitly instead."""
     return max(1, ceil_log2(n) // 2)
@@ -115,7 +101,7 @@ def error_dependent_basis(bd, pair, events=None):
     return ElementSet(g.n, cur), pair.ledger
 
 
-def robust_basis(bd, pair, params, events=None):
+def robust_basis(bd, pair, k, events=None):
     """Segmented removal search: short linear probe, an independence gate, a
     longer linear probe, then binary search; finally greedy augmentation.
 
@@ -123,9 +109,11 @@ def robust_basis(bd, pair, params, events=None):
     (1 + 1/k) n}.  The gate query on the whole remaining segment is issued only
     when the first linear probe could not already have covered it.
     """
+    if k < 1:
+        raise ValueError("k must be a positive integer")
     g = pair.ground
-    k, lg = params.k, params.lg_rd
     bd_mask = mask_of(bd)
+    lg = ceil_log2(bd_mask.bit_count())
     b = 0
     seg = g.positions(bd_mask)  # pending dirty-basis positions, canonical order
 
@@ -200,7 +188,7 @@ def weighted_basis(bd, pair, events=None):
     return ElementSet(g.n, (bd_mask & ~r_mask) | a_mask), pair.ledger
 
 
-def robust_weighted_basis(bd, pair, params, events=None):
+def robust_weighted_basis(bd, pair, k, events=None):
     """Weighted variant with counted linear removal probes and delayed binary
     searches, trading error-dependence against robustness via k.
 
@@ -213,9 +201,11 @@ def robust_weighted_basis(bd, pair, params, events=None):
     known dependent (after a prefix-probe removal the in-iteration check below
     covers it).
     """
+    if k < 1:
+        raise ValueError("k must be a positive integer")
     g = pair.ground
-    k, lg = params.k, params.lg_rd
     bd_mask = mask_of(bd)
+    lg = ceil_log2(bd_mask.bit_count())
     positions = g.positions(bd_mask)
     d_max = positions[-1] if positions else -1
     a_mask, r_mask = 0, 0
@@ -415,56 +405,39 @@ COSTLY_A = "remove-from-E"
 COSTLY_B = "dirty-basis-then-verify"
 
 
-def costly_strategies(pair, strategy="auto"):
-    """Costly-oracle strategies: pure clean removal from E versus a dirty
-    greedy basis verified cleanly; the selector spends one clean rank call on
-    r and runs whichever closed-form cost predicts cheaper.
+def costly_strategies(pair):
+    """Costly-oracle selector between pure clean removal from E and a dirty
+    greedy basis verified cleanly: one clean rank call gives r, and the
+    strategy whose closed-form cost is lower runs.
 
     Returns (basis, total_cost, strategy tag); the executed run's ledger is the
-    pair's.  With the selector and an exact dirty oracle, the executed cost is
-    exactly p (n - r) ceil(log2 n) + p or n + p (n - r + 1), plus p for the
-    selector's rank call.
+    pair's.  With an exact dirty oracle the executed cost is exactly
+    p (n - r) ceil(log2 n) + p or n + p (n - r + 1), plus p for the rank call.
     """
     g = pair.ground
     p = pair.ledger.cost_p
     n = g.n
-    if strategy == "auto":
-        r = pair.query_rank(ROLE_CLEAN, g.full_mask)
-        cost_a = p * (n - r) * ceil_log2(n) + p
-        cost_b = n + p * (n - r + 1)
-        if cost_a <= cost_b:
-            basis = _costly_remove_from_e(pair, known_r=r)
-            return basis, pair.ledger.total_cost, COSTLY_A
-        basis = _costly_dirty_then_verify(pair)
-        return basis, pair.ledger.total_cost, COSTLY_B
-    if strategy == "A":
-        return _costly_remove_from_e(pair, known_r=None), pair.ledger.total_cost, COSTLY_A
-    if strategy == "B":
-        return _costly_dirty_then_verify(pair), pair.ledger.total_cost, COSTLY_B
-    raise ValueError(f"unknown costly strategy {strategy!r}")
+    r = pair.query_rank(ROLE_CLEAN, g.full_mask)
+    if p * (n - r) * ceil_log2(n) + p <= n + p * (n - r + 1):
+        return _costly_remove_from_e(pair, r), pair.ledger.total_cost, COSTLY_A
+    return _costly_dirty_then_verify(pair), pair.ledger.total_cost, COSTLY_B
 
 
-def _costly_remove_from_e(pair, known_r):
+def _costly_remove_from_e(pair, r):
     """Start from E and remove smallest dependent-prefix elements.
 
-    With r known (selector mode) each removal is one binary search over the
-    full canonical index space, exactly ceil(log2 n) probes, and no re-checks
-    are needed; without r the full set is re-queried after every removal.
+    One clean query checks E itself (the + p of the strategy's cost); then
+    each of the n - r removals is one binary search over the full canonical
+    index space, exactly ceil(log2 n) probes.
     """
     g = pair.ground
     cur = g.full_mask
-    dependent = not pair.query_independent(ROLE_CLEAN, cur)
-    removed = 0
-    while dependent:
-        pos = binary_search_smallest_dependent_prefix(
-            range(g.n), _prefix_probe(pair, g, cur), -1, g.n - 1
-        )
-        cur &= ~(1 << g.element_at(pos))
-        removed += 1
-        if known_r is None:
-            dependent = not pair.query_independent(ROLE_CLEAN, cur)
-        else:
-            dependent = removed < g.n - known_r
+    if not pair.query_independent(ROLE_CLEAN, cur):
+        for _ in range(g.n - r):
+            pos = binary_search_smallest_dependent_prefix(
+                range(g.n), _prefix_probe(pair, g, cur), -1, g.n - 1
+            )
+            cur &= ~(1 << g.element_at(pos))
     return ElementSet(g.n, cur)
 
 

@@ -185,8 +185,8 @@ class GeneratedInstance:
     oracles: IntersectionOracles | None = None
     known_eta: dict = field(default_factory=dict)
 
-    def fresh_pair(self):
-        return OraclePair(self.pair.clean, self.pair.dirty, self.ground)
+    def fresh_pair(self, cost_p=1):
+        return OraclePair(self.pair.clean, self.pair.dirty, self.ground, cost_p=cost_p)
 
     def fresh_oracles(self):
         ox = self.oracles
@@ -580,10 +580,9 @@ def _eta_for_trial(gen, pair):
 
 def _basis_trial(gen, algorithm, k, p):
     spec = gen.spec
-    pair0 = gen.fresh_pair()
-    if p is not None:
-        pair0.ledger.cost_p = Fraction(p)
+    pair0 = gen.fresh_pair(cost_p=1 if p is None else p)
     g0 = pair0.ground
+    k_eff = k or (alg.default_k(g0.n) if algorithm in K_ALGS else None)
     record_kwargs = dict(
         instance_id=spec.instance_id,
         algorithm=algorithm,
@@ -593,14 +592,12 @@ def _basis_trial(gen, algorithm, k, p):
     )
     t0 = time.perf_counter()
     if algorithm == "costly":
-        basis, _total, _tag = alg.costly_strategies(pair0, strategy="auto")
+        basis, _total, _tag = alg.costly_strategies(pair0)
         pair = pair0
-        bd_mask = None
     else:
         bd = greedy_basis(pair0)
         pair = pair0.with_dirty_basis(bd)
         bd_mask = bd.mask
-        g = pair.ground
         if algorithm == "greedy":
             basis = greedy_basis(pair, ROLE_CLEAN)
         elif algorithm == "simple":
@@ -608,13 +605,11 @@ def _basis_trial(gen, algorithm, k, p):
         elif algorithm == "errdep":
             basis, _ = alg.error_dependent_basis(bd_mask, pair)
         elif algorithm == "robust":
-            basis, _ = alg.robust_basis(bd_mask, pair, alg.RobustParams.for_run(k or alg.default_k(g.n), bd_mask.bit_count()))
+            basis, _ = alg.robust_basis(bd_mask, pair, k_eff)
         elif algorithm == "weighted":
             basis, _ = alg.weighted_basis(bd_mask, pair)
         elif algorithm == "weighted-robust":
-            basis, _ = alg.robust_weighted_basis(
-                bd_mask, pair, alg.RobustParams.for_run(k or alg.default_k(g.n), bd_mask.bit_count())
-            )
+            basis, _ = alg.robust_weighted_basis(bd_mask, pair, k_eff)
         elif algorithm == "rank":
             basis, _ = alg.rank_oracle_basis(bd_mask, pair)
         elif algorithm == "pairquery":
@@ -631,7 +626,6 @@ def _basis_trial(gen, algorithm, k, p):
     baseline = greedy_native(clean, g)
     correct = g.weight(basis.mask) == g.weight(baseline.mask) and clean.is_independent_mask(basis.mask)
     eta_a, eta_r_, eta_source = _eta_for_trial(gen, pair)
-    k_eff = k or (alg.default_k(g.n) if algorithm in K_ALGS else None)
     bound_val = None
     within = None
     if algorithm == "costly":
@@ -664,7 +658,7 @@ def _basis_trial(gen, algorithm, k, p):
         within = Fraction(pair.ledger.clean_independence_count) <= bound_val
     cert = "n/a"
     if algorithm in ("greedy", "simple", "errdep", "robust"):
-        rep = verify_certificate(pair.ledger.transcript, basis.mask, g, mode="unweighted")
+        rep = verify_certificate(pair.ledger.transcript, basis.mask, g)
         cert = "strict-pass" if rep.ok else "strict-fail"
     elif algorithm in WEIGHTED_ALGS:
         cert = "relaxed"
@@ -763,15 +757,31 @@ def _p_text(p):
     return str(p) if p is not None else None
 
 
+def _check_k_p(k=None, p=None):
+    """Reject a trade-off k that is not a positive integer and a clean-call
+    cost p below 1 (None selects the default)."""
+    if k is not None and (type(k) is not int or k < 1):
+        raise InvalidSpec("k", f"must be a positive integer, got {k!r}")
+    if p is not None:
+        try:
+            ok = not isinstance(p, bool) and Fraction(p) >= 1
+        except (TypeError, ValueError, ZeroDivisionError):
+            ok = False
+        if not ok:
+            raise InvalidSpec("p", f"must be a number >= 1, got {p!r}")
+
+
 def run_trial(spec, algorithm, k=None, p=None):
     """Execute one algorithm on one instance and fill a TrialRecord.
 
-    Raises InvalidSpec for a malformed spec or an algorithm that does not
-    apply, and TranscriptNotStored when a strict certificate cannot be checked
-    because the ledger stored no query sets (n above SET_STORAGE_LIMIT).
+    Raises InvalidSpec for a malformed spec, k or p, or an algorithm that does
+    not apply, and TranscriptNotStored when a strict certificate cannot be
+    checked because the ledger stored no query sets (n above
+    SET_STORAGE_LIMIT).
     """
     if algorithm not in ALGORITHMS:
         raise InvalidSpec("algorithm", f"unknown algorithm {algorithm!r}")
+    _check_k_p(k, p)
     gen = generate(spec)
     if algorithm in INTERSECTION_ALGS:
         if not spec.is_intersection:
@@ -788,10 +798,10 @@ def sweep(config, out_path=None):
     """Run instance specs x algorithms x parameter grids; returns (records,
     violations).  Rows are sorted by instance id, algorithm, k before write.
 
-    A malformed instance raises InvalidSpec before any trial runs.  An
-    algorithm that does not apply to an instance gives an error row; a trial
-    whose strict certificate could not be checked gives an error row with
-    certificate "unverified", which counts as a violation.
+    A malformed instance or k / p grid raises InvalidSpec before any trial
+    runs.  An algorithm that does not apply to an instance gives an error row;
+    a trial whose strict certificate could not be checked gives an error row
+    with certificate "unverified", which counts as a violation.
     """
     records = []
     instances = []
@@ -809,6 +819,11 @@ def sweep(config, out_path=None):
     algorithms = config.get("algorithms", [])
     ks = config.get("k", [None])
     ps = config.get("p", [None])
+    for name, grid in (("k", ks), ("p", ps)):
+        if not isinstance(grid, list):
+            raise InvalidSpec(name, "must be a list")
+        for value in grid:
+            _check_k_p(**{name: value})
     for inst in instances:
         for algo in algorithms:
             k_grid = ks if algo in K_ALGS else [None]

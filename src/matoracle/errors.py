@@ -1,8 +1,10 @@
 """Brute-force oracles for the error quantities the query bounds reference.
 
 These are test-time oracles only: the basis algorithms never see them (module
-boundary: ``algorithms`` has no dependency on this module).  Everything here
-enumerates subsets under a size guard and is exact.
+boundary: ``algorithms`` has no dependency on this module).  The one use
+outside the error metrics is ``intersection.dirty_intersection``, whose
+unbilled superset precheck compares ``independence_array`` tables.
+Everything here enumerates subsets under a size guard and is exact.
 
 All subset enumeration runs as whole-array NumPy passes over the 2^n table
 indexed by subset mask.  Every pass has one of two shapes: the subsets in
@@ -211,7 +213,6 @@ class ErrorReport(NamedTuple):
     eta_A: int
     eta_R: int
     witness_basis: ElementSet
-    per_basis: dict  # dirty top set (ElementSet) -> (|A|, |R|)
 
 
 class IntersectionErrorReport(NamedTuple):
@@ -255,6 +256,7 @@ def compute_eta(pair):
     |S ∩ B| over maximum-weight clean bases B.  One overlap table gives max_B
     |S ∩ B| for every S at once: the sets below some B, each scored by its
     size, maximised over subsets.  With unit weights it is the clean rank.
+    The pair for one S is ``modification_sets(S, pair.clean, pair.ground)``.
     """
     g = pair.ground
     if g.n > enumeration_guard():
@@ -266,9 +268,6 @@ def compute_eta(pair):
     overlap = _overlap_table(_max_weight_top_masks(pair.clean, g), sizes, n)[dirty_tops].astype(np.int64)
     adds = r - overlap
     rems = sizes[dirty_tops] - overlap
-    per_basis = {
-        ElementSet(n, m): (a, rr) for m, a, rr in zip(dirty_tops.tolist(), adds.tolist(), rems.tolist())
-    }
     eta_a, eta_r = int(adds.max()), int(rems.max())
     dist = adds + rems
     witness = ElementSet(n, _lex_min(dirty_tops[dist == dist.max()], n))
@@ -276,7 +275,7 @@ def compute_eta(pair):
     # whether the dirty system is one
     if r != pair.dirty.full_rank() + eta_a - eta_r and pair.dirty.is_matroid:
         raise RuntimeError("rank identity r = r_d + eta_A - eta_R violated")
-    return ErrorReport(eta_a, eta_r, witness, per_basis)
+    return ErrorReport(eta_a, eta_r, witness)
 
 
 def compute_intersection_errors(dirty1, dirty2, clean1, clean2):

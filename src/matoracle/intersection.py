@@ -10,8 +10,11 @@ from __future__ import annotations
 
 from collections import deque
 
+import numpy as np
+
 from . import algorithms as alg
 from .core import ElementSet, PartitionMatroid, enumeration_guard, iter_bits, mask_of
+from .errors import independence_array
 from .oracles import ROLE_CLEAN, ROLE_DIRTY, QueryLedger
 
 
@@ -246,12 +249,15 @@ def dirty_intersection(ox):
         if not isinstance(spec, PartitionMatroid):
             raise ValueError("dirty augmenting paths require partition clean matroids")
     if g.n <= enumeration_guard(14):
-        for m in range(1 << g.n):
-            for i in (0, 1):
-                if ox.clean[i].is_independent_mask(m) and not ox.dirty[i].is_independent_mask(m):
-                    raise SupersetViolation(
-                        f"set {m:#x} is clean-independent but dirty-dependent in matroid {i + 1}"
-                    )
+        # unbilled: the smallest clean-independent but dirty-dependent set,
+        # matroid 1 first at a tie
+        bad = [independence_array(c) & ~independence_array(d) for c, d in zip(ox.clean, ox.dirty)]
+        either = bad[0] | bad[1]
+        if either.any():
+            m = int(np.argmax(either))
+            raise SupersetViolation(
+                f"set {m:#x} is clean-independent but dirty-dependent in matroid {1 if bad[0][m] else 2}"
+            )
     false_lists = FalseQueryLists()
     x_mask = 0
     while True:

@@ -233,32 +233,26 @@ class CertificateReport(NamedTuple):
         return self.ok
 
 
-def verify_certificate(transcript, output_basis, ground, mode="unweighted"):
-    """Check that the clean queries alone prove output_basis is a (max-weight) basis.
+def verify_certificate(transcript, output_basis, ground):
+    """Check that the clean queries alone prove output_basis is a basis.
 
     Independence needs some clean query answered independent whose set contains
     the output (the empty set is independent axiomatically).  Maximality needs,
-    for each e outside the output, a clean query answered dependent that
-    contains e and is a subset of output + e; in weighted_prefix mode the
-    subset condition tightens to the output's prefix through e's canonical
-    index, matching safeness witnesses.
+    for each e outside the output, a clean query answered dependent whose set
+    is a subset of output + e that contains e, that is, whose elements outside
+    the output are exactly {e}.  One pass over the dependent records collects
+    those single elements.
     """
-    if mode not in ("unweighted", "weighted_prefix"):
-        raise ValueError(f"unknown certificate mode {mode!r}")
     out = mask_of(output_basis)
     clean_ind = [r for r in transcript if r.role == ROLE_CLEAN and not r.kind.startswith(KIND_RANK)]
     if any(r.mask is None for r in clean_ind):
         raise TranscriptNotStored("transcript sets were not stored; cannot verify")
     ind_ok = out == 0 or any(r.answer and out & ~r.mask == 0 for r in clean_ind)
-    dep_records = [r for r in clean_ind if not r.answer]
-    unwitnessed = []
-    for e in iter_bits(ground.full_mask & ~out):
-        bit = 1 << e
-        if mode == "unweighted":
-            allowed = out | bit
-        else:
-            allowed = (out & ground.prefix_mask(ground.pos[e])) | bit
-        if not any(r.mask & bit and r.mask & ~allowed == 0 for r in dep_records):
-            unwitnessed.append(e)
-    ok = ind_ok and not unwitnessed
-    return CertificateReport(ok, ind_ok, tuple(unwitnessed))
+    witnessed = 0
+    for r in clean_ind:
+        if not r.answer:
+            extra = r.mask & ~out
+            if extra & (extra - 1) == 0:
+                witnessed |= extra  # zero or the single element e
+    unwitnessed = tuple(iter_bits(ground.full_mask & ~out & ~witnessed))
+    return CertificateReport(ind_ok and not unwitnessed, ind_ok, unwitnessed)

@@ -15,7 +15,6 @@ from matoracle import (
     IntersectionOracles,
     OraclePair,
     PartitionMatroid,
-    RobustParams,
     UniformMatroid,
     ceil_log2,
     compute_eta,
@@ -174,7 +173,7 @@ def test_criterion_03_robustified_bounds(unweighted_trials):
                 (robust_weighted_basis, n - r + k + rep.eta_A * (k + 1) + rep.eta_R * (k + 1) * lg),
             ):
                 p2 = fresh(pair)
-                basis, led = fn(bd.mask, p2, RobustParams.for_run(k, r_d))
+                basis, led = fn(bd.mask, p2, k)
                 cap = min(Fraction(err_branch), Fraction(k + 1, k) * n)
                 assert Fraction(led.clean_independence_count) <= cap, (fn.__name__, k, n)
                 assert p2.clean.rank_mask(basis.mask) == len(basis) == r
@@ -194,7 +193,7 @@ def test_criterion_03_robustified_bounds(unweighted_trials):
                 (robust_weighted_basis, n - 1 + k + ea * (k + 1) + er * (k + 1) * ceil_log2(n)),
             ):
                 p2 = fresh(pair)
-                basis, led = fn(bd.mask, p2, RobustParams.for_run(k, n))
+                basis, led = fn(bd.mask, p2, k)
                 robust_cap = Fraction(k + 1, k) * n
                 assert Fraction(led.clean_independence_count) <= robust_cap, (fn.__name__, n, k)
                 assert Fraction(led.clean_independence_count) <= min(Fraction(err_branch), robust_cap)
@@ -216,7 +215,7 @@ def test_criterion_04_weighted_correctness(weighted_trials):
         assert g.weight(basis.mask) == best
         k = rng.choice((1, 2, 3, 8))
         p3 = fresh(pair)
-        basis2, _ = robust_weighted_basis(bd.mask, p3, RobustParams.for_run(k, len(bd)))
+        basis2, _ = robust_weighted_basis(bd.mask, p3, k)
         assert g.weight(basis2.mask) == best
     # constructed realization of the motivating modification pattern
     g = GroundSet([9 - i for i in range(9)])
@@ -298,7 +297,7 @@ def test_criterion_08_costly_selector_exact():
                 gen = generate(inst)
                 pair = gen.fresh_pair()
                 pair.ledger.cost_p = Fraction(p)
-                basis, total, tag = costly_strategies(pair, strategy="auto")
+                basis, total, tag = costly_strategies(pair)
                 cost_a = Fraction(p) * (n - r) * ceil_log2(n) + p
                 cost_b = n + Fraction(p) * (n - r + 1)
                 assert total == min(cost_a, cost_b) + p, (n, r, p, tag)
@@ -345,12 +344,12 @@ def test_criterion_10_certificate_suite(unweighted_trials):
             ("greedy", lambda p: (greedy_basis(p, ROLE_CLEAN), p.ledger)),
             ("simple", lambda p: simple_basis(bd.mask, p)),
             ("errdep", lambda p: error_dependent_basis(bd.mask, p)),
-            ("robust", lambda p: robust_basis(bd.mask, p, RobustParams.for_run(rng.choice((1, 2, 3, 8)), len(bd)))),
+            ("robust", lambda p: robust_basis(bd.mask, p, rng.choice((1, 2, 3, 8)))),
         ]
         for _name, fn in runs:
             p2 = fresh(pair)
             basis, led = fn(p2)
-            rep = verify_certificate(led.transcript, basis.mask, g, mode="unweighted")
+            rep = verify_certificate(led.transcript, basis.mask, g)
             assert rep.ok, _name
             checked += 1
     # negative control: drop one dependence witness from a greedy transcript
@@ -379,13 +378,13 @@ def test_criterion_11_lower_bound_floor():
             ("greedy", lambda p: (greedy_basis(p, ROLE_CLEAN), p.ledger)),
             ("simple", lambda p: simple_basis(bd.mask, p)),
             ("errdep", lambda p: error_dependent_basis(bd.mask, p)),
-            ("robust-2", lambda p: robust_basis(bd.mask, p, RobustParams.for_run(2, len(bd)))),
+            ("robust-2", lambda p: robust_basis(bd.mask, p, 2)),
             ("weighted", lambda p: weighted_basis(bd.mask, p)),
         ]
         for name, fn in runs:
             p2 = fresh(pair)
             basis, led = fn(p2)
-            cert = verify_certificate(led.transcript, basis.mask, p2.ground, mode="unweighted")
+            cert = verify_certificate(led.transcript, basis.mask, p2.ground)
             if cert.ok:
                 assert led.clean_independence_count >= floor, (name, n, r)
     elapsed = time.perf_counter() - t0

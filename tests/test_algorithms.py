@@ -7,7 +7,6 @@ from matoracle import (
     GroundSet,
     OraclePair,
     PartitionMatroid,
-    RobustParams,
     UniformMatroid,
     binary_search_smallest_dependent_prefix,
     ceil_log2,
@@ -118,14 +117,14 @@ class TestErrorDependent:
 class TestRobust:
     def test_consistency_at_k1(self):
         pair, bd = make_pair({"kind": "uniform", "k": 2}, n=6)
-        basis, led = robust_basis(bd.mask, pair, RobustParams.for_run(1, len(bd)))
+        basis, led = robust_basis(bd.mask, pair, 1)
         assert led.clean_independence_count <= 6 - 2 + 1
 
     def test_adversarial_robustness_cap(self):
         n, k = 64, 2
         pair, bd = make_pair({"kind": "uniform", "k": 0}, {"kind": "uniform", "k": n}, n=n)
         assert len(bd) == n
-        basis, led = robust_basis(bd.mask, pair, RobustParams.for_run(k, n))
+        basis, led = robust_basis(bd.mask, pair, k)
         assert basis.mask == 0
         assert led.clean_independence_count <= (1 + Fraction(1, k)) * n == 96
 
@@ -141,7 +140,7 @@ class TestRobust:
         lg = ceil_log2(r_d)
         for k in (1, 2, 4, 8):
             p2 = fresh(pair0)
-            basis, led = robust_basis(bd.mask, p2, RobustParams.for_run(k, r_d))
+            basis, led = robust_basis(bd.mask, p2, k)
             bound = min(
                 Fraction(8 - r + k + rep.eta_A + rep.eta_R * (k + 1) * lg),
                 Fraction(k + 1, k) * 8,
@@ -201,7 +200,7 @@ class TestRobustWeighted:
     def test_identity_consistency(self):
         for k in (1, 2, 3, 7):
             pair, bd = make_pair({"kind": "uniform", "k": 2}, n=6)
-            basis, led = robust_weighted_basis(bd.mask, pair, RobustParams.for_run(k, len(bd)))
+            basis, led = robust_weighted_basis(bd.mask, pair, k)
             g = pair.ground
             assert g.weight(basis.mask) == g.weight(greedy_native(pair.clean, g).mask)
             assert led.clean_independence_count <= 6 - 2 + k
@@ -209,7 +208,7 @@ class TestRobustWeighted:
     def test_adversarial_cap(self):
         n, k = 60, 3
         pair, bd = make_pair({"kind": "uniform", "k": 1}, {"kind": "uniform", "k": n}, n=n)
-        basis, led = robust_weighted_basis(bd.mask, pair, RobustParams.for_run(k, n))
+        basis, led = robust_weighted_basis(bd.mask, pair, k)
         assert len(basis) == 1
         assert led.clean_independence_count <= (1 + Fraction(1, k)) * n == 80
 
@@ -218,7 +217,7 @@ class TestRobustWeighted:
         for pair, bd in random_pairs(120, seed=6, n_range=(1, 12), weight_mode="int"):
             k = rng.choice([1, 2, 3, 8])
             p2 = fresh(pair)
-            basis, _ = robust_weighted_basis(bd.mask, p2, RobustParams.for_run(k, len(bd)))
+            basis, _ = robust_weighted_basis(bd.mask, p2, k)
             g = p2.ground
             assert g.weight(basis.mask) == g.weight(greedy_native(p2.clean, g).mask)
 
@@ -307,19 +306,10 @@ class TestCostly:
             assert tag == COSTLY_B
             assert total == cost_b + cost
 
-    def test_standalone_strategies(self):
-        pair, _ = _costly_pair(n=8, r=6, p=3)
-        basis, total, tag = costly_strategies(fresh(pair), strategy="A")
-        assert tag == COSTLY_A and len(basis) == 6
-        basis, total, tag = costly_strategies(fresh(pair), strategy="B")
-        assert tag == COSTLY_B and len(basis) == 6
-
 
 def _costly_pair(n, r, p):
     gen = generate(family_instance("lb_basic", n=n, r=r))
-    pair = gen.fresh_pair()
-    pair.ledger.cost_p = Fraction(p)
-    return pair, gen
+    return gen.fresh_pair(cost_p=p), gen
 
 
 class TestOracleHygiene:
@@ -332,7 +322,7 @@ class TestOracleHygiene:
                 [
                     lambda: simple_basis(bd2.mask, p2),
                     lambda: error_dependent_basis(bd2.mask, p2),
-                    lambda: robust_basis(bd2.mask, p2, RobustParams.for_run(2, len(bd2))),
+                    lambda: robust_basis(bd2.mask, p2, 2),
                     lambda: weighted_basis(bd2.mask, p2),
                 ]
             )
@@ -387,9 +377,18 @@ class TestStructuredLargeInstances:
         r = clean.full_rank()
         for k in (1, 4):
             p2 = fresh(pair)
-            basis, led = robust_basis(bd.mask, p2, RobustParams.for_run(k, len(bd)))
+            basis, led = robust_basis(bd.mask, p2, k)
             assert p2.clean.rank_mask(basis.mask) == len(basis) == r
             assert Fraction(led.clean_independence_count) <= Fraction(k + 1, k) * n
+
+
+@pytest.mark.parametrize("fn", [robust_basis, robust_weighted_basis])
+@pytest.mark.parametrize("k", [0, -2])
+def test_k_below_one_rejected(fn, k):
+    pair, bd = make_pair({"kind": "uniform", "k": 2}, n=5)
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        fn(bd.mask, pair, k)
+    assert pair.ledger.clean_count == 0
 
 
 def test_default_k_exposed():

@@ -37,6 +37,9 @@ UNSTORED = {
     "dirty": {"mode": "matroid", "kind": "uniform", "k": 4},
 }
 
+LB_BASIC_GROUP = {"family": "lb_basic", "params": {"n": 8, "r": 4}}
+LB_BASIC = family_instance(LB_BASIC_GROUP["family"], **LB_BASIC_GROUP["params"])
+
 
 def _write(tmp_path, name, doc):
     path = tmp_path / name
@@ -100,6 +103,42 @@ class TestSpecErrors:
         inst = _write(tmp_path, "inst.json", '{"n": 4,')
         assert cli.main(["run", "--instance", inst, "--alg", "errdep", "--out", str(tmp_path / "rec.json")]) == 2
         assert "not valid JSON" in _one_line_error(capsys)
+
+
+class TestParamErrors:
+    """A k or p that is out of range exits 2 with one line, never a false
+    pass with a default or an unchecked value."""
+
+    @pytest.mark.parametrize(
+        "alg, flag, value",
+        [("robust", "--k", "0"), ("robust", "--k", "-2"), ("weighted-robust", "--k", "0"),
+         ("costly", "--p", "0"), ("costly", "--p", "-3")],
+    )
+    def test_run_exits_2(self, tmp_path, capsys, alg, flag, value):
+        inst = _write(tmp_path, "inst.json", LB_BASIC.to_json())
+        args = ["run", "--instance", inst, "--alg", alg, flag, value, "--out", str(tmp_path / "rec.json")]
+        assert cli.main(args) == 2
+        assert f"matoracle: invalid spec: {flag[2:]}: must be" in _one_line_error(capsys)
+        assert not (tmp_path / "rec.json").exists()
+
+    def test_verify_exits_2(self, tmp_path, capsys):
+        inst = _write(tmp_path, "inst.json", LB_BASIC.to_json())
+        assert cli.main(["verify", "--instance", inst, "--all", "--p", "0"]) == 2
+        assert "matoracle: invalid spec: p: must be" in _one_line_error(capsys)
+
+    @pytest.mark.parametrize("grid", [{"k": [0]}, {"p": [0]}, {"k": [2, -1]}, {"p": [2, "x"]}, {"k": 2}])
+    def test_bench_grid_exits_2(self, tmp_path, capsys, grid):
+        doc = {"instances": [LB_BASIC_GROUP], "algorithms": ["robust", "costly"], **grid}
+        config = _write(tmp_path, "sweep.json", doc)
+        assert cli.main(["bench", "--config", config, "--out", str(tmp_path / "r.csv")]) == 2
+        assert f"matoracle: invalid spec: {next(iter(grid))}: must be" in _one_line_error(capsys)
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_valid_k_and_p_pass(self, tmp_path, capsys):
+        doc = {"instances": [LB_BASIC_GROUP], "algorithms": ["robust", "costly"], "k": [1, 3], "p": [1, 4]}
+        config = _write(tmp_path, "sweep.json", doc)
+        assert cli.main(["bench", "--config", config, "--out", str(tmp_path / "r.csv")]) == 0
+        assert "4 rows" in capsys.readouterr().out
 
 
 class TestUnstoredTranscript:

@@ -119,6 +119,15 @@ def _count_extra(s, b):
     return (s & ~b).bit_count()
 
 
+def _per_top_set(pair):
+    """(|A(S)|, |R(S)|) for every dirty top set S, by modification sets."""
+    out = {}
+    for s in dirty_top_sets(pair).tolist():
+        a_set, r_set = modification_sets(s, pair.clean, pair.ground)
+        out[s] = (len(a_set), len(r_set))
+    return out
+
+
 class TestComputeEta:
     def test_identity_pair(self):
         pair, _ = make_pair({"kind": "uniform", "k": 2}, n=5)
@@ -147,26 +156,26 @@ class TestComputeEta:
     def test_monotone_alignment_across_dirty_bases(self):
         # |A(S1)| <= |A(S2)| iff |R(S1)| <= |R(S2)| over the dirty top sets
         for pair, _ in random_pairs(40, seed=77, n_range=(2, 10)):
-            rep = compute_eta(pair)
-            entries = list(rep.per_basis.values())
+            entries = list(_per_top_set(pair).values())
             for a1, r1 in entries:
                 for a2, r2 in entries:
                     assert (a1 <= a2) == (r1 <= r2)
 
     def test_shortcut_equals_enumeration(self):
-        # unit weights: rank shortcut must agree with the explicit
-        # modification-set minimization per dirty top set
+        # the overlap-table eta must agree with the explicit modification-set
+        # minimization over the dirty top sets
         for pair, _ in random_pairs(25, seed=31, n_range=(2, 9)):
             rep = compute_eta(pair)
-            for s, (a, r) in rep.per_basis.items():
-                a_set, r_set = modification_sets(s, pair.clean, pair.ground)
-                assert (len(a_set), len(r_set)) == (a, r)
+            entries = _per_top_set(pair).values()
+            assert rep.eta_A == max(a for a, _ in entries)
+            assert rep.eta_R == max(r for _, r in entries)
 
     def test_witness_attains_max_distance(self, small_random_pairs):
         for pair, _ in small_random_pairs:
             rep = compute_eta(pair)
-            a, r = rep.per_basis[rep.witness_basis]
-            assert a + r == max(x + y for x, y in rep.per_basis.values())
+            per_set = _per_top_set(pair)
+            a, r = per_set[rep.witness_basis.mask]
+            assert a + r == max(x + y for x, y in per_set.values())
 
     def test_explicit_dirty_uses_maximal_sets(self):
         g = GroundSet.unit(4)
@@ -177,8 +186,7 @@ class TestComputeEta:
         assert sorted(tops) == [0b0111, 0b1000]
         rep = compute_eta(pair)
         # {0,1,2} needs one removal; {3} needs one addition
-        assert rep.per_basis[ElementSet(4, 0b0111)] == (0, 1)
-        assert rep.per_basis[ElementSet(4, 0b1000)] == (1, 0)
+        assert _per_top_set(pair) == {0b0111: (0, 1), 0b1000: (1, 0)}
         assert (rep.eta_A, rep.eta_R) == (1, 1)
 
     def test_guard(self):

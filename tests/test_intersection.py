@@ -56,6 +56,16 @@ def random_pair_instance(rng, n, raises=2):
     return IntersectionOracles(g, c1, c2, raised(c1), raised(c2))
 
 
+def _first_superset_violation(ox):
+    """The precheck message by the definition: every subset mask in
+    ascending order, matroid 1 before matroid 2."""
+    for m in range(1 << ox.ground.n):
+        for i in (0, 1):
+            if ox.clean[i].is_independent_mask(m) and not ox.dirty[i].is_independent_mask(m):
+                return f"set {m:#x} is clean-independent but dirty-dependent in matroid {i + 1}"
+    return None
+
+
 class TestExchangeGraph:
     def test_empty_x(self):
         g = GroundSet.unit(4)
@@ -221,6 +231,41 @@ class TestDirtyIntersection:
         ox = IntersectionOracles(g, c1, c2, d1, c2)
         with pytest.raises(SupersetViolation):
             dirty_intersection(ox)
+
+    def test_superset_precheck_matches_subset_loop(self):
+        # the precheck names the smallest clean-independent, dirty-dependent
+        # set, matroid 1 first at a tie, and bills nothing
+        rng = random.Random(15)
+        seen = set()
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            ox = random_pair_instance(rng, n, raises=rng.randint(0, 2))
+            lowered = [
+                PartitionMatroid(
+                    ox.ground,
+                    [list(iter_bits(m)) for m in d.class_masks],
+                    [max(0, c - (rng.random() < 0.2)) for c in d.caps],
+                )
+                for d in ox.dirty
+            ]
+            ox = IntersectionOracles(ox.ground, *ox.clean, *lowered)
+            want = _first_superset_violation(ox)
+            seen.add(want and want[-1])
+            if want is None:
+                dirty_intersection(ox)
+                continue
+            with pytest.raises(SupersetViolation) as err:
+                dirty_intersection(ox)
+            assert str(err.value) == want
+            assert ox.ledger.transcript == []
+        assert seen == {None, "1", "2"}
+
+    def test_superset_precheck_tie_names_matroid_1(self):
+        g = GroundSet.unit(2)
+        clean = PartitionMatroid(g, [[0, 1]], [1])
+        dirty = PartitionMatroid(g, [[0, 1]], [0])
+        with pytest.raises(SupersetViolation, match="set 0x1 .* in matroid 1$"):
+            dirty_intersection(IntersectionOracles(g, clean, clean, dirty, dirty))
 
     def test_requires_partition_clean(self):
         g = GroundSet.unit(3)

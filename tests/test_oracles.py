@@ -104,14 +104,14 @@ class TestLedger:
         assert line == "0,clean,ind,1,5"
 
     def test_replay_determinism_bit_identical_transcripts(self, small_random_pairs):
-        from matoracle import RobustParams, error_dependent_basis, robust_weighted_basis
+        from matoracle import error_dependent_basis, robust_weighted_basis
 
         for pair, bd in small_random_pairs[:15]:
             runs = []
             for _ in range(2):
                 p2 = fresh(pair)
                 error_dependent_basis(bd.mask, p2)
-                robust_weighted_basis(bd.mask, p2, RobustParams.for_run(2, len(bd)))
+                robust_weighted_basis(bd.mask, p2, 2)
                 runs.append(p2.ledger.export_lines())
             assert runs[0] == runs[1]
 
@@ -250,6 +250,30 @@ class TestCertificates:
         rep = verify_certificate(pair.ledger.transcript, 0b11, pair.ground)
         assert not rep.ok and not rep.independence_witnessed
 
+    def test_one_pass_matches_per_element_definition(self):
+        # reference: e is witnessed by a dependent clean record that contains
+        # e and lies inside output + e; rank and dirty records never witness
+        rng = random.Random(8)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            pair = simple_pair(n=n, k=rng.randint(0, n))
+            out = rng.getrandbits(n)
+            for _ in range(rng.randint(0, 12)):
+                mask = rng.getrandbits(n)
+                if rng.random() < 0.6:
+                    mask = (out & mask) | 1 << rng.randrange(n)
+                query = rng.choice((pair.query_independent, pair.query_independent, pair.query_rank))
+                query(rng.choice((ROLE_CLEAN, ROLE_CLEAN, ROLE_DIRTY)), mask)
+            records = pair.ledger.transcript
+            dep = [r.mask for r in records if r.role == ROLE_CLEAN and r.kind == "ind" and not r.answer]
+            want = tuple(
+                e for e in range(n)
+                if not out >> e & 1 and not any(m >> e & 1 and m & ~(out | 1 << e) == 0 for m in dep)
+            )
+            rep = verify_certificate(records, out, pair.ground)
+            assert rep.unwitnessed == want
+            assert rep.ok == (rep.independence_witnessed and not want)
+
     def test_empty_output_needs_no_independence_witness(self):
         g = GroundSet.unit(2)
         spec = UniformMatroid(g, 0)
@@ -257,16 +281,6 @@ class TestCertificates:
         basis = greedy_basis(pair, ROLE_CLEAN)
         assert basis.mask == 0
         rep = verify_certificate(pair.ledger.transcript, 0, g)
-        assert rep.ok
-
-    def test_weighted_prefix_mode(self):
-        # witness sets may include only elements at or before the candidate's
-        # canonical position
-        g = GroundSet([3, 2, 1])
-        spec = UniformMatroid(g, 1)
-        pair = OraclePair(spec, spec, g)
-        greedy_basis(pair, ROLE_CLEAN)
-        rep = verify_certificate(pair.ledger.transcript, 0b001, g, mode="weighted_prefix")
         assert rep.ok
 
 
