@@ -173,12 +173,14 @@ def weighted_basis(bd, pair, events=None):
         if pair.query_independent(ROLE_CLEAN, cur):
             break
         r_mask |= _remove_smallest_dependent(pair, g, bd_mask, cur, -1, events)
+    pre = 0  # prefix mask through position p, kept as the scan walks
     for p in range(g.n):
         e = g.order[p]
+        pre |= 1 << e
         if bd_mask >> e & 1:
             continue
         cur = (bd_mask & ~r_mask) | a_mask
-        if pair.query_independent(ROLE_CLEAN, (cur | 1 << e) & g.prefix_mask(p)):
+        if pair.query_independent(ROLE_CLEAN, (cur | 1 << e) & pre):
             a_mask |= 1 << e
             if events is not None:
                 events.append(("add", e))
@@ -216,11 +218,13 @@ def robust_weighted_basis(bd, pair, k, events=None):
     def current():
         return (bd_mask & ~r_mask) | a_mask
 
+    pre = 0  # prefix mask through position p, kept as the scan walks
     for p in range(g.n):
         e = g.order[p]
+        pre |= 1 << e
         if not bd_mask >> e & 1:
             cur = current()
-            if pair.query_independent(ROLE_CLEAN, (cur | 1 << e) & g.prefix_mask(p)):
+            if pair.query_independent(ROLE_CLEAN, (cur | 1 << e) & pre):
                 a_mask |= 1 << e
                 if events is not None:
                     events.append(("add", e))
@@ -236,7 +240,7 @@ def robust_weighted_basis(bd, pair, k, events=None):
                 continue
             known_dep = True
         q += 1
-        if not pair.query_independent(ROLE_CLEAN, current() & g.prefix_mask(p)):
+        if not pair.query_independent(ROLE_CLEAN, current() & pre):
             r_mask |= 1 << e
             if events is not None:
                 events.append(("remove", e))
@@ -297,7 +301,7 @@ def rank_oracle_basis(bd, pair):
         r = pair.query_rank(ROLE_CLEAN, g.full_mask)
         if r == 0:
             return ElementSet(g.n, 0), pair.ledger
-        return ElementSet(g.n, _rank_additions(pair, g, 0, 0, r, range(g.n))), pair.ledger
+        return ElementSet(g.n, _rank_additions(pair, g, 0, 0, r, g.full_mask)), pair.ledger
 
     q1 = pair.query_rank(ROLE_CLEAN, bd_mask)
     d_r = r_d - q1
@@ -311,9 +315,9 @@ def rank_oracle_basis(bd, pair):
     else:
         r = pair.query_rank(ROLE_CLEAN, g.full_mask)
         d_a = r - q1
-    outside = [p for p in range(g.n) if not bd_mask >> g.order[p] & 1]
+    m = g.n - r_d  # addition candidates: the elements outside the dirty basis
     if d_r > 0:
-        planned = 2 + d_r * lg_rd + min(d_a * ceil_log2(len(outside)), len(outside))
+        planned = 2 + d_r * lg_rd + min(d_a * ceil_log2(m), m)
         if planned > g.n + 1:
             # the binary plan cannot beat the scan; finish greedily, stopping
             # once the full rank is reached
@@ -332,27 +336,27 @@ def rank_oracle_basis(bd, pair):
         cur &= ~(1 << g.element_at(pos))
     if d_a == 0:
         return ElementSet(g.n, cur), pair.ledger
-    return ElementSet(g.n, _rank_additions(pair, g, cur, q1, r, outside)), pair.ledger
+    return ElementSet(g.n, _rank_additions(pair, g, cur, q1, r, g.full_mask & ~bd_mask)), pair.ledger
 
 
-def _rank_additions(pair, g, cur, cur_rank, target_rank, outside_positions):
-    """Add the missing elements from the listed positions, by binary searches
-    on the smallest rank-increasing prefix when that is cheaper, else linearly.
+def _rank_additions(pair, g, cur, cur_rank, target_rank, cand):
+    """Add the missing elements from the candidate mask cand, by binary
+    searches on the smallest rank-increasing prefix of the candidates in
+    canonical order when that is cheaper, else linearly.
     """
+    outside_positions = g.positions(cand)
     m = len(outside_positions)
     d_a = target_rank - cur_rank
     if d_a * ceil_log2(m) <= m:
-        cum = []
-        acc = 0
-        for p in outside_positions:
-            acc |= 1 << g.element_at(p)
-            cum.append(acc)
         lo = -1
         while cur_rank < target_rank:
             # rank over all candidates reaches the target, so the upper end is
             # known rank-increasing without a probe
             hi = binary_search_smallest_dependent_prefix(
-                range(m), lambda i: pair.query_rank(ROLE_CLEAN, cur | cum[i]) > cur_rank, lo, m - 1
+                range(m),
+                lambda i: pair.query_rank(ROLE_CLEAN, cur | cand & g.prefix_mask(outside_positions[i])) > cur_rank,
+                lo,
+                m - 1,
             )
             cur |= 1 << g.element_at(outside_positions[hi])
             cur_rank += 1

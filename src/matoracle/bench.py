@@ -119,6 +119,8 @@ class InstanceSpec:
                 raise InvalidSpec(key, "required field missing")
         if not isinstance(doc["n"], int) or doc["n"] < 0:
             raise InvalidSpec("n", "must be a non-negative integer")
+        if "family" in doc and not isinstance(doc["family"], dict):
+            raise InvalidSpec("family", "must be an object, or a string tag naming a family group")
         return cls(
             n=doc["n"],
             weights=doc["weights"],
@@ -302,6 +304,13 @@ FAMILIES = {
     "pairquery": _family_pairquery,
     "adversarial": _family_adversarial,
 }
+
+
+def is_family_group(cfg):
+    """Whether a gen spec or sweep entry names a family group by its string
+    tag; an instance written by gen carries its family as an object and is a
+    plain instance."""
+    return isinstance(cfg, dict) and isinstance(cfg.get("family"), str)
 
 
 def family_instance(tag, **params):
@@ -806,7 +815,7 @@ def sweep(config, out_path=None):
     records = []
     instances = []
     for inst_cfg in config.get("instances", []):
-        if "family" in inst_cfg:
+        if is_family_group(inst_cfg):
             params = dict(inst_cfg.get("params", {}))
             seeds = inst_cfg.get("seeds", [params.get("seed", 0)])
             for seed in seeds:

@@ -18,6 +18,7 @@ from .bench import (
     InstanceSpec,
     InvalidSpec,
     family_instance,
+    is_family_group,
     plot_data_series,
     run_trial,
     summary_lines,
@@ -40,7 +41,7 @@ def _load_instance(path):
 
 def _cmd_gen(args):
     cfg = _load_json(args.spec)
-    if "family" in cfg:
+    if is_family_group(cfg):
         params = dict(cfg.get("params", {}))
         inst = family_instance(cfg["family"], **params)
     else:

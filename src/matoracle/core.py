@@ -16,6 +16,10 @@ from functools import cached_property
 DEFAULT_ENUM_GUARD = 20
 DEFAULT_INTERSECTION_GUARD = 16
 
+# GroundSet keeps the prefix mask of every PREFIX_STRIDE-th position only, so
+# its prefix state is n^2 / PREFIX_STRIDE bits instead of n^2
+PREFIX_STRIDE = 64
+
 
 class GuardExceeded(RuntimeError):
     """Raised when an exponential enumeration would exceed its size guard."""
@@ -49,6 +53,17 @@ def iter_bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _scan_bits(mask):
+    """Set bit positions of mask in ascending order, by one scan of its binary
+    string: linear in the mask's length, where iter_bits rewrites the whole
+    int at every step (iter_bits stays faster for masks of a few words)."""
+    bits = bin(mask)[:1:-1]
+    e = bits.find("1")
+    while e >= 0:
+        yield e
+        e = bits.find("1", e + 1)
 
 
 class ElementSet:
@@ -147,11 +162,14 @@ class GroundSet:
         pos = [0] * n
         for p, e in enumerate(order):
             pos[e] = p
-        prefix_masks = []
-        acc = 0
-        for e in order:
-            acc |= 1 << e
-            prefix_masks.append(acc)
+        # checkpoint j holds the elements at positions < j * PREFIX_STRIDE;
+        # bits go into a byte buffer, so each checkpoint is one conversion
+        prefix_masks = [0]
+        buf = bytearray((n + 7) // 8)
+        for end in range(PREFIX_STRIDE, n + 1, PREFIX_STRIDE):
+            for e in order[end - PREFIX_STRIDE : end]:
+                buf[e >> 3] |= 1 << (e & 7)
+            prefix_masks.append(int.from_bytes(buf, "little"))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "dirty_basis_mask", bd)
@@ -175,28 +193,26 @@ class GroundSet:
         """Mask of elements with canonical position <= p (empty for p < 0)."""
         if p < 0:
             return 0
-        return self._prefix_masks[p]
+        j = (p + 1) // PREFIX_STRIDE
+        mask = self._prefix_masks[j]
+        for e in self.order[j * PREFIX_STRIDE : p + 1]:
+            mask |= 1 << e
+        return mask
 
     def prefix(self, s, p):
         return ElementSet(self.n, mask_of(s) & self.prefix_mask(p))
 
     def positions(self, s):
         """Sorted canonical positions of the members of s."""
-        # one scan of the binary string is linear in n; iter_bits rewrites
-        # the whole int at every step
-        bits = bin(mask_of(s))[:1:-1]
-        out = []
-        e = bits.find("1")
-        while e >= 0:
-            out.append(self.pos[e])
-            e = bits.find("1", e + 1)
-        return sorted(out)
+        pos = self.pos
+        return sorted([pos[e] for e in _scan_bits(mask_of(s))])
 
     def element_at(self, p):
         return self.order[p]
 
     def weight(self, s):
-        return sum(self.weights[e] for e in iter_bits(mask_of(s)))
+        weights = self.weights
+        return sum([weights[e] for e in _scan_bits(mask_of(s))])
 
     @property
     def unit_weights(self):

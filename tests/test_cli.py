@@ -141,6 +141,44 @@ class TestParamErrors:
         assert "4 rows" in capsys.readouterr().out
 
 
+class TestFamilyObjects:
+    """An instance file written by gen carries its family as an object; only a
+    string family names a family group."""
+
+    def _gen(self, tmp_path, spec):
+        out = tmp_path / "inst.json"
+        code = cli.main(["gen", "--spec", _write(tmp_path, "spec.json", spec), "--out", str(out)])
+        return code, out
+
+    def test_bench_runs_a_gen_instance_inline(self, tmp_path, capsys):
+        code, out = self._gen(tmp_path, LB_BASIC_GROUP)
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert isinstance(doc["family"], dict)
+        config = _write(tmp_path, "sweep.json", {"instances": [doc], "algorithms": ["errdep"]})
+        assert cli.main(["bench", "--config", config, "--out", str(tmp_path / "r.csv")]) == 0
+        assert "1 rows" in capsys.readouterr().out
+
+    def test_gen_copies_a_gen_instance(self, tmp_path):
+        code, out = self._gen(tmp_path, LB_BASIC_GROUP)
+        first = out.read_text()
+        assert code == 0
+        assert self._gen(tmp_path, json.loads(first)) == (0, out)
+        assert out.read_text() == first
+
+    @pytest.mark.parametrize("family", [5, ["lb_basic"], None])
+    @pytest.mark.parametrize("command", ["gen", "bench"])
+    def test_other_family_values_exit_2(self, tmp_path, capsys, command, family):
+        doc = dict(json.loads(LB_BASIC.to_json()), family=family)
+        if command == "gen":
+            code, _ = self._gen(tmp_path, doc)
+        else:
+            config = _write(tmp_path, "sweep.json", {"instances": [doc], "algorithms": ["errdep"]})
+            code = cli.main(["bench", "--config", config, "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert "matoracle: invalid spec: family: must be" in _one_line_error(capsys)
+
+
 class TestUnstoredTranscript:
     def test_run_trial_still_raises(self):
         with pytest.raises(ValueError, match="transcript sets were not stored"):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,10 +18,15 @@ from matoracle import (
     ceil_log2,
     enumerate_max_weight_bases,
     greedy_max_weight_basis,
+    greedy_native,
     is_independent,
     rank,
 )
+from matoracle.algorithms import _rank_additions, binary_search_smallest_dependent_prefix
 from matoracle.core import iter_bits, spec_from_config
+from matoracle.oracles import ROLE_CLEAN
+
+from conftest import fresh, random_pairs
 
 K3 = {"kind": "graphic", "vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]]}
 
@@ -86,11 +92,33 @@ class TestGroundSet:
     @pytest.mark.parametrize("n", [1, 7, 64, 65, 300])
     def test_positions_match_bit_walk(self, n):
         rng = random.Random(n)
-        g = GroundSet([rng.randint(0, 3) for _ in range(n)])
+        g = GroundSet([rng.choice([0, 3, Fraction(1, 3)]) for _ in range(n)])
         masks = [0, g.full_mask] + [rng.getrandbits(n) for _ in range(20)]
         for mask in masks:
             assert g.positions(mask) == sorted(g.pos[e] for e in iter_bits(mask))
             assert g.positions(ElementSet(n, mask)) == g.positions(mask)
+            assert g.weight(mask) == sum(g.weights[e] for e in iter_bits(mask))
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130, 1000])
+    def test_prefix_mask_is_running_or(self, n):
+        rng = random.Random(n)
+        fresh_ground = GroundSet([rng.randint(0, 2) for _ in range(n)], rng.getrandbits(n) if n else 0)
+        for g in (fresh_ground, fresh_ground.with_dirty_basis(rng.getrandbits(n) if n else 0)):
+            acc = 0
+            assert g.prefix_mask(-1) == 0
+            for p in range(n):
+                acc |= 1 << g.order[p]
+                assert g.prefix_mask(p) == acc
+
+    def test_prefix_state_is_subquadratic(self):
+        # every-position prefix masks took n^2 bits, about 36 MB here
+        tracemalloc.start()
+        try:
+            GroundSet.unit(16384)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestIndependence:
@@ -336,3 +364,60 @@ def test_spec_config_round_trip():
         again = spec_from_config(g, spec.to_config())
         for m in range(1 << 4):
             assert spec.is_independent_mask(m) == again.is_independent_mask(m)
+
+
+def _rank_additions_cum(pair, g, cur, cur_rank, target_rank, outside_positions):
+    """Reference: the rank additions with one cumulative candidate mask per
+    position, as they were before the prefix checkpoints."""
+    m = len(outside_positions)
+    d_a = target_rank - cur_rank
+    if d_a * ceil_log2(m) <= m:
+        cum = []
+        acc = 0
+        for p in outside_positions:
+            acc |= 1 << g.element_at(p)
+            cum.append(acc)
+        lo = -1
+        while cur_rank < target_rank:
+            hi = binary_search_smallest_dependent_prefix(
+                range(m), lambda i: pair.query_rank(ROLE_CLEAN, cur | cum[i]) > cur_rank, lo, m - 1
+            )
+            cur |= 1 << g.element_at(outside_positions[hi])
+            cur_rank += 1
+            lo = hi
+        return cur
+    for p in outside_positions:
+        e = g.element_at(p)
+        got = pair.query_rank(ROLE_CLEAN, cur | 1 << e)
+        if got > cur_rank:
+            cur |= 1 << e
+            cur_rank = got
+        if cur_rank == target_rank:
+            break
+    return cur
+
+
+def test_rank_additions_match_cumulative_masks():
+    rng = random.Random(77)
+    searched = linear = 0
+    for pair, bd in random_pairs(16, seed=77, n_range=(100, 600), kinds=("partition", "uniform")):
+        g, clean = pair.ground, pair.clean
+        # the ground puts the dirty basis first, so the clean greedy basis
+        # meets it in a maximal clean-independent subset, as after the
+        # removals; a random part of that basis has a larger deficiency
+        basis = greedy_native(clean, g).mask
+        thinned = basis & bd.mask
+        sparse = sum(1 << e for e in iter_bits(basis) if rng.random() < 0.3)
+        for cur, cand in ((thinned, g.full_mask & ~bd.mask), (sparse, g.full_mask & ~sparse)):
+            cur_rank, target = clean.rank_mask(cur), clean.rank_mask(cur | cand)
+            m = cand.bit_count()
+            if (target - cur_rank) * ceil_log2(m) <= m:
+                searched += 1
+            else:
+                linear += 1
+            new_pair, old_pair = fresh(pair), fresh(pair)
+            got = _rank_additions(new_pair, g, cur, cur_rank, target, cand)
+            want = _rank_additions_cum(old_pair, g, cur, cur_rank, target, g.positions(cand))
+            assert got == want
+            assert new_pair.ledger.export_lines() == old_pair.ledger.export_lines()
+    assert searched and linear
