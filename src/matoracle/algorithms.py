@@ -56,19 +56,17 @@ def simple_basis(bd, pair):
     return ElementSet(g.n, _augment_outside(pair, g, start, start)), pair.ledger
 
 
-def _augment_outside(pair, g, cur, bd_mask, events=None):
+def _augment_outside(pair, g, cur, bd_mask):
     for p in range(g.n):
         e = g.order[p]
         if bd_mask >> e & 1:
             continue
         if pair.query_independent(ROLE_CLEAN, cur | 1 << e):
             cur |= 1 << e
-            if events is not None:
-                events.append(("add", e))
     return cur
 
 
-def _remove_smallest_dependent(pair, g, bd_mask, cur, lo_pos, events):
+def _remove_smallest_dependent(pair, g, bd_mask, cur, lo_pos):
     """Bit of the element ending the smallest dependent prefix of cur, found
     by binary search above lo_pos (a member of cur whose prefix is
     independent, or -1); it must lie inside the dirty basis."""
@@ -80,12 +78,19 @@ def _remove_smallest_dependent(pair, g, bd_mask, cur, lo_pos, events):
     e = g.element_at(pos)
     if not bd_mask >> e & 1:
         raise RuntimeError("removals must stay inside the dirty basis")
-    if events is not None:
-        events.append(("remove", e))
     return 1 << e
 
 
-def error_dependent_basis(bd, pair, events=None):
+def _strip_dirty_basis(pair, g, bd_mask):
+    """Remove smallest-dependent-prefix elements from the dirty basis until it
+    is clean-independent; returns what is left."""
+    cur = bd_mask
+    while not pair.query_independent(ROLE_CLEAN, cur):
+        cur &= ~_remove_smallest_dependent(pair, g, bd_mask, cur, -1)
+    return cur
+
+
+def error_dependent_basis(bd, pair):
     """Binary-search removals from the dirty basis, then greedy augmentation.
 
     Clean queries: at most n - r + 1 + eta_A + eta_R * ceil(log2 r_d).
@@ -94,14 +99,11 @@ def error_dependent_basis(bd, pair, events=None):
     """
     g = pair.ground
     bd_mask = mask_of(bd)
-    cur = bd_mask
-    while not pair.query_independent(ROLE_CLEAN, cur):
-        cur &= ~_remove_smallest_dependent(pair, g, bd_mask, cur, -1, events)
-    cur = _augment_outside(pair, g, cur, bd_mask, events)
+    cur = _augment_outside(pair, g, _strip_dirty_basis(pair, g, bd_mask), bd_mask)
     return ElementSet(g.n, cur), pair.ledger
 
 
-def robust_basis(bd, pair, k, events=None):
+def robust_basis(bd, pair, k):
     """Segmented removal search: short linear probe, an independence gate, a
     longer linear probe, then binary search; finally greedy augmentation.
 
@@ -150,15 +152,13 @@ def robust_basis(bd, pair, k, events=None):
                 found = binary_search_smallest_dependent_prefix(
                     range(m + 1), lambda i: not pair.query_independent(ROLE_CLEAN, upto(i)), k * lg, m
                 )
-        if events is not None:
-            events.append(("remove", g.element_at(seg[found - 1])))
         b = upto(found - 1)
         seg = seg[found:]
-    cur = _augment_outside(pair, g, b, bd_mask, events)
+    cur = _augment_outside(pair, g, b, bd_mask)
     return ElementSet(g.n, cur), pair.ledger
 
 
-def weighted_basis(bd, pair, events=None):
+def weighted_basis(bd, pair):
     """Alternating prefix-guided additions and binary-search removals keeping
     the working solution safe through every weight prefix.
 
@@ -167,12 +167,8 @@ def weighted_basis(bd, pair, events=None):
     """
     g = pair.ground
     bd_mask = mask_of(bd)
-    a_mask, r_mask = 0, 0
-    while True:
-        cur = (bd_mask & ~r_mask) | a_mask
-        if pair.query_independent(ROLE_CLEAN, cur):
-            break
-        r_mask |= _remove_smallest_dependent(pair, g, bd_mask, cur, -1, events)
+    a_mask = 0
+    r_mask = bd_mask & ~_strip_dirty_basis(pair, g, bd_mask)
     pre = 0  # prefix mask through position p, kept as the scan walks
     for p in range(g.n):
         e = g.order[p]
@@ -182,15 +178,13 @@ def weighted_basis(bd, pair, events=None):
         cur = (bd_mask & ~r_mask) | a_mask
         if pair.query_independent(ROLE_CLEAN, (cur | 1 << e) & pre):
             a_mask |= 1 << e
-            if events is not None:
-                events.append(("add", e))
             cur |= 1 << e
             if not pair.query_independent(ROLE_CLEAN, cur):
-                r_mask |= _remove_smallest_dependent(pair, g, bd_mask, cur, p, events)
+                r_mask |= _remove_smallest_dependent(pair, g, bd_mask, cur, p)
     return ElementSet(g.n, (bd_mask & ~r_mask) | a_mask), pair.ledger
 
 
-def robust_weighted_basis(bd, pair, k, events=None):
+def robust_weighted_basis(bd, pair, k):
     """Weighted variant with counted linear removal probes and delayed binary
     searches, trading error-dependence against robustness via k.
 
@@ -226,8 +220,6 @@ def robust_weighted_basis(bd, pair, k, events=None):
             cur = current()
             if pair.query_independent(ROLE_CLEAN, (cur | 1 << e) & pre):
                 a_mask |= 1 << e
-                if events is not None:
-                    events.append(("add", e))
                 ls = True
                 # an addition cannot turn a known-dependent solution independent
             continue
@@ -242,8 +234,6 @@ def robust_weighted_basis(bd, pair, k, events=None):
         q += 1
         if not pair.query_independent(ROLE_CLEAN, current() & pre):
             r_mask |= 1 << e
-            if events is not None:
-                events.append(("remove", e))
             q = 0
             known_dep = False
         if p == d_max:
@@ -262,7 +252,7 @@ def robust_weighted_basis(bd, pair, k, events=None):
         elif q == k * lg:
             if not known_dep:
                 raise RuntimeError("binary search fired without a dependent upper bound")
-            r_mask |= _remove_smallest_dependent(pair, g, bd_mask, current(), p, events)
+            r_mask |= _remove_smallest_dependent(pair, g, bd_mask, current(), p)
             q = 0
             known_dep = False
     return ElementSet(g.n, (bd_mask & ~r_mask) | a_mask), pair.ledger
@@ -285,18 +275,6 @@ def rank_oracle_basis(bd, pair):
     bd_mask = mask_of(bd)
     r_d = bd_mask.bit_count()
     lg_rd = ceil_log2(r_d)
-
-    def greedy_by_rank(cur, cur_rank, stop_rank=None):
-        for p in range(g.n):
-            e = g.element_at(p)
-            got = pair.query_rank(ROLE_CLEAN, cur | 1 << e)
-            if got > cur_rank:
-                cur |= 1 << e
-                cur_rank = got
-            if stop_rank is not None and cur_rank == stop_rank:
-                break
-        return cur
-
     if bd_mask == 0:
         r = pair.query_rank(ROLE_CLEAN, g.full_mask)
         if r == 0:
@@ -307,7 +285,7 @@ def rank_oracle_basis(bd, pair):
     d_r = r_d - q1
     if d_r > 0 and d_r * lg_rd >= g.n - 1:
         # removals alone would cost more than scanning everything
-        return ElementSet(g.n, greedy_by_rank(0, 0)), pair.ledger
+        return ElementSet(g.n, _rank_scan(pair, g, range(g.n), 0, 0)), pair.ledger
     if bd_mask == g.full_mask and d_r > 0:
         # no addition candidates and removals preserve the rank: skip the
         # second upfront call, its answer is already determined
@@ -321,7 +299,7 @@ def rank_oracle_basis(bd, pair):
         if planned > g.n + 1:
             # the binary plan cannot beat the scan; finish greedily, stopping
             # once the full rank is reached
-            return ElementSet(g.n, greedy_by_rank(0, 0, stop_rank=r)), pair.ledger
+            return ElementSet(g.n, _rank_scan(pair, g, range(g.n), 0, 0, r)), pair.ledger
     cur = bd_mask
     for _ in range(d_r):
         members = g.positions(cur)
@@ -362,13 +340,19 @@ def _rank_additions(pair, g, cur, cur_rank, target_rank, cand):
             cur_rank += 1
             lo = hi  # earlier candidates stay spanned
         return cur
-    for p in outside_positions:
+    return _rank_scan(pair, g, outside_positions, cur, cur_rank, target_rank)
+
+
+def _rank_scan(pair, g, positions, cur, cur_rank, stop_rank=None):
+    """Greedy scan by clean rank over the listed canonical positions, adding
+    each element that raises the rank and stopping once stop_rank is reached."""
+    for p in positions:
         e = g.element_at(p)
         got = pair.query_rank(ROLE_CLEAN, cur | 1 << e)
         if got > cur_rank:
             cur |= 1 << e
             cur_rank = got
-        if cur_rank == target_rank:
+        if cur_rank == stop_rank:
             break
     return cur
 

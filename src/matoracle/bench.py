@@ -215,7 +215,10 @@ def generate(spec):
             raise InvalidSpec("dirty", "explicit dirty systems need unit weights")
         gen = GeneratedInstance(spec, ground, pair=_checked("matroid", OraclePair, clean, dirty, ground))
     if spec.family and "eta" in spec.family:
-        gen.known_eta = dict(spec.family["eta"])
+        eta = spec.family["eta"]
+        if not isinstance(eta, dict) or not all(type(eta.get(key)) is int and eta[key] >= 0 for key in ("eta_A", "eta_R")):
+            raise InvalidSpec("family.eta", f"must be an object with non-negative integers eta_A and eta_R, got {eta!r}")
+        gen.known_eta = dict(eta)
     return gen
 
 
@@ -693,72 +696,55 @@ def _intersection_trial(gen, algorithm):
     spec = gen.spec
     ox = gen.fresh_oracles()
     g = ox.ground
-    record_kwargs = dict(
+    try:
+        eta = errmod.compute_intersection_errors(ox.dirty[0], ox.dirty[1], ox.clean[0], ox.clean[1])
+        eta_source = "bruteforce"
+    except (GuardExceeded, ValueError):
+        # too large to enumerate, or the superset precondition is broken (the
+        # algorithm then witnesses and reports it)
+        eta = None
+        eta_source = "skipped"
+    optimum, _, _ = textbook_intersection(IntersectionOracles(g, *ox.clean))  # clean reference, separate ledger
+    bound_val = within = correct = None
+    error, wall = "", 0.0
+    t0 = time.perf_counter()
+    try:
+        if algorithm == "intersect-dirty":
+            x, _, _ = dirty_intersection(ox)
+            correct = len(x) == len(optimum)
+            if eta is not None:
+                bound_val = bound("intersect-dirty", n=g.n, r=len(x), eta_1=eta.eta_1, eta_2=eta.eta_2)
+        else:
+            x, _ = warm_start(ox)
+            if eta is not None:
+                correct = len(x) >= eta.s_d_star - 2 * eta.eta_r
+                bound_val = bound("warmstart", n=g.n, eta_r=eta.eta_r)
+            else:
+                correct = ox.clean[0].is_independent_mask(x.mask) and ox.clean[1].is_independent_mask(x.mask)
+        if bound_val is not None:
+            within = Fraction(ox.ledger.clean_independence_count) <= bound_val
+        wall = round(time.perf_counter() - t0, 6)
+    except SupersetViolation as exc:
+        error = f"SupersetViolation: {exc}"
+    return TrialRecord(
         instance_id=spec.instance_id,
         algorithm=algorithm,
         k=None,
         p=None,
         n=g.n,
-    )
-    try:
-        eta = errmod.compute_intersection_errors(ox.dirty[0], ox.dirty[1], ox.clean[0], ox.clean[1])
-        eta_source = "bruteforce"
-    except GuardExceeded:
-        eta = None
-        eta_source = "skipped"
-    except ValueError:
-        # superset precondition broken; let the algorithm witness and report it
-        eta = None
-        eta_source = "skipped"
-    opt_ox = IntersectionOracles(g, ox.clean[0], ox.clean[1], ox.clean[0], ox.clean[1])
-    optimum, _, _ = textbook_intersection(opt_ox)  # clean reference, separate ledger
-    t0 = time.perf_counter()
-    try:
-        if algorithm == "intersect-dirty":
-            x, ledger, _false = dirty_intersection(ox)
-            correct = len(x) == len(optimum)
-            if eta is not None:
-                bound_val = bound("intersect-dirty", n=g.n, r=len(x), eta_1=eta.eta_1, eta_2=eta.eta_2)
-                within = Fraction(ledger.clean_independence_count) <= bound_val
-            else:
-                bound_val = within = None
-        else:
-            x, ledger = warm_start(ox)
-            if eta is not None:
-                correct = len(x) >= eta.s_d_star - 2 * eta.eta_r
-                bound_val = bound("warmstart", n=g.n, eta_r=eta.eta_r)
-                within = Fraction(ledger.clean_independence_count) <= bound_val
-            else:
-                correct = ox.clean[0].is_independent_mask(x.mask) and ox.clean[1].is_independent_mask(x.mask)
-                bound_val = within = None
-    except SupersetViolation as exc:
-        return TrialRecord(
-            r=len(optimum),
-            eta_1=eta.eta_1 if eta else None,
-            eta_2=eta.eta_2 if eta else None,
-            eta_r=eta.eta_r if eta else None,
-            clean_ind_queries=ox.ledger.clean_independence_count,
-            clean_rank_queries=ox.ledger.clean_rank_count,
-            dirty_queries=ox.ledger.dirty_count,
-            eta_source=eta_source,
-            error=f"SupersetViolation: {exc}",
-            **record_kwargs,
-        )
-    wall = time.perf_counter() - t0
-    return TrialRecord(
         r=len(optimum),
         eta_1=eta.eta_1 if eta else None,
         eta_2=eta.eta_2 if eta else None,
         eta_r=eta.eta_r if eta else None,
-        clean_ind_queries=ledger.clean_independence_count,
-        clean_rank_queries=ledger.clean_rank_count,
-        dirty_queries=ledger.dirty_count,
+        clean_ind_queries=ox.ledger.clean_independence_count,
+        clean_rank_queries=ox.ledger.clean_rank_count,
+        dirty_queries=ox.ledger.dirty_count,
         bound=str(bound_val) if bound_val is not None else None,
         within_bound=within,
         correct=correct,
         eta_source=eta_source,
-        wall_time_s=round(wall, 6),
-        **record_kwargs,
+        error=error,
+        wall_time_s=wall,
     )
 
 

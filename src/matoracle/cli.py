@@ -18,6 +18,7 @@ from .bench import (
     InstanceSpec,
     InvalidSpec,
     family_instance,
+    generate,
     is_family_group,
     plot_data_series,
     run_trial,
@@ -28,11 +29,13 @@ from .oracles import TranscriptNotStored
 
 
 def _load_json(path):
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidSpec(path, f"not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise InvalidSpec(path, f"cannot read: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InvalidSpec(path, f"not valid JSON: {exc}") from exc
 
 
 def _load_instance(path):
@@ -69,9 +72,9 @@ def _cmd_run(args):
 def _compatible_algorithms(inst):
     if inst.is_intersection:
         return sorted(INTERSECTION_ALGS)
-    algs = [a for a in ALGORITHMS if a not in INTERSECTION_ALGS and a != "pairquery"]
-    if inst.weights == "unit":
-        return algs
+    # the unit-weight rule run_trial applies to the unweighted algorithms
+    if generate(inst).ground.unit_weights:
+        return [a for a in ALGORITHMS if a not in INTERSECTION_ALGS and a != "pairquery"]
     return ["greedy"] + sorted(WEIGHTED_ALGS)
 
 

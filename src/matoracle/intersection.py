@@ -54,7 +54,7 @@ class FalseQueryLists:
 class IntersectionOracles:
     """Two clean (and optionally two dirty) matroids billing into one ledger."""
 
-    def __init__(self, ground, clean1, clean2, dirty1=None, dirty2=None, ledger=None):
+    def __init__(self, ground, clean1, clean2, dirty1=None, dirty2=None):
         for spec in (clean1, clean2, dirty1, dirty2):
             if spec is not None and spec.n != ground.n:
                 raise ValueError("oracles and ground set disagree on n")
@@ -63,7 +63,7 @@ class IntersectionOracles:
         self.dirty = None
         if dirty1 is not None and dirty2 is not None:
             self.dirty = (dirty1.rebind(ground), dirty2.rebind(ground))
-        self.ledger = ledger if ledger is not None else QueryLedger(ground.n)
+        self.ledger = QueryLedger(ground.n)
 
     def query_independent(self, role, which, s):
         mask = mask_of(s)

@@ -55,3 +55,21 @@ def random_pairs(count, seed, n_range=(1, 12), kinds=("partition", "graphic", "u
 @pytest.fixture(scope="session")
 def small_random_pairs():
     return random_pairs(60, seed=1234)
+
+
+@pytest.fixture
+def removals(monkeypatch):
+    """Elements removed by binary search, in order, recorded through the module
+    attribute the algorithms call; clear it between runs."""
+    from matoracle import algorithms
+
+    seen = []
+    inner = algorithms._remove_smallest_dependent
+
+    def recording(*args):
+        bit = inner(*args)
+        seen.append(bit.bit_length() - 1)
+        return bit
+
+    monkeypatch.setattr(algorithms, "_remove_smallest_dependent", recording)
+    return seen

@@ -104,12 +104,13 @@ class TestErrorDependent:
         assert sorted(basis) == [0]
         assert led.clean_independence_count == 7 <= 4 - 1 + 1 + 0 + 2 * 2
 
-    def test_removal_indices_strictly_increase(self, small_random_pairs):
+    def test_removal_indices_strictly_increase(self, small_random_pairs, removals):
         for pair, bd in small_random_pairs:
             p2 = fresh(pair)
-            events = []
-            error_dependent_basis(bd.mask, p2, events=events)
-            removed_pos = [p2.ground.pos[e] for op, e in events if op == "remove"]
+            removals.clear()
+            basis, _ = error_dependent_basis(bd.mask, p2)
+            assert set(removals) == set(bd) - set(basis)
+            removed_pos = [p2.ground.pos[e] for e in removals]
             assert removed_pos == sorted(removed_pos)
             assert len(removed_pos) == len(set(removed_pos))
 
@@ -155,7 +156,7 @@ class TestWeighted:
         basis, led = weighted_basis(bd.mask, pair)
         assert led.clean_independence_count == (5 - len(bd)) + 1
 
-    def test_figure_shaped_trace(self):
+    def test_figure_shaped_trace(self, removals):
         g_weights = [9 - i for i in range(9)]
         pair, bd = make_pair(
             {"kind": "partition", "classes": [[0, 5], [1, 2, 3, 4], [6, 7], [8]], "caps": [0, 3, 2, 0]},
@@ -163,11 +164,10 @@ class TestWeighted:
             weights=g_weights,
         )
         assert sorted(bd) == [2, 3, 4, 7, 8]
-        events = []
-        basis, led = weighted_basis(bd.mask, pair, events=events)
+        basis, led = weighted_basis(bd.mask, pair)
         assert sorted(basis) == [1, 2, 3, 6, 7]
-        assert [e for op, e in events if op == "remove"] == [8, 4]
-        assert [e for op, e in events if op == "add"] == [1, 6]
+        assert removals == [8, 4]
+        assert set(basis) - set(bd) == {1, 6}
 
     def test_matches_greedy_on_random_weighted(self):
         for pair, bd in random_pairs(150, seed=5, n_range=(1, 12), weight_mode="int"):
@@ -176,24 +176,22 @@ class TestWeighted:
             g = p2.ground
             assert g.weight(basis.mask) == g.weight(greedy_native(p2.clean, g).mask)
 
-    def test_no_element_removed_twice_and_disjoint(self, small_random_pairs):
+    def test_no_element_removed_twice_and_disjoint(self, small_random_pairs, removals):
         for pair, bd in small_random_pairs:
             p2 = fresh(pair)
-            events = []
-            weighted_basis(bd.mask, p2, events=events)
-            adds = [e for op, e in events if op == "add"]
-            rems = [e for op, e in events if op == "remove"]
-            assert len(rems) == len(set(rems))
-            assert not set(adds) & set(rems)
+            removals.clear()
+            basis, _ = weighted_basis(bd.mask, p2)
+            assert len(removals) == len(set(removals))
+            # a removed element is never added back
+            assert set(removals) == set(bd) - set(basis)
 
     def test_modification_counts_bounded_by_eta(self, small_random_pairs):
         for pair, bd in small_random_pairs:
             rep = compute_eta(pair)
             p2 = fresh(pair)
-            events = []
-            weighted_basis(bd.mask, p2, events=events)
-            assert sum(1 for op, _ in events if op == "add") <= rep.eta_A
-            assert sum(1 for op, _ in events if op == "remove") <= rep.eta_R
+            basis, _ = weighted_basis(bd.mask, p2)
+            assert len(set(basis) - set(bd)) <= rep.eta_A
+            assert len(set(bd) - set(basis)) <= rep.eta_R
 
 
 class TestRobustWeighted:
@@ -248,6 +246,50 @@ class TestRankOracle:
         basis, led = rank_oracle_basis(bd.mask, pair)
         assert basis.mask == 0
         assert led.clean_rank_count == n + 1
+
+    @pytest.mark.parametrize(
+        "clean, dirty, n, full_rank_call",
+        [
+            # d_r = 7 removals at ceil(log2 8) = 3 probes each cost more than
+            # scanning all 8 elements
+            ({"kind": "partition", "classes": [list(range(8))], "caps": [1]}, {"kind": "uniform", "k": 8}, 8, False),
+            # d_r = 4, d_a = 2: the binary plan 2 + 4*3 + 2*3 = 20 cannot beat
+            # the scan's 17, which stops once rank 6 is reached
+            (
+                {"kind": "partition", "classes": [list(range(8)), list(range(8, 16))], "caps": [4, 2]},
+                {"kind": "predicted_basis", "basis": list(range(8))},
+                16,
+                True,
+            ),
+        ],
+    )
+    def test_scan_branches_match_the_old_closure(self, clean, dirty, n, full_rank_call):
+        pair0, bd = make_pair(clean, dirty, n=n)
+        ref = fresh(pair0)
+        ref.query_rank(ROLE_CLEAN, bd.mask)
+        stop_rank = ref.query_rank(ROLE_CLEAN, ref.ground.full_mask) if full_rank_call else None
+        ref_mask = _old_greedy_by_rank(ref, 0, 0, stop_rank)
+        pair = fresh(pair0)
+        basis, led = rank_oracle_basis(bd.mask, pair)
+        assert basis.mask == ref_mask
+        assert led.export_lines() == ref.ledger.export_lines()
+        assert pair.clean.rank_mask(basis.mask) == len(basis) == pair.clean.full_rank()
+        if full_rank_call:
+            assert led.clean_rank_count < 2 + n  # the scan stopped early
+
+
+def _old_greedy_by_rank(pair, cur, cur_rank, stop_rank=None):
+    """Reference copy of the scan rank_oracle_basis once kept as a closure."""
+    g = pair.ground
+    for p in range(g.n):
+        e = g.element_at(p)
+        got = pair.query_rank(ROLE_CLEAN, cur | 1 << e)
+        if got > cur_rank:
+            cur |= 1 << e
+            cur_rank = got
+        if stop_rank is not None and cur_rank == stop_rank:
+            break
+    return cur
 
 
 class TestPairQuery:

@@ -104,6 +104,50 @@ class TestSpecErrors:
         assert cli.main(["run", "--instance", inst, "--alg", "errdep", "--out", str(tmp_path / "rec.json")]) == 2
         assert "not valid JSON" in _one_line_error(capsys)
 
+    @pytest.mark.parametrize(
+        "eta", [5, None, {"eta_A": 0}, {"eta_A": True, "eta_R": 0}, {"eta_A": 0, "eta_R": -1}, {"eta_A": "x", "eta_R": 0}]
+    )
+    @pytest.mark.parametrize("command", ["run", "verify", "bench"])
+    def test_malformed_family_eta_exits_2(self, tmp_path, capsys, command, eta):
+        doc = json.loads(LB_BASIC.to_json())
+        doc["family"]["eta"] = eta
+        inst = _write(tmp_path, "inst.json", doc)
+        args = {
+            "run": ["run", "--instance", inst, "--alg", "errdep", "--out", str(tmp_path / "rec.json")],
+            "verify": ["verify", "--instance", inst, "--all"],
+            "bench": ["bench", "--config", _write(tmp_path, "sweep.json", {"instances": [doc]}),
+                      "--out", str(tmp_path / "r.csv")],
+        }[command]
+        assert cli.main(args) == 2
+        assert "matoracle: invalid spec: family.eta: must be" in _one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", ["gen", "run", "verify", "bench"])
+    def test_missing_input_file_exits_2(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing.json")
+        args = {
+            "gen": ["gen", "--spec", missing, "--out", str(tmp_path / "inst.json")],
+            "run": ["run", "--instance", missing, "--alg", "errdep", "--out", str(tmp_path / "rec.json")],
+            "verify": ["verify", "--instance", missing, "--all"],
+            "bench": ["bench", "--config", missing, "--out", str(tmp_path / "r.csv")],
+        }[command]
+        assert cli.main(args) == 2
+        assert f"matoracle: invalid spec: {missing}: cannot read" in _one_line_error(capsys)
+
+
+class TestVerifyAlgorithms:
+    def test_equal_weights_list_runs_the_unweighted_algorithms(self, tmp_path, capsys):
+        # run_trial accepts the unweighted algorithms on any equal weights, so
+        # verify --all runs them too
+        doc = {
+            "n": 4,
+            "weights": [1, 1, 1, 1],
+            "matroid": {"kind": "uniform", "k": 2},
+            "dirty": {"mode": "matroid", "kind": "uniform", "k": 3},
+        }
+        assert cli.main(["verify", "--instance", _write(tmp_path, "inst.json", doc), "--all"]) == 0
+        ran = [line.split()[1].rstrip(":") for line in capsys.readouterr().out.splitlines()]
+        assert ran == ["greedy", "simple", "errdep", "robust", "weighted", "weighted-robust", "rank", "costly"]
+
 
 class TestParamErrors:
     """A k or p that is out of range exits 2 with one line, never a false
