@@ -8,7 +8,9 @@ charged, and none besides.
 
 from __future__ import annotations
 
-from .core import ElementSet, ceil_log2, iter_bits, mask_of
+from functools import partial
+
+from .core import ElementSet, ceil_log2, greedy_scan, mask_of
 from .oracles import ROLE_CLEAN, ROLE_DIRTY, greedy_basis
 
 
@@ -37,13 +39,6 @@ def binary_search_smallest_dependent_prefix(member_positions, probe_dependent, l
     return member_positions[hi]
 
 
-def _prefix_probe(pair, g, current_mask):
-    def probe(pos):
-        return not pair.query_independent(ROLE_CLEAN, current_mask & g.prefix_mask(pos))
-
-    return probe
-
-
 def simple_basis(bd, pair):
     """Keep the dirty basis if it is clean-independent, else greedy from scratch.
 
@@ -51,29 +46,21 @@ def simple_basis(bd, pair):
     is a clean basis.
     """
     g = pair.ground
+    independent = partial(pair.query_independent, ROLE_CLEAN)
     bd_mask = mask_of(bd)
-    start = bd_mask if pair.query_independent(ROLE_CLEAN, bd_mask) else 0
-    return ElementSet(g.n, _augment_outside(pair, g, start, start)), pair.ledger
+    start = bd_mask if independent(bd_mask) else 0
+    return ElementSet(g.n, greedy_scan(independent, g, start, start)), pair.ledger
 
 
-def _augment_outside(pair, g, cur, bd_mask):
-    for p in range(g.n):
-        e = g.order[p]
-        if bd_mask >> e & 1:
-            continue
-        if pair.query_independent(ROLE_CLEAN, cur | 1 << e):
-            cur |= 1 << e
-    return cur
-
-
-def _remove_smallest_dependent(pair, g, bd_mask, cur, lo_pos):
-    """Bit of the element ending the smallest dependent prefix of cur, found
-    by binary search above lo_pos (a member of cur whose prefix is
-    independent, or -1); it must lie inside the dirty basis."""
+def _remove_smallest_dependent(independent, g, bd_mask, cur, lo_pos):
+    """Bit of the element ending the smallest dependent prefix of cur (known
+    dependent), found by binary search with the billed test independent(mask)
+    above lo_pos (a member of cur whose prefix is independent, or -1); it
+    must lie inside the dirty basis."""
     positions = g.positions(cur)
     lo_idx = positions.index(lo_pos) if lo_pos >= 0 else -1
     pos = binary_search_smallest_dependent_prefix(
-        positions, _prefix_probe(pair, g, cur), lo_idx, len(positions) - 1
+        positions, lambda p: not independent(cur & g.prefix_mask(p)), lo_idx, len(positions) - 1
     )
     e = g.element_at(pos)
     if not bd_mask >> e & 1:
@@ -81,12 +68,12 @@ def _remove_smallest_dependent(pair, g, bd_mask, cur, lo_pos):
     return 1 << e
 
 
-def _strip_dirty_basis(pair, g, bd_mask):
-    """Remove smallest-dependent-prefix elements from the dirty basis until it
-    is clean-independent; returns what is left."""
+def _strip_dirty_basis(independent, g, bd_mask):
+    """Remove smallest-dependent-prefix elements from the dirty set bd_mask
+    until the billed test independent(mask) passes; returns what is left."""
     cur = bd_mask
-    while not pair.query_independent(ROLE_CLEAN, cur):
-        cur &= ~_remove_smallest_dependent(pair, g, bd_mask, cur, -1)
+    while not independent(cur):
+        cur &= ~_remove_smallest_dependent(independent, g, bd_mask, cur, -1)
     return cur
 
 
@@ -98,8 +85,9 @@ def error_dependent_basis(bd, pair):
     transcript a strict certificate.
     """
     g = pair.ground
+    independent = partial(pair.query_independent, ROLE_CLEAN)
     bd_mask = mask_of(bd)
-    cur = _augment_outside(pair, g, _strip_dirty_basis(pair, g, bd_mask), bd_mask)
+    cur = greedy_scan(independent, g, _strip_dirty_basis(independent, g, bd_mask), bd_mask)
     return ElementSet(g.n, cur), pair.ledger
 
 
@@ -114,6 +102,7 @@ def robust_basis(bd, pair, k):
     if k < 1:
         raise ValueError("k must be a positive integer")
     g = pair.ground
+    independent = partial(pair.query_independent, ROLE_CLEAN)
     bd_mask = mask_of(bd)
     lg = ceil_log2(bd_mask.bit_count())
     b = 0
@@ -132,29 +121,29 @@ def robust_basis(bd, pair, k):
 
         found = None
         for i in range(1, min(m, k - 1) + 1):  # first linear part
-            if not pair.query_independent(ROLE_CLEAN, upto(i)):
+            if not independent(upto(i)):
                 found = i
                 break
         if found is None:
             if m <= k - 1:
                 b, seg = whole, []
                 continue
-            if pair.query_independent(ROLE_CLEAN, whole):  # gate, only when m >= k
+            if independent(whole):  # gate, only when m >= k
                 b, seg = whole, []
                 continue
             for i in range(k, min(k * lg, m) + 1):  # second linear part
-                if not pair.query_independent(ROLE_CLEAN, upto(i)):
+                if not independent(upto(i)):
                     found = i
                     break
             if found is None:
                 # remainder (k*lg, m]: prefix k*lg verified independent, the
                 # whole segment known dependent from the gate
                 found = binary_search_smallest_dependent_prefix(
-                    range(m + 1), lambda i: not pair.query_independent(ROLE_CLEAN, upto(i)), k * lg, m
+                    range(m + 1), lambda i: not independent(upto(i)), k * lg, m
                 )
         b = upto(found - 1)
         seg = seg[found:]
-    cur = _augment_outside(pair, g, b, bd_mask)
+    cur = greedy_scan(independent, g, b, bd_mask)
     return ElementSet(g.n, cur), pair.ledger
 
 
@@ -166,9 +155,10 @@ def weighted_basis(bd, pair):
     Removed elements are never reconsidered.
     """
     g = pair.ground
+    independent = partial(pair.query_independent, ROLE_CLEAN)
     bd_mask = mask_of(bd)
     a_mask = 0
-    r_mask = bd_mask & ~_strip_dirty_basis(pair, g, bd_mask)
+    r_mask = bd_mask & ~_strip_dirty_basis(independent, g, bd_mask)
     pre = 0  # prefix mask through position p, kept as the scan walks
     for p in range(g.n):
         e = g.order[p]
@@ -176,11 +166,11 @@ def weighted_basis(bd, pair):
         if bd_mask >> e & 1:
             continue
         cur = (bd_mask & ~r_mask) | a_mask
-        if pair.query_independent(ROLE_CLEAN, (cur | 1 << e) & pre):
+        if independent((cur | 1 << e) & pre):
             a_mask |= 1 << e
             cur |= 1 << e
-            if not pair.query_independent(ROLE_CLEAN, cur):
-                r_mask |= _remove_smallest_dependent(pair, g, bd_mask, cur, p)
+            if not independent(cur):
+                r_mask |= _remove_smallest_dependent(independent, g, bd_mask, cur, p)
     return ElementSet(g.n, (bd_mask & ~r_mask) | a_mask), pair.ledger
 
 
@@ -200,6 +190,7 @@ def robust_weighted_basis(bd, pair, k):
     if k < 1:
         raise ValueError("k must be a positive integer")
     g = pair.ground
+    independent = partial(pair.query_independent, ROLE_CLEAN)
     bd_mask = mask_of(bd)
     lg = ceil_log2(bd_mask.bit_count())
     positions = g.positions(bd_mask)
@@ -218,7 +209,7 @@ def robust_weighted_basis(bd, pair, k):
         pre |= 1 << e
         if not bd_mask >> e & 1:
             cur = current()
-            if pair.query_independent(ROLE_CLEAN, (cur | 1 << e) & pre):
+            if independent((cur | 1 << e) & pre):
                 a_mask |= 1 << e
                 ls = True
                 # an addition cannot turn a known-dependent solution independent
@@ -227,12 +218,12 @@ def robust_weighted_basis(bd, pair, k):
             continue
         if k == 1 and q == 0 and p != d_max and not known_dep:
             # segment-start check (the k-1 = 0 probe point)
-            if pair.query_independent(ROLE_CLEAN, current()):
+            if independent(current()):
                 ls = False
                 continue
             known_dep = True
         q += 1
-        if not pair.query_independent(ROLE_CLEAN, current() & pre):
+        if not independent(current() & pre):
             r_mask |= 1 << e
             q = 0
             known_dep = False
@@ -243,7 +234,7 @@ def robust_weighted_basis(bd, pair, k):
             ls = False
             known_dep = False
         elif q == k - 1:
-            if pair.query_independent(ROLE_CLEAN, current()):
+            if independent(current()):
                 q = 0
                 ls = False
                 known_dep = False
@@ -252,7 +243,7 @@ def robust_weighted_basis(bd, pair, k):
         elif q == k * lg:
             if not known_dep:
                 raise RuntimeError("binary search fired without a dependent upper bound")
-            r_mask |= _remove_smallest_dependent(pair, g, bd_mask, current(), p)
+            r_mask |= _remove_smallest_dependent(independent, g, bd_mask, current(), p)
             q = 0
             known_dep = False
     return ElementSet(g.n, (bd_mask & ~r_mask) | a_mask), pair.ledger
@@ -277,8 +268,6 @@ def rank_oracle_basis(bd, pair):
     lg_rd = ceil_log2(r_d)
     if bd_mask == 0:
         r = pair.query_rank(ROLE_CLEAN, g.full_mask)
-        if r == 0:
-            return ElementSet(g.n, 0), pair.ledger
         return ElementSet(g.n, _rank_additions(pair, g, 0, 0, r, g.full_mask)), pair.ledger
 
     q1 = pair.query_rank(ROLE_CLEAN, bd_mask)
@@ -302,18 +291,11 @@ def rank_oracle_basis(bd, pair):
             return ElementSet(g.n, _rank_scan(pair, g, range(g.n), 0, 0, r)), pair.ledger
     cur = bd_mask
     for _ in range(d_r):
-        members = g.positions(cur)
-
-        def probe(pos):
-            pref = cur & g.prefix_mask(pos)
-            return pair.query_rank(ROLE_CLEAN, pref) < pref.bit_count()
-
-        # the full set stays rank-deficient while removals remain, so the
-        # dependent upper bound is known without a probe
-        pos = binary_search_smallest_dependent_prefix(members, probe, -1, len(members) - 1)
-        cur &= ~(1 << g.element_at(pos))
-    if d_a == 0:
-        return ElementSet(g.n, cur), pair.ledger
+        # the full set stays rank-deficient while removals remain, so it is
+        # known dependent without a call
+        cur &= ~_remove_smallest_dependent(
+            lambda m: pair.query_rank(ROLE_CLEAN, m) == m.bit_count(), g, bd_mask, cur, -1
+        )
     return ElementSet(g.n, _rank_additions(pair, g, cur, q1, r, g.full_mask & ~bd_mask)), pair.ledger
 
 
@@ -361,12 +343,13 @@ def pair_query_basis(b, pair):
     """Augment a clean-independent set by querying non-members two at a time.
 
     Designed for instances with no removal error and a very large addition
-    error, where it beats the n - r + eta_A floor.  Returns a third flag that
-    is False when the output is not a clean basis (misuse outside that family).
+    error, where it beats the n - r + eta_A floor.  Outside that family the
+    output need not be clean-independent; when it is, it is a clean basis,
+    because every rejected element is spanned by a subset of the output.
     """
     g = pair.ground
     cur = mask_of(b)
-    outside = [g.element_at(p) for p in range(g.n) if not cur >> g.order[p] & 1]
+    outside = [e for e in g.order if not cur >> e & 1]
     i = 0
     while i < len(outside):
         if len(outside) - i == 1:
@@ -382,11 +365,7 @@ def pair_query_basis(b, pair):
             cur |= 1 << e1
         elif pair.query_independent(ROLE_CLEAN, cur | 1 << e2):
             cur |= 1 << e2
-    clean = pair.clean
-    family_ok = clean.is_independent_mask(cur) and not any(
-        clean.is_independent_mask(cur | 1 << e) for e in iter_bits(g.full_mask & ~cur)
-    )
-    return ElementSet(g.n, cur), pair.ledger, family_ok
+    return ElementSet(g.n, cur), pair.ledger
 
 
 COSTLY_A = "remove-from-E"
@@ -423,7 +402,7 @@ def _costly_remove_from_e(pair, r):
     if not pair.query_independent(ROLE_CLEAN, cur):
         for _ in range(g.n - r):
             pos = binary_search_smallest_dependent_prefix(
-                range(g.n), _prefix_probe(pair, g, cur), -1, g.n - 1
+                range(g.n), lambda p: not pair.query_independent(ROLE_CLEAN, cur & g.prefix_mask(p)), -1, g.n - 1
             )
             cur &= ~(1 << g.element_at(pos))
     return ElementSet(g.n, cur)

@@ -75,6 +75,18 @@ UNWEIGHTED_ALGS = {"simple", "errdep", "robust", "rank", "pairquery", "costly"}
 INTERSECTION_ALGS = {"intersect-dirty", "warmstart"}
 K_ALGS = {"robust", "weighted-robust"}
 
+# basis tags run as algorithms.<name>(dirty basis, pair[, k]); looked up at
+# call time, so a wrapper installed on the module attribute sees every trial
+BASIS_ENTRIES = {
+    "simple": "simple_basis",
+    "errdep": "error_dependent_basis",
+    "robust": "robust_basis",
+    "weighted": "weighted_basis",
+    "weighted-robust": "robust_weighted_basis",
+    "rank": "rank_oracle_basis",
+    "pairquery": "pair_query_basis",
+}
+
 
 @dataclass
 class InstanceSpec:
@@ -218,6 +230,12 @@ def generate(spec):
         eta = spec.family["eta"]
         if not isinstance(eta, dict) or not all(type(eta.get(key)) is int and eta[key] >= 0 for key in ("eta_A", "eta_R")):
             raise InvalidSpec("family.eta", f"must be an object with non-negative integers eta_A and eta_R, got {eta!r}")
+        if gen.pair is not None and not isinstance(gen.pair.dirty, ExplicitSystem):
+            # dirty bases of a matroid all have r_d elements, and the clean
+            # basis B* = (B_d - R) + A has r
+            r, r_d = gen.pair.clean.full_rank(), gen.pair.dirty.full_rank()
+            if r != r_d + eta["eta_A"] - eta["eta_R"]:
+                raise InvalidSpec("family.eta", f"{eta!r} breaks r = r_d + eta_A - eta_R with r = {r}, r_d = {r_d}")
         gen.known_eta = dict(eta)
     return gen
 
@@ -593,15 +611,7 @@ def _eta_for_trial(gen, pair):
 def _basis_trial(gen, algorithm, k, p):
     spec = gen.spec
     pair0 = gen.fresh_pair(cost_p=1 if p is None else p)
-    g0 = pair0.ground
-    k_eff = k or (alg.default_k(g0.n) if algorithm in K_ALGS else None)
-    record_kwargs = dict(
-        instance_id=spec.instance_id,
-        algorithm=algorithm,
-        k=k,
-        p=_p_text(p),
-        n=g0.n,
-    )
+    k_eff = k or (alg.default_k(pair0.ground.n) if algorithm in K_ALGS else None)
     t0 = time.perf_counter()
     if algorithm == "costly":
         basis, _total, _tag = alg.costly_strategies(pair0)
@@ -609,27 +619,11 @@ def _basis_trial(gen, algorithm, k, p):
     else:
         bd = greedy_basis(pair0)
         pair = pair0.with_dirty_basis(bd)
-        bd_mask = bd.mask
         if algorithm == "greedy":
             basis = greedy_basis(pair, ROLE_CLEAN)
-        elif algorithm == "simple":
-            basis, _ = alg.simple_basis(bd_mask, pair)
-        elif algorithm == "errdep":
-            basis, _ = alg.error_dependent_basis(bd_mask, pair)
-        elif algorithm == "robust":
-            basis, _ = alg.robust_basis(bd_mask, pair, k_eff)
-        elif algorithm == "weighted":
-            basis, _ = alg.weighted_basis(bd_mask, pair)
-        elif algorithm == "weighted-robust":
-            basis, _ = alg.robust_weighted_basis(bd_mask, pair, k_eff)
-        elif algorithm == "rank":
-            basis, _ = alg.rank_oracle_basis(bd_mask, pair)
-        elif algorithm == "pairquery":
-            basis, _, family_ok = alg.pair_query_basis(bd_mask, pair)
-            if not family_ok:
-                record_kwargs["error"] = "FamilyViolation"
         else:
-            raise InvalidSpec("algorithm", f"unknown algorithm {algorithm!r}")
+            extra = (k_eff,) if algorithm in K_ALGS else ()
+            basis, _ = getattr(alg, BASIS_ENTRIES[algorithm])(bd.mask, pair, *extra)
     wall = time.perf_counter() - t0
     g = pair.ground
     clean = pair.clean
@@ -675,6 +669,11 @@ def _basis_trial(gen, algorithm, k, p):
     elif algorithm in WEIGHTED_ALGS:
         cert = "relaxed"
     return TrialRecord(
+        instance_id=spec.instance_id,
+        algorithm=algorithm,
+        k=k,
+        p=_p_text(p),
+        n=g.n,
         r=r,
         r_d=r_d,
         eta_A=eta_a,
@@ -687,8 +686,10 @@ def _basis_trial(gen, algorithm, k, p):
         correct=correct,
         certificate=cert,
         eta_source=eta_source,
+        # on unit weights a clean-independent pairquery output is a clean
+        # basis, so a wrong output is one that left the clean family
+        error="FamilyViolation" if algorithm == "pairquery" and not correct else "",
         wall_time_s=round(wall, 6),
-        **record_kwargs,
     )
 
 

@@ -2,7 +2,7 @@
 
 Exit codes: 0 when every trial is correct and within its bound, 1 on a
 violation, an incorrect output or an unchecked certificate, 2 on a malformed
-spec or command line.
+spec or command line or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -152,6 +152,10 @@ def main(argv=None):
     except TranscriptNotStored as exc:
         print(f"matoracle: certificate not checked: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # inputs are read through _load_json, so this is an output file
+        print(f"matoracle: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

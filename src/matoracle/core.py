@@ -8,13 +8,16 @@ before others among equal weights, and input position as the final tie-break.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from functools import cached_property
 
 
-DEFAULT_ENUM_GUARD = 20
-DEFAULT_INTERSECTION_GUARD = 16
+# largest n whose 2^n subsets are enumerated: basis η and the augmentation
+# check, the intersection errors, and the superset precheck of the dirty
+# intersection
+ENUM_GUARD = 20
+INTERSECTION_GUARD = 16
+PRECHECK_GUARD = 14
 
 # GroundSet keeps the prefix mask of every PREFIX_STRIDE-th position only, so
 # its prefix state is n^2 / PREFIX_STRIDE bits instead of n^2
@@ -23,14 +26,6 @@ PREFIX_STRIDE = 64
 
 class GuardExceeded(RuntimeError):
     """Raised when an exponential enumeration would exceed its size guard."""
-
-
-def enumeration_guard(default=DEFAULT_ENUM_GUARD):
-    """Current enumeration guard; MATORACLE_GUARD_N overrides for CI sizing."""
-    env = os.environ.get("MATORACLE_GUARD_N")
-    if env:
-        return int(env)
-    return default
 
 
 def ceil_log2(x):
@@ -403,18 +398,13 @@ class ExplicitSystem(MatroidSpec):
         return any(mask & ~m == 0 for m in self.maximal_masks)
 
     def rank_mask(self, mask):
-        # greedy scan in canonical order using the independence rule (internal,
-        # never billed); exact for matroids, defined behavior otherwise
-        cur = 0
-        for p in range(self.ground.n):
-            e = self.ground.order[p]
-            if mask >> e & 1 and self.is_independent_mask(cur | 1 << e):
-                cur |= 1 << e
-        return cur.bit_count()
+        # greedy scan of mask in canonical order using the independence rule
+        # (internal, never billed); exact for matroids, defined behavior otherwise
+        return greedy_scan(self.is_independent_mask, self.ground, skip=~mask).bit_count()
 
     @cached_property
     def has_augmentation(self):
-        return self._check_augmentation() if self.n <= enumeration_guard() else None
+        return self._check_augmentation() if self.n <= ENUM_GUARD else None
 
     def _check_augmentation(self):
         by_size = {}
@@ -464,18 +454,23 @@ def rank(spec, s):
     return spec.rank_mask(mask_of(s))
 
 
+def greedy_scan(query, ground, cur=0, skip=0):
+    """Greedy in canonical order from the mask cur: query(cur | 1 << e) for
+    every element e outside the mask skip, keeping e when it answers True.
+    Returns the final mask."""
+    for e in ground.order:
+        if not skip >> e & 1 and query(cur | 1 << e):
+            cur |= 1 << e
+    return cur
+
+
 def greedy_max_weight_basis(query, ground):
     """Greedy in canonical order through a billed independence query callable.
 
     Issues exactly n queries, one per element, each testing current ∪ {e}.
     Returns the resulting maximum-weight basis as an ElementSet.
     """
-    cur = 0
-    for p in range(ground.n):
-        e = ground.order[p]
-        if query(cur | 1 << e):
-            cur |= 1 << e
-    return ElementSet(ground.n, cur)
+    return ElementSet(ground.n, greedy_scan(query, ground))
 
 
 def greedy_native(spec, ground=None):

@@ -23,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    DEFAULT_INTERSECTION_GUARD,
+    ENUM_GUARD,
+    INTERSECTION_GUARD,
     ElementSet,
     ExplicitSystem,
     GraphicMatroid,
@@ -31,7 +32,6 @@ from .core import (
     PartitionMatroid,
     PredictedBasisOracle,
     UniformMatroid,
-    enumeration_guard,
     iter_bits,
     mask_of,
 )
@@ -127,7 +127,7 @@ def _graphic_step(spec):
 def independence_array(spec):
     """Boolean array over all 2^n subset masks: independent or not."""
     n = spec.n
-    if n > enumeration_guard():
+    if n > ENUM_GUARD:
         raise GuardExceeded(f"n={n} exceeds enumeration guard")
     if isinstance(spec, UniformMatroid):
         return subset_sizes(n) <= min(spec.k, n)
@@ -228,7 +228,7 @@ def modification_sets(s, clean, ground=None):
     both because all maximum-weight bases share cardinality).
     """
     g = ground or clean.ground
-    if g.n > enumeration_guard():
+    if g.n > ENUM_GUARD:
         raise GuardExceeded(f"n={g.n} exceeds enumeration guard")
     s_mask = mask_of(s)
     tops = _max_weight_top_masks(clean, g)
@@ -259,7 +259,7 @@ def compute_eta(pair):
     The pair for one S is ``modification_sets(S, pair.clean, pair.ground)``.
     """
     g = pair.ground
-    if g.n > enumeration_guard():
+    if g.n > ENUM_GUARD:
         raise GuardExceeded(f"n={g.n} exceeds enumeration guard")
     n = g.n
     r = pair.clean.full_rank()
@@ -285,7 +285,7 @@ def compute_intersection_errors(dirty1, dirty2, clean1, clean2):
     (the augmenting-path algorithm's precondition).
     """
     n = clean1.n
-    if n > enumeration_guard(DEFAULT_INTERSECTION_GUARD):
+    if n > INTERSECTION_GUARD:
         raise GuardExceeded(f"n={n} exceeds intersection enumeration guard")
     ic1, ic2 = independence_array(clean1), independence_array(clean2)
     id1, id2 = independence_array(dirty1), independence_array(dirty2)

@@ -9,11 +9,12 @@ queries only to verify them and to localize false dirty arcs.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 
 import numpy as np
 
 from . import algorithms as alg
-from .core import ElementSet, PartitionMatroid, enumeration_guard, iter_bits, mask_of
+from .core import PRECHECK_GUARD, ElementSet, PartitionMatroid, iter_bits, mask_of
 from .errors import independence_array
 from .oracles import ROLE_CLEAN, ROLE_DIRTY, QueryLedger
 
@@ -248,7 +249,7 @@ def dirty_intersection(ox):
     for spec in ox.clean:
         if not isinstance(spec, PartitionMatroid):
             raise ValueError("dirty augmenting paths require partition clean matroids")
-    if g.n <= enumeration_guard(14):
+    if g.n <= PRECHECK_GUARD:
         # unbilled: the smallest clean-independent but dirty-dependent set,
         # matroid 1 first at a tie
         bad = [independence_array(c) & ~independence_array(d) for c, d in zip(ox.clean, ox.dirty)]
@@ -290,13 +291,5 @@ def warm_start(ox):
     s_d, _, _ = textbook_intersection(ox, role=ROLE_DIRTY)
     cur = s_d.mask
     for which in (1, 2):
-        while not ox.query_independent(ROLE_CLEAN, which, cur):
-            members = g.positions(cur)
-            pos = alg.binary_search_smallest_dependent_prefix(
-                members,
-                lambda p: not ox.query_independent(ROLE_CLEAN, which, cur & g.prefix_mask(p)),
-                -1,
-                len(members) - 1,
-            )
-            cur &= ~(1 << g.element_at(pos))
+        cur = alg._strip_dirty_basis(partial(ox.query_independent, ROLE_CLEAN, which), g, cur)
     return ElementSet(g.n, cur), ox.ledger

@@ -277,8 +277,10 @@ def test_criterion_07_pair_query_family():
             inst = family_instance("pairquery", n=n, r_d=r_d, eta_A=ea, seed=seed)
             pair, bd = _materialize(inst)
             r = pair.clean.full_rank()
-            basis, led, ok = pair_query_basis(bd.mask, pair)
-            assert ok
+            basis, led = pair_query_basis(bd.mask, pair)
+            # a clean basis: clean-independent, and no outside element can be added
+            assert pair.clean.is_independent_mask(basis.mask)
+            assert not any(pair.clean.is_independent_mask(basis.mask | 1 << e) for e in set(range(n)) - set(basis))
             assert led.clean_independence_count <= n - r + ea - 1, (gap, seed)
     elapsed = time.perf_counter() - t0
     _report(7, f"pair-query family within n-r+eta_A-1 at gaps 8/16/32, {elapsed:.1f}s")

@@ -233,6 +233,20 @@ class TestRankOracle:
         assert len(basis) == 1
         assert led.clean_rank_count <= 2 + 2 * ceil_log2(3) + 0
 
+    def test_removals_in_increasing_canonical_position(self, small_random_pairs, removals):
+        # lb_rem at n = 16, r_d = 8 always takes the binary removal plan; the
+        # random pairs may switch to a scan, which makes no removal searches
+        families = [run_family("lb_rem", n=16, r_d=8, eta_R=er, seed=s) for er in (1, 2, 3) for s in range(3)]
+        searched = 0
+        for i, (pair, bd) in enumerate(families + small_random_pairs):
+            p2 = fresh(pair)
+            removals.clear()
+            basis, _ = rank_oracle_basis(bd.mask, p2)
+            if i < len(families) or removals:
+                assert removals == sorted(set(bd) - set(basis), key=p2.ground.pos.__getitem__)
+                searched += 1
+        assert searched > len(families)
+
     def test_single_addition_binary_search(self):
         pair, bd = run_family("lb_add", n=36, r_d=4, eta_A=1, seed=2)
         basis, led = rank_oracle_basis(bd.mask, pair)
@@ -292,6 +306,14 @@ def _old_greedy_by_rank(pair, cur, cur_rank, stop_rank=None):
     return cur
 
 
+def is_clean_basis(pair, basis):
+    """Clean-independent, and no element outside it can be added."""
+    clean = pair.clean
+    return clean.is_independent_mask(basis.mask) and not any(
+        clean.is_independent_mask(basis.mask | 1 << e) for e in range(pair.ground.n) if e not in basis
+    )
+
+
 class TestPairQuery:
     def test_all_addable(self):
         for m in (4, 5):
@@ -302,24 +324,24 @@ class TestPairQuery:
                 n=n,
             )
             p2 = fresh(pair)
-            basis, led, ok = pair_query_basis(bd.mask, p2)
-            assert ok and basis.mask == p2.ground.full_mask
+            basis, led = pair_query_basis(bd.mask, p2)
+            assert is_clean_basis(p2, basis) and basis.mask == p2.ground.full_mask
             assert led.clean_independence_count == (m + 1) // 2
 
     def test_family_accounting(self):
         for gap in (8, 16, 32):
             ea = (3 * gap) // 4 + 1
             pair, bd = run_family("pairquery", n=4 + gap, r_d=4, eta_A=ea, seed=1)
-            basis, led, ok = pair_query_basis(bd.mask, pair)
+            basis, led = pair_query_basis(bd.mask, pair)
             n, r = 4 + gap, 4 + ea
-            assert ok
+            assert is_clean_basis(pair, basis)
             assert led.clean_independence_count < n - r + ea
 
     def test_family_violation_flag(self):
         # dirty basis not clean-independent: output cannot be a clean basis
         pair, bd = make_pair({"kind": "uniform", "k": 1}, {"kind": "uniform", "k": 3}, n=5)
-        _, _, ok = pair_query_basis(bd.mask, pair)
-        assert not ok
+        basis, _ = pair_query_basis(bd.mask, pair)
+        assert not is_clean_basis(pair, basis)
 
 
 class TestCostly:

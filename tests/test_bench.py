@@ -283,21 +283,3 @@ class TestCli:
         assert out.returncode == 0, out.stdout + out.stderr
         assert results.exists() and plot.exists()
         assert "violations=0" in out.stdout
-
-    def test_guard_env_override(self, tmp_path):
-        import os
-        import subprocess as sp
-
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"family": "lb_rem", "params": {"n": 22, "r_d": 11, "eta_R": 2, "seed": 5}}))
-        inst = tmp_path / "inst.json"
-        assert self.run_cli("gen", "--spec", str(spec), "--out", str(inst)).returncode == 0
-        rec = tmp_path / "rec.json"
-        env = dict(os.environ, MATORACLE_GUARD_N="22")
-        out = sp.run(
-            [sys.executable, "-m", "matoracle.cli", "run", "--instance", str(inst),
-             "--alg", "errdep", "--out", str(rec)],
-            capture_output=True, text=True, env=env,
-            cwd=str(Path(__file__).resolve().parent.parent),
-        )
-        assert out.returncode == 0, out.stderr

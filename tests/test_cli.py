@@ -37,6 +37,14 @@ UNSTORED = {
     "dirty": {"mode": "matroid", "kind": "uniform", "k": 4},
 }
 
+# r = 2 and r_d = 3, so a consistent family.eta has eta_R = eta_A + 1
+U24_DIRTY_U3 = {
+    "n": 4,
+    "weights": "unit",
+    "matroid": {"kind": "uniform", "k": 2},
+    "dirty": {"mode": "matroid", "kind": "uniform", "k": 3},
+}
+
 LB_BASIC_GROUP = {"family": "lb_basic", "params": {"n": 8, "r": 4}}
 LB_BASIC = family_instance(LB_BASIC_GROUP["family"], **LB_BASIC_GROUP["params"])
 
@@ -132,6 +140,48 @@ class TestSpecErrors:
         }[command]
         assert cli.main(args) == 2
         assert f"matoracle: invalid spec: {missing}: cannot read" in _one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", ["run", "verify", "bench"])
+    def test_family_eta_against_the_ranks_exits_2(self, tmp_path, capsys, command):
+        # U(2, 4) against a dirty U(3): r = 2, r_d = 3, so eta_R = 1 is needed
+        doc = dict(U24_DIRTY_U3, family={"tag": "edited", "eta": {"eta_A": 0, "eta_R": 0}})
+        inst = _write(tmp_path, "inst.json", doc)
+        args = {
+            "run": ["run", "--instance", inst, "--alg", "errdep", "--out", str(tmp_path / "rec.json")],
+            "verify": ["verify", "--instance", inst, "--all"],
+            "bench": ["bench", "--config", _write(tmp_path, "sweep.json", {"instances": [doc]}),
+                      "--out", str(tmp_path / "r.csv")],
+        }[command]
+        assert cli.main(args) == 2
+        err = _one_line_error(capsys)
+        assert "matoracle: invalid spec: family.eta: " in err and "r = 2, r_d = 3" in err
+
+    @pytest.mark.parametrize("eta", [{"eta_A": 0, "eta_R": 1}, {"eta_A": 1, "eta_R": 2}])
+    def test_family_eta_matching_the_ranks_is_used(self, eta):
+        # values that satisfy r = r_d + eta_A - eta_R are trusted as given
+        inst = InstanceSpec.from_dict(dict(U24_DIRTY_U3, family={"tag": "edited", "eta": eta}))
+        rec = run_trial(inst, "errdep")
+        assert (rec.eta_A, rec.eta_R, rec.eta_source) == (eta["eta_A"], eta["eta_R"], "construction")
+
+    def test_family_eta_with_an_explicit_dirty_system_is_not_checked(self):
+        # an explicit system need not be a matroid, so the identity does not apply
+        doc = dict(U24_DIRTY_U3, dirty={"mode": "explicit", "maximal_sets": [[0, 1, 2], [3]]},
+                   family={"tag": "edited", "eta": {"eta_A": 0, "eta_R": 0}})
+        assert generate(InstanceSpec.from_dict(doc)).known_eta == {"eta_A": 0, "eta_R": 0}
+
+    @pytest.mark.parametrize("command", ["gen", "run", "bench", "plot-data"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
+        nodir = str(tmp_path / "nodir" / "out.json")
+        inst = _write(tmp_path, "inst.json", LB_BASIC.to_json())
+        config = _write(tmp_path, "sweep.json", {"instances": [LB_BASIC_GROUP], "algorithms": ["errdep"]})
+        args = {
+            "gen": ["gen", "--spec", _write(tmp_path, "spec.json", LB_BASIC_GROUP), "--out", nodir],
+            "run": ["run", "--instance", inst, "--alg", "errdep", "--out", nodir],
+            "bench": ["bench", "--config", config, "--out", nodir],
+            "plot-data": ["bench", "--config", config, "--out", str(tmp_path / "r.csv"), "--plot-data", nodir],
+        }[command]
+        assert cli.main(args) == 2
+        assert f"matoracle: cannot write {nodir}: " in _one_line_error(capsys)
 
 
 class TestVerifyAlgorithms:

@@ -330,10 +330,32 @@ class TestExplicitSystem:
         assert sys_.has_augmentation is False and sys_.has_augmentation is False
         assert calls == [1]
 
-    def test_augmentation_unknown_above_guard(self, monkeypatch):
-        monkeypatch.setenv("MATORACLE_GUARD_N", "2")
-        sys_ = ExplicitSystem(GroundSet.unit(3), [[0], [1], [2]])
+    def test_augmentation_unknown_above_guard(self):
+        # U(1, 21) as an explicit system: n = 21 is above the guard of 20
+        sys_ = ExplicitSystem(GroundSet.unit(21), [[e] for e in range(21)])
         assert sys_.has_augmentation is None and not sys_.is_matroid
+
+    def test_rank_mask_matches_the_old_scan(self):
+        def old_rank(spec, mask):
+            # reference copy of the loop rank_mask kept before greedy_scan
+            cur = 0
+            for p in range(spec.ground.n):
+                e = spec.ground.order[p]
+                if mask >> e & 1 and spec.is_independent_mask(cur | 1 << e):
+                    cur |= 1 << e
+            return cur.bit_count()
+
+        rng = random.Random(8)
+        systems = 0
+        while systems < 40:
+            n = rng.randint(2, 8)
+            sets = [[e for e in range(n) if rng.random() < 0.5] for _ in range(rng.randint(2, 4))]
+            g = GroundSet([rng.randint(0, 2) for _ in range(n)])
+            sys_ = ExplicitSystem(g, sets).rebind(g.with_dirty_basis(rng.getrandbits(n)))
+            if sys_.has_augmentation:
+                continue  # only non-matroids, where the scan order changes the answer
+            systems += 1
+            assert [sys_.rank_mask(m) for m in range(1 << n)] == [old_rank(sys_, m) for m in range(1 << n)]
 
     def test_dominated_sets_dropped(self):
         g = GroundSet.unit(3)

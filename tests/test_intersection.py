@@ -319,3 +319,18 @@ class TestWarmStart:
             assert ox.clean[1].is_independent_mask(s.mask)
             # result is a subset of a dirty-optimal solution
             assert ox.dirty[0].is_independent_mask(s.mask) and ox.dirty[1].is_independent_mask(s.mask)
+
+    def test_removals_are_the_dirty_solution_minus_the_output(self, removals):
+        # the removal search is algorithms._remove_smallest_dependent, which
+        # the removals fixture records: one element per search
+        rng = random.Random(16)
+        removed = 0
+        for _ in range(60):
+            ox = random_pair_instance(rng, rng.randint(2, 10))
+            s_d, _, _ = textbook_intersection(IntersectionOracles(ox.ground, *ox.clean, *ox.dirty), role=ROLE_DIRTY)
+            removals.clear()
+            s, _ = warm_start(ox)
+            assert len(removals) == len(s_d) - len(s)
+            assert set(removals) == set(s_d) - set(s)
+            removed += len(removals)
+        assert removed > 0
