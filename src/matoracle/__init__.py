@@ -39,9 +39,7 @@ from .errors import (
 )
 from .intersection import (
     ExchangeGraph,
-    FalseQueryLists,
     IntersectionOracles,
-    OptimalityCertificate,
     SupersetViolation,
     build_exchange_graph,
     dirty_intersection,

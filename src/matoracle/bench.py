@@ -133,6 +133,9 @@ class InstanceSpec:
             raise InvalidSpec("n", "must be a non-negative integer")
         if "family" in doc and not isinstance(doc["family"], dict):
             raise InvalidSpec("family", "must be an object, or a string tag naming a family group")
+        for key in ("matroid", "dirty", "matroid2", "dirty2"):
+            if key in doc and not isinstance(doc[key], dict):
+                raise InvalidSpec(key, f"must be an object, got {doc[key]!r}")
         return cls(
             n=doc["n"],
             weights=doc["weights"],
@@ -171,7 +174,7 @@ def _checked(field_name, build, *args, **kwargs):
         raise
     except KeyError as exc:
         raise InvalidSpec(field_name, f"missing key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidSpec(field_name, str(exc)) from exc
 
 
@@ -332,6 +335,14 @@ def is_family_group(cfg):
     tag; an instance written by gen carries its family as an object and is a
     plain instance."""
     return isinstance(cfg, dict) and isinstance(cfg.get("family"), str)
+
+
+def group_params(group):
+    """A copy of a family group's params object (default empty)."""
+    params = group.get("params", {})
+    if not isinstance(params, dict):
+        raise InvalidSpec("params", f"must be an object, got {params!r}")
+    return dict(params)
 
 
 def family_instance(tag, **params):
@@ -794,17 +805,23 @@ def sweep(config, out_path=None):
     """Run instance specs x algorithms x parameter grids; returns (records,
     violations).  Rows are sorted by instance id, algorithm, k before write.
 
-    A malformed instance or k / p grid raises InvalidSpec before any trial
-    runs.  An algorithm that does not apply to an instance gives an error row;
-    a trial whose strict certificate could not be checked gives an error row
-    with certificate "unverified", which counts as a violation.
+    A malformed instance, algorithm list, family group or k / p grid raises
+    InvalidSpec before any trial runs.  An algorithm that does not apply to an
+    instance gives an error row; a trial whose strict certificate could not be
+    checked gives an error row with certificate "unverified", which counts as
+    a violation.
     """
     records = []
     instances = []
-    for inst_cfg in config.get("instances", []):
+    inst_cfgs = config.get("instances", [])
+    if not isinstance(inst_cfgs, list):
+        raise InvalidSpec("instances", "must be a list")
+    for inst_cfg in inst_cfgs:
         if is_family_group(inst_cfg):
-            params = dict(inst_cfg.get("params", {}))
+            params = group_params(inst_cfg)
             seeds = inst_cfg.get("seeds", [params.get("seed", 0)])
+            if not isinstance(seeds, list) or not all(type(seed) is int for seed in seeds):
+                raise InvalidSpec("seeds", f"must be a list of integers, got {seeds!r}")
             for seed in seeds:
                 params["seed"] = seed
                 instances.append(family_instance(inst_cfg["family"], **params))
@@ -813,6 +830,8 @@ def sweep(config, out_path=None):
     for inst in instances:
         generate(inst)
     algorithms = config.get("algorithms", [])
+    if not isinstance(algorithms, list) or not all(algo in ALGORITHMS for algo in algorithms):
+        raise InvalidSpec("algorithms", f"must be a list of tags from {', '.join(ALGORITHMS)}, got {algorithms!r}")
     ks = config.get("k", [None])
     ps = config.get("p", [None])
     for name, grid in (("k", ks), ("p", ps)):

@@ -19,6 +19,7 @@ from .bench import (
     InvalidSpec,
     family_instance,
     generate,
+    group_params,
     is_family_group,
     plot_data_series,
     run_trial,
@@ -45,8 +46,7 @@ def _load_instance(path):
 def _cmd_gen(args):
     cfg = _load_json(args.spec)
     if is_family_group(cfg):
-        params = dict(cfg.get("params", {}))
-        inst = family_instance(cfg["family"], **params)
+        inst = family_instance(cfg["family"], **group_params(cfg))
     else:
         inst = InstanceSpec.from_dict(cfg)
     with open(args.out, "w") as fh:

@@ -9,11 +9,10 @@ before others among equal weights, and input position as the final tie-break.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 
 
-# largest n whose 2^n subsets are enumerated: basis η and the augmentation
-# check, the intersection errors, and the superset precheck of the dirty
+# largest n whose 2^n subsets are enumerated: basis η and the matroid check,
+# the intersection errors, and the superset precheck of the dirty
 # intersection
 ENUM_GUARD = 20
 INTERSECTION_GUARD = 16
@@ -239,10 +238,6 @@ class MatroidSpec:
     def to_config(self):
         raise NotImplementedError
 
-    @property
-    def is_matroid(self):
-        return True
-
     def full_rank(self):
         return self.rank_mask(self.ground.full_mask)
 
@@ -376,9 +371,8 @@ class PredictedBasisOracle(MatroidSpec):
 class ExplicitSystem(MatroidSpec):
     """Downward-closed system given by its maximal sets; not necessarily a matroid.
 
-    Accepted as a dirty oracle only.  ``has_augmentation`` records whether the
-    system satisfies the matroid augmentation axiom (checked on first access
-    when the guard allows, else None).
+    Accepted as a dirty oracle only; ``errors.is_matroid`` tells whether it
+    is a matroid.
     """
 
     kind = "explicit"
@@ -401,28 +395,6 @@ class ExplicitSystem(MatroidSpec):
         # greedy scan of mask in canonical order using the independence rule
         # (internal, never billed); exact for matroids, defined behavior otherwise
         return greedy_scan(self.is_independent_mask, self.ground, skip=~mask).bit_count()
-
-    @cached_property
-    def has_augmentation(self):
-        return self._check_augmentation() if self.n <= ENUM_GUARD else None
-
-    def _check_augmentation(self):
-        by_size = {}
-        for m in range(1 << self.n):
-            if self.is_independent_mask(m):
-                by_size.setdefault(m.bit_count(), []).append(m)
-        for size, bigger in by_size.items():
-            if size == 0:
-                continue
-            for small in by_size.get(size - 1, []):
-                for big in bigger:
-                    if not any(small >> e & 1 == 0 and self.is_independent_mask(small | 1 << e) for e in iter_bits(big & ~small)):
-                        return False
-        return True
-
-    @property
-    def is_matroid(self):
-        return bool(self.has_augmentation)
 
     def to_config(self):
         return {"kind": "explicit", "maximal_sets": [sorted(iter_bits(m)) for m in self.maximal_masks]}

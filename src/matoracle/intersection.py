@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,34 +23,6 @@ from .oracles import ROLE_CLEAN, ROLE_DIRTY, QueryLedger
 class SupersetViolation(RuntimeError):
     """A clean-independent set behaved dirty-dependent: the superset
     precondition of the dirty augmenting-path algorithm is broken."""
-
-
-class FalseQueryLists:
-    """Ordered, duplicate-free lists of dirty-independent but clean-dependent
-    sets, one per matroid; excluded arcs never reappear in the dirty graph."""
-
-    def __init__(self):
-        self.f1 = []
-        self.f2 = []
-        self._seen = (set(), set())
-
-    def lists(self, which):
-        return self.f1 if which == 1 else self.f2
-
-    def contains(self, which, mask):
-        return mask in self._seen[which - 1]
-
-    def add(self, which, mask):
-        if self.contains(which, mask):
-            raise SupersetViolation(
-                f"false-set candidate for matroid {which} rediscovered; "
-                "the dirty oracles cannot be supersets of the clean ones"
-            )
-        self.lists(which).append(mask)
-        self._seen[which - 1].add(mask)
-
-    def __len__(self):
-        return len(self.f1) + len(self.f2)
 
 
 class IntersectionOracles:
@@ -74,49 +47,42 @@ class IntersectionOracles:
         return answer
 
 
-class ExchangeGraph:
+class ExchangeGraph(NamedTuple):
     """Directed bipartite exchange graph for a common independent set X.
 
     Arc x -> y is present iff X - x + y is independent in matroid 1, arc
     y -> x iff independent in matroid 2; y1/y2 hold the elements whose single
-    addition stays independent in matroid 1/2.
+    addition stays independent in matroid 1/2.  Every list ascends.
     """
 
-    def __init__(self, x_mask, arcs_out, y1, y2):
-        self.x_mask = x_mask
-        self.arcs_out = arcs_out  # element -> sorted tuple of successors
-        self.y1 = tuple(sorted(y1))
-        self.y2 = tuple(sorted(y2))
+    arcs_out: dict  # element -> list of successors
+    y1: list
+    y2: list
 
 
-def build_exchange_graph(ox, x_mask, role, exclusions=None):
-    """Query-built exchange graph; excluded (false) defining sets produce no
-    arc and no source/sink membership.  Issues at most 2|X|(n-|X|) + 2(n-|X|)
-    independence queries to the designated oracles."""
-    g = ox.ground
-    outside = [e for e in range(g.n) if not x_mask >> e & 1]
+def build_exchange_graph(independent, n, x_mask):
+    """Exchange graph of X over elements 0..n-1 through the billed test
+    independent(which, mask) of matroid which in {1, 2}; a set the test calls
+    dependent produces no arc and no source/sink membership.  Calls the test
+    2|X|(n-|X|) + 2(n-|X|) times."""
+    outside = [e for e in range(n) if not x_mask >> e & 1]
     inside = list(iter_bits(x_mask))
-
-    def allowed_and_independent(which, mask):
-        if exclusions is not None and exclusions.contains(which, mask):
-            return False
-        return ox.query_independent(role, which, mask)
-
-    arcs_out = {e: [] for e in range(g.n)}
+    arcs_out = {e: [] for e in range(n)}
     y1, y2 = [], []
+    # y ascends in the outer loop and x in the inner one: every list ascends
     for y in outside:
         grown = x_mask | 1 << y
-        if allowed_and_independent(1, grown):
+        if independent(1, grown):
             y1.append(y)
-        if allowed_and_independent(2, grown):
+        if independent(2, grown):
             y2.append(y)
         for x in inside:
             swapped = grown & ~(1 << x)
-            if allowed_and_independent(1, swapped):
+            if independent(1, swapped):
                 arcs_out[x].append(y)
-            if allowed_and_independent(2, swapped):
+            if independent(2, swapped):
                 arcs_out[y].append(x)
-    return ExchangeGraph(x_mask, {e: tuple(sorted(v)) for e, v in arcs_out.items()}, y1, y2)
+    return ExchangeGraph(arcs_out, y1, y2)
 
 
 def _distances_to_y2(graph):
@@ -155,36 +121,26 @@ def shortest_augmenting_path(graph):
     return path
 
 
-class OptimalityCertificate:
-    """Vertex set U with |X| = rank1(U) + rank2(E \\ U) under clean evaluation."""
-
-    def __init__(self, u_mask):
-        self.u_mask = u_mask
-
-    def holds_for(self, x_mask, clean1, clean2, full_mask):
-        return x_mask.bit_count() == clean1.rank_mask(self.u_mask) + clean2.rank_mask(
-            full_mask & ~self.u_mask
-        )
-
-
 def textbook_intersection(ox, role=ROLE_CLEAN):
     """Shortest-augmenting-path matroid intersection against one oracle side.
 
-    Returns (X, certificate, ledger); the certificate is the set of elements
-    with a directed path to y2 (E or the empty set on the degenerate exits).
+    Returns (X, u_mask, ledger).  U is the set of elements with a directed
+    path to y2 (E or the empty set on the degenerate exits), and it certifies
+    optimality: |X| = rank1(U) + rank2(E \\ U) under that side's oracles.
     """
     g = ox.ground
+    independent = partial(ox.query_independent, role)
     x_mask = 0
     while True:
-        graph = build_exchange_graph(ox, x_mask, role)
+        graph = build_exchange_graph(independent, g.n, x_mask)
         if not graph.y1:
-            return ElementSet(g.n, x_mask), OptimalityCertificate(g.full_mask), ox.ledger
+            return ElementSet(g.n, x_mask), g.full_mask, ox.ledger
         if not graph.y2:
-            return ElementSet(g.n, x_mask), OptimalityCertificate(0), ox.ledger
+            return ElementSet(g.n, x_mask), 0, ox.ledger
         path = shortest_augmenting_path(graph)
         if path is None:
             u_mask = sum(1 << e for e in _distances_to_y2(graph))
-            return ElementSet(g.n, x_mask), OptimalityCertificate(u_mask), ox.ledger
+            return ElementSet(g.n, x_mask), u_mask, ox.ledger
         for v in path:
             x_mask ^= 1 << v
         side = ox.clean if role == ROLE_CLEAN else ox.dirty
@@ -220,8 +176,9 @@ def _path_checkpoints(x_mask, path, which):
     return sets, candidates
 
 
-def _locate_false_set(ox, x_mask, path, which, false_lists):
-    """Bisect the failed matroid's checkpoint prefixes to one false dirty set.
+def _locate_false_set(ox, x_mask, path, which, found):
+    """Bisect the failed matroid's checkpoint prefixes to one false dirty set
+    and add it to found, that matroid's false sets.
 
     The final checkpoint is the full symmetric difference, already known
     dependent from the failed verification, so the search costs at most
@@ -231,7 +188,12 @@ def _locate_false_set(ox, x_mask, path, which, false_lists):
     hi = alg.binary_search_smallest_dependent_prefix(
         range(len(sets)), lambda i: not ox.query_independent(ROLE_CLEAN, which, sets[i]), -1, len(sets) - 1
     )
-    false_lists.add(which, candidates[hi])
+    if candidates[hi] in found:
+        raise SupersetViolation(
+            f"false-set candidate for matroid {which} rediscovered; "
+            "the dirty oracles cannot be supersets of the clean ones"
+        )
+    found[candidates[hi]] = None
 
 
 def dirty_intersection(ox):
@@ -241,7 +203,8 @@ def dirty_intersection(ox):
     verified with two clean queries, and a failed verification pays at most
     ceil(log2 n) further clean queries to localize a false dirty arc, which is
     then excluded.  Requires partition clean matroids with dirty supersets.
-    Returns (X, ledger, false-query lists).
+    Returns (X, ledger, (F1, F2)), where Fi lists the false sets of matroid i
+    (dirty-independent, clean-dependent) in discovery order.
     """
     g = ox.ground
     if ox.dirty is None:
@@ -259,13 +222,18 @@ def dirty_intersection(ox):
             raise SupersetViolation(
                 f"set {m:#x} is clean-independent but dirty-dependent in matroid {1 if bad[0][m] else 2}"
             )
-    false_lists = FalseQueryLists()
+    false_sets = ({}, {})  # insertion-ordered, one per matroid
+
+    def independent(which, mask):
+        # a set already found false is dependent without a query
+        return mask not in false_sets[which - 1] and ox.query_independent(ROLE_DIRTY, which, mask)
+
     x_mask = 0
     while True:
-        graph = build_exchange_graph(ox, x_mask, ROLE_DIRTY, exclusions=false_lists)
+        graph = build_exchange_graph(independent, g.n, x_mask)
         path = shortest_augmenting_path(graph)
         if path is None:
-            return ElementSet(g.n, x_mask), ox.ledger, false_lists
+            return ElementSet(g.n, x_mask), ox.ledger, (list(false_sets[0]), list(false_sets[1]))
         flipped = x_mask
         for v in path:
             flipped ^= 1 << v
@@ -274,7 +242,8 @@ def dirty_intersection(ox):
         if ok1 and ok2:
             x_mask = flipped
             continue
-        _locate_false_set(ox, x_mask, path, 1 if not ok1 else 2, false_lists)
+        which = 1 if not ok1 else 2
+        _locate_false_set(ox, x_mask, path, which, false_sets[which - 1])
 
 
 def warm_start(ox):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -183,6 +184,46 @@ class TestSpecErrors:
         assert cli.main(args) == 2
         assert f"matoracle: cannot write {nodir}: " in _one_line_error(capsys)
 
+    @pytest.mark.parametrize(
+        "field, doc",
+        [("matroid", dict(UNCOVERED, matroid="uniform")),
+         ("dirty", dict(UNCOVERED, dirty="identity")),
+         ("matroid2", dict(U24_DIRTY_U3, matroid2=3)),
+         ("dirty2", dict(U24_DIRTY_U3, matroid2={"kind": "uniform", "k": 2}, dirty2="x")),
+         ("weights", dict(U24_DIRTY_U3, weights=["1/0", 1, 1, 1]))],
+    )
+    @pytest.mark.parametrize("command", ["run", "verify", "bench"])
+    def test_malformed_field_exits_2(self, tmp_path, capsys, command, field, doc):
+        inst = _write(tmp_path, "inst.json", doc)
+        args = {
+            "run": ["run", "--instance", inst, "--alg", "greedy", "--out", str(tmp_path / "rec.json")],
+            "verify": ["verify", "--instance", inst, "--all"],
+            "bench": ["bench", "--config", _write(tmp_path, "sweep.json", {"instances": [doc], "algorithms": ["greedy"]}),
+                      "--out", str(tmp_path / "r.csv")],
+        }[command]
+        assert cli.main(args) == 2
+        assert f"matoracle: invalid spec: {field}: " in _one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "field, config",
+        [("algorithms", {"instances": [LB_BASIC_GROUP], "algorithms": "errdep"}),
+         ("algorithms", {"instances": [LB_BASIC_GROUP], "algorithms": ["nope"]}),
+         ("seeds", {"instances": [dict(LB_BASIC_GROUP, seeds=5)], "algorithms": ["errdep"]}),
+         ("seeds", {"instances": [dict(LB_BASIC_GROUP, seeds=[1, "2"])], "algorithms": ["errdep"]}),
+         ("params", {"instances": [dict(LB_BASIC_GROUP, params=3)], "algorithms": ["errdep"]}),
+         ("instances", {"instances": 3, "algorithms": ["errdep"]})],
+    )
+    def test_malformed_sweep_config_exits_2(self, tmp_path, capsys, field, config):
+        out = tmp_path / "r.csv"
+        assert cli.main(["bench", "--config", _write(tmp_path, "sweep.json", config), "--out", str(out)]) == 2
+        assert f"matoracle: invalid spec: {field}: must be" in _one_line_error(capsys)
+        assert not out.exists()
+
+    def test_gen_group_params_not_an_object_exits_2(self, tmp_path, capsys):
+        spec = _write(tmp_path, "spec.json", dict(LB_BASIC_GROUP, params=3))
+        assert cli.main(["gen", "--spec", spec, "--out", str(tmp_path / "inst.json")]) == 2
+        assert "matoracle: invalid spec: params: must be an object" in _one_line_error(capsys)
+
 
 class TestVerifyAlgorithms:
     def test_equal_weights_list_runs_the_unweighted_algorithms(self, tmp_path, capsys):
@@ -197,6 +238,19 @@ class TestVerifyAlgorithms:
         assert cli.main(["verify", "--instance", _write(tmp_path, "inst.json", doc), "--all"]) == 0
         ran = [line.split()[1].rstrip(":") for line in capsys.readouterr().out.splitlines()]
         assert ran == ["greedy", "simple", "errdep", "robust", "weighted", "weighted-robust", "rank", "costly"]
+
+
+def test_explicit_dirty_non_matroid_at_n_14_runs(tmp_path, capsys):
+    # U(6, 14) against every 6-subset plus {7, ..., 13}: the rank identity
+    # fails, and telling whether the dirty system is a matroid must not
+    # compare every pair of its independent sets
+    sets = [list(c) for c in itertools.combinations(range(14), 6)] + [list(range(7, 14))]
+    doc = {"n": 14, "weights": "unit", "matroid": {"kind": "uniform", "k": 6},
+           "dirty": {"mode": "explicit", "maximal_sets": sets}}
+    out = tmp_path / "rec.json"
+    assert cli.main(["run", "--instance", _write(tmp_path, "inst.json", doc), "--alg", "errdep", "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    assert (rec["eta_A"], rec["eta_R"], rec["eta_source"], rec["within_bound"]) == (0, 1, "bruteforce", True)
 
 
 class TestParamErrors:

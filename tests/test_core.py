@@ -24,6 +24,7 @@ from matoracle import (
 )
 from matoracle.algorithms import _rank_additions, binary_search_smallest_dependent_prefix
 from matoracle.core import iter_bits, spec_from_config
+from matoracle.errors import is_matroid
 from matoracle.oracles import ROLE_CLEAN
 
 from conftest import fresh, random_pairs
@@ -316,24 +317,51 @@ class TestExplicitSystem:
     def test_augmentation_flag(self):
         g = GroundSet.unit(3)
         # maximal sets of different sizes: not a matroid
-        assert ExplicitSystem(g, [[0, 1], [2]]).has_augmentation is False
+        assert is_matroid(ExplicitSystem(g, [[0, 1], [2]])) is False
         # uniform(1) disguised: a matroid
-        assert ExplicitSystem(g, [[0], [1], [2]]).has_augmentation is True
+        assert is_matroid(ExplicitSystem(g, [[0], [1], [2]])) is True
 
-    def test_augmentation_checked_on_first_access(self, monkeypatch):
-        g = GroundSet.unit(3)
-        sys_ = ExplicitSystem(g, [[0, 1], [2]])
-        calls = []
-        check = sys_._check_augmentation
-        monkeypatch.setattr(sys_, "_check_augmentation", lambda: calls.append(1) or check())
-        assert calls == []
-        assert sys_.has_augmentation is False and sys_.has_augmentation is False
-        assert calls == [1]
+    def test_augmentation_matches_the_pairwise_loop(self):
+        def has_augmentation(spec):
+            # reference: the pairwise loop ExplicitSystem kept before is_matroid
+            by_size = {}
+            for m in range(1 << spec.n):
+                if spec.is_independent_mask(m):
+                    by_size.setdefault(m.bit_count(), []).append(m)
+            for size, bigger in by_size.items():
+                if size == 0:
+                    continue
+                for small in by_size.get(size - 1, []):
+                    for big in bigger:
+                        if not any(small >> e & 1 == 0 and spec.is_independent_mask(small | 1 << e)
+                                   for e in iter_bits(big & ~small)):
+                            return False
+            return True
+
+        rng = random.Random(9)
+        seen = set()
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            g = GroundSet.unit(n)
+            if rng.random() < 0.25:
+                # a uniform matroid given by its maximal sets
+                k = rng.randint(0, n)
+                sets = [m for m in range(1 << n) if m.bit_count() == k]
+            else:
+                sets = [rng.getrandbits(n) for _ in range(rng.randint(1, 4))]
+            sys_ = ExplicitSystem(g, sets)
+            want = has_augmentation(sys_)
+            seen.add(want)
+            assert is_matroid(sys_) is want
+        assert seen == {False, True}
+        for _ in range(20):
+            assert is_matroid(_random_spec(rng, rng.randint(1, 8)))
 
     def test_augmentation_unknown_above_guard(self):
         # U(1, 21) as an explicit system: n = 21 is above the guard of 20
         sys_ = ExplicitSystem(GroundSet.unit(21), [[e] for e in range(21)])
-        assert sys_.has_augmentation is None and not sys_.is_matroid
+        with pytest.raises(GuardExceeded):
+            is_matroid(sys_)
 
     def test_rank_mask_matches_the_old_scan(self):
         def old_rank(spec, mask):
@@ -352,7 +380,7 @@ class TestExplicitSystem:
             sets = [[e for e in range(n) if rng.random() < 0.5] for _ in range(rng.randint(2, 4))]
             g = GroundSet([rng.randint(0, 2) for _ in range(n)])
             sys_ = ExplicitSystem(g, sets).rebind(g.with_dirty_basis(rng.getrandbits(n)))
-            if sys_.has_augmentation:
+            if is_matroid(sys_):
                 continue  # only non-matroids, where the scan order changes the answer
             systems += 1
             assert [sys_.rank_mask(m) for m in range(1 << n)] == [old_rank(sys_, m) for m in range(1 << n)]

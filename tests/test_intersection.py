@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -12,6 +13,7 @@ from matoracle import (
     ceil_log2,
     compute_intersection_errors,
     dirty_intersection,
+    rank,
     textbook_intersection,
     warm_start,
 )
@@ -56,6 +58,10 @@ def random_pair_instance(rng, n, raises=2):
     return IntersectionOracles(g, c1, c2, raised(c1), raised(c2))
 
 
+def clean_graph(ox, x_mask):
+    return build_exchange_graph(partial(ox.query_independent, ROLE_CLEAN), ox.ground.n, x_mask)
+
+
 def _first_superset_violation(ox):
     """The precheck message by the definition: every subset mask in
     ascending order, matroid 1 before matroid 2."""
@@ -72,10 +78,10 @@ class TestExchangeGraph:
         c1 = UniformMatroid(g, 2)
         c2 = PartitionMatroid(g, [[0, 1], [2, 3]], [1, 0])
         ox = IntersectionOracles(g, c1, c2)
-        graph = build_exchange_graph(ox, 0, ROLE_CLEAN)
+        graph = clean_graph(ox, 0)
         assert all(not v for v in graph.arcs_out.values())
-        assert graph.y1 == (0, 1, 2, 3)
-        assert graph.y2 == (0, 1)
+        assert graph.y1 == [0, 1, 2, 3]
+        assert graph.y2 == [0, 1]
 
     def test_arcs_match_direct_tests(self):
         g = GroundSet.unit(3)
@@ -83,7 +89,7 @@ class TestExchangeGraph:
         c2 = UniformMatroid(g, 1)
         ox = IntersectionOracles(g, c1, c2)
         x = 0b001
-        graph = build_exchange_graph(ox, x, ROLE_CLEAN)
+        graph = clean_graph(ox, x)
         for y in (1, 2):
             swapped = x & ~0b001 | 1 << y
             assert (y in graph.arcs_out[0]) == c1.is_independent_mask(swapped)
@@ -95,7 +101,7 @@ class TestExchangeGraph:
         c2 = UniformMatroid(g, 2)
         ox = IntersectionOracles(g, c1, c2)
         x = 0b00011
-        build_exchange_graph(ox, x, ROLE_CLEAN)
+        clean_graph(ox, x)
         xc, out = 2, 3
         assert ox.ledger.clean_independence_count == 2 * xc * out + 2 * out
 
@@ -105,14 +111,37 @@ class TestExchangeGraph:
         c2 = UniformMatroid(g, 1)
         ox = IntersectionOracles(g, c1, c2, c1, c2)
         x = 0b001
-        from matoracle import FalseQueryLists
+        forbidden = x & ~0b001 | 0b010  # the swap set {1}
 
-        full = build_exchange_graph(ox, x, ROLE_DIRTY)
-        excl = FalseQueryLists()
-        excl.add(1, x & ~0b001 | 0b010)  # forbid the swap set {1}
-        pruned = build_exchange_graph(ox, x, ROLE_DIRTY, exclusions=excl)
+        def excluding(which, mask):
+            return not (which == 1 and mask == forbidden) and ox.query_independent(ROLE_DIRTY, which, mask)
+
+        full = build_exchange_graph(partial(ox.query_independent, ROLE_DIRTY), 3, x)
+        pruned = build_exchange_graph(excluding, 3, x)
         assert set(full.arcs_out[0]) - set(pruned.arcs_out[0]) == {1}
         assert pruned.arcs_out[1] == full.arcs_out[1]
+
+    def test_random_pairs_match_direct_evaluation(self):
+        # every list ascends without a sort, and holds exactly the elements
+        # the defining sets make independent
+        rng = random.Random(17)
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            ox = random_pair_instance(rng, n, raises=0)
+            c1, c2 = ox.clean
+            x = rng.getrandbits(n)
+            while not (c1.is_independent_mask(x) and c2.is_independent_mask(x)):
+                x &= x - 1  # drop the lowest element until X is common independent
+            graph = clean_graph(ox, x)
+            outside = [y for y in range(n) if not x >> y & 1]
+            assert graph.y1 == [y for y in outside if c1.is_independent_mask(x | 1 << y)]
+            assert graph.y2 == [y for y in outside if c2.is_independent_mask(x | 1 << y)]
+            for e in range(n):
+                if x >> e & 1:
+                    want = [y for y in outside if c1.is_independent_mask(x & ~(1 << e) | 1 << y)]
+                else:
+                    want = [v for v in iter_bits(x) if c2.is_independent_mask(x & ~(1 << v) | 1 << e)]
+                assert graph.arcs_out[e] == want
 
 
 class TestShortestPath:
@@ -121,7 +150,7 @@ class TestShortestPath:
         c1 = UniformMatroid(g, 1)
         c2 = UniformMatroid(g, 1)
         ox = IntersectionOracles(g, c1, c2)
-        graph = build_exchange_graph(ox, 0, ROLE_CLEAN)
+        graph = clean_graph(ox, 0)
         assert shortest_augmenting_path(graph) == [0]
 
     def test_lexicographic_tie_break(self):
@@ -129,14 +158,14 @@ class TestShortestPath:
         c1 = UniformMatroid(g, 2)
         c2 = UniformMatroid(g, 2)
         ox = IntersectionOracles(g, c1, c2)
-        graph = build_exchange_graph(ox, 0, ROLE_CLEAN)
+        graph = clean_graph(ox, 0)
         assert shortest_augmenting_path(graph) == [0]
 
 
 class TestTextbook:
     def test_uniform_pair(self):
         g = GroundSet.unit(5)
-        x, cert, _ = textbook_intersection(IntersectionOracles(g, UniformMatroid(g, 3), UniformMatroid(g, 2)))
+        x, _, _ = textbook_intersection(IntersectionOracles(g, UniformMatroid(g, 3), UniformMatroid(g, 2)))
         assert len(x) == 2
 
     def test_bipartite_matching_encoding(self):
@@ -154,7 +183,7 @@ class TestTextbook:
             by_right = [[i for i, e in enumerate(edges) if e[1] == v] for v in range(right)]
             c1 = PartitionMatroid(g, [c for c in by_left if c], [1] * sum(1 for c in by_left if c))
             c2 = PartitionMatroid(g, [c for c in by_right if c], [1] * sum(1 for c in by_right if c))
-            x, cert, _ = textbook_intersection(IntersectionOracles(g, c1, c2))
+            x, _, _ = textbook_intersection(IntersectionOracles(g, c1, c2))
             best = max(
                 (m.bit_count() for m in range(1 << n) if _is_matching(m, edges)),
                 default=0,
@@ -166,8 +195,8 @@ class TestTextbook:
         for _ in range(25):
             n = rng.randint(1, 9)
             ox = random_pair_instance(rng, n, raises=0)
-            x, cert, _ = textbook_intersection(ox)
-            assert cert.holds_for(x.mask, ox.clean[0], ox.clean[1], ox.ground.full_mask)
+            x, u_mask, _ = textbook_intersection(ox)
+            assert len(x) == rank(ox.clean[0], u_mask) + rank(ox.clean[1], ox.ground.full_mask & ~u_mask)
             assert len(x) == brute_max_common(ox.clean[0], ox.clean[1], n)
 
 
@@ -188,8 +217,8 @@ class TestDirtyIntersection:
         c1 = PartitionMatroid(g, [[0, 1, 2], [3, 4]], [1, 1])
         c2 = PartitionMatroid(g, [[0, 3], [1, 2, 4]], [1, 1])
         ox = IntersectionOracles(g, c1, c2, c1, c2)
-        x, led, flists = dirty_intersection(ox)
-        assert len(flists) == 0
+        x, led, (f1, f2) = dirty_intersection(ox)
+        assert f1 == f2 == []
         assert len(x) == brute_max_common(c1, c2, 5)
         # two clean verification queries per augmenting round; the last round
         # finds no dirty path and needs none
@@ -202,10 +231,10 @@ class TestDirtyIntersection:
         d1 = PartitionMatroid(g, [[0], [1, 2]], [1, 1])
         c2 = PartitionMatroid(g, [[0, 1, 2]], [2])
         ox = IntersectionOracles(g, c1, c2, d1, c2)
-        x, led, flists = dirty_intersection(ox)
+        x, led, (f1, f2) = dirty_intersection(ox)
         assert len(x) == brute_max_common(c1, c2, 3) == 1
-        assert len(flists) >= 1
-        for mask in flists.f1:
+        assert len(f1) + len(f2) >= 1
+        for mask in f1:
             assert d1.is_independent_mask(mask) and not c1.is_independent_mask(mask)
 
     def test_random_pairs_bound_and_false_lists(self):
@@ -214,14 +243,44 @@ class TestDirtyIntersection:
             n = rng.randint(2, 10)
             ox = random_pair_instance(rng, n)
             eta = compute_intersection_errors(ox.dirty[0], ox.dirty[1], ox.clean[0], ox.clean[1])
-            x, led, flists = dirty_intersection(ox)
+            x, led, false_sets = dirty_intersection(ox)
             assert len(x) == brute_max_common(ox.clean[0], ox.clean[1], n)
             bound = (len(x) + 1) * (2 + (eta.eta_1 + eta.eta_2) * (ceil_log2(n) + 2))
             assert led.clean_independence_count <= bound
-            for which, lst in ((1, flists.f1), (2, flists.f2)):
+            for which, lst in enumerate(false_sets, 1):
                 for mask in lst:
                     assert ox.dirty[which - 1].is_independent_mask(mask)
                     assert not ox.clean[which - 1].is_independent_mask(mask)
+
+    def test_no_dirty_query_for_a_known_false_set(self):
+        # every block of clean records opens with the verification of both
+        # matroids; a failed one is followed by the search that adds one set
+        # to F1 or F2, so the transcript shows when each false set joined
+        rng = random.Random(18)
+        joined = 0
+        for _ in range(60):
+            ox = random_pair_instance(rng, rng.randint(2, 10))
+            _, led, false_sets = dirty_intersection(ox)
+            pending = [iter(f) for f in false_sets]
+            known = (set(), set())
+            rec_iter = iter(led.transcript)
+            rec = next(rec_iter, None)
+            while rec is not None:
+                if rec.role == ROLE_DIRTY:
+                    assert rec.mask not in known[int(rec.kind[-1]) - 1]
+                    rec = next(rec_iter, None)
+                    continue
+                ok1, ok2 = rec, next(rec_iter)
+                assert (ok1.kind, ok2.kind) == ("ind1", "ind2")
+                if not (ok1.answer and ok2.answer):
+                    which = 1 if not ok1.answer else 2
+                    known[which - 1].add(next(pending[which - 1]))
+                    joined += 1
+                rec = next(rec_iter, None)
+                while rec is not None and rec.role == ROLE_CLEAN:
+                    rec = next(rec_iter, None)
+            assert [next(p, None) for p in pending] == [None, None]
+        assert joined > 0
 
     def test_superset_violation_detected(self):
         g = GroundSet.unit(4)
