@@ -49,6 +49,7 @@ def _cmd_gen(args):
         inst = family_instance(cfg["family"], **group_params(cfg))
     else:
         inst = InstanceSpec.from_dict(cfg)
+    generate(inst)  # a spec that run would reject is not written
     with open(args.out, "w") as fh:
         fh.write(inst.to_json() + "\n")
     print(f"wrote {inst.instance_id} to {args.out}")

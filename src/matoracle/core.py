@@ -228,6 +228,11 @@ class MatroidSpec:
     def rank_mask(self, mask):
         raise NotImplementedError
 
+    def evaluator(self):
+        """A fresh per-run evaluator with independent(mask) and rank(mask)
+        that answer as this spec does; kinds with kept state override it."""
+        return _SpecEvaluator(self)
+
     def rebind(self, ground):
         """Same independence rule over a reordered copy of the ground set."""
         clone = object.__new__(type(self))
@@ -287,11 +292,25 @@ class PartitionMatroid(MatroidSpec):
         self.class_masks = tuple(masks)
         self.caps = tuple(int(c) for c in caps)
 
+    def _class_counts(self, mask, stop_over_cap):
+        """Members of mask per class; None as soon as one class is over its
+        cap when stop_over_cap is set."""
+        counts = []
+        for m, c in zip(self.class_masks, self.caps):
+            k = (mask & m).bit_count()
+            if k > c and stop_over_cap:
+                return None
+            counts.append(k)
+        return counts
+
     def is_independent_mask(self, mask):
-        return all((mask & m).bit_count() <= c for m, c in zip(self.class_masks, self.caps))
+        return self._class_counts(mask, stop_over_cap=True) is not None
 
     def rank_mask(self, mask):
-        return sum(min((mask & m).bit_count(), c) for m, c in zip(self.class_masks, self.caps))
+        return sum(map(min, self._class_counts(mask, stop_over_cap=False), self.caps))
+
+    def evaluator(self):
+        return _PartitionEvaluator(self)
 
     def to_config(self):
         return {
@@ -316,32 +335,31 @@ class GraphicMatroid(MatroidSpec):
         self.num_vertices = num_vertices
         self.edges = tuple((int(u), int(v)) for u, v in edges)
 
-    def _forest_size(self, mask, stop_on_cycle):
+    def _forest(self, mask, stop_on_cycle):
+        """(size, parent): the number of edges of a spanning forest of mask
+        and its union-find; size is -1 at the first cycle when stop_on_cycle
+        is set."""
         parent = list(range(self.num_vertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         size = 0
         for e in iter_bits(mask):
             u, v = self.edges[e]
-            ru, rv = find(u), find(v)
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru == rv:
                 if stop_on_cycle:
-                    return -1
+                    return -1, parent
                 continue
             parent[ru] = rv
             size += 1
-        return size
+        return size, parent
 
     def is_independent_mask(self, mask):
-        return self._forest_size(mask, stop_on_cycle=True) >= 0
+        return self._forest(mask, stop_on_cycle=True)[0] >= 0
 
     def rank_mask(self, mask):
-        return self._forest_size(mask, stop_on_cycle=False)
+        return self._forest(mask, stop_on_cycle=False)[0]
+
+    def evaluator(self):
+        return _GraphicEvaluator(self)
 
     def to_config(self):
         return {"kind": "graphic", "vertices": self.num_vertices, "edges": [list(e) for e in self.edges]}
@@ -383,8 +401,17 @@ class ExplicitSystem(MatroidSpec):
         for s in maximal_sets:
             m = mask_of(s) if isinstance(s, (int, ElementSet)) else ElementSet.from_iterable(self.n, s).mask
             masks.add(m)
-        # drop sets dominated by another listed set so "maximal" is honest
-        self.maximal_masks = tuple(sorted(m for m in masks if not any(m != o and m & ~o == 0 for o in masks)))
+        # drop sets dominated by another listed set so "maximal" is honest; only
+        # a set with more elements can dominate, so walk the sizes downwards
+        # and compare against the maximal sets kept so far (an antichain needs
+        # no comparison at all)
+        by_size = {}
+        for m in masks:
+            by_size.setdefault(m.bit_count(), []).append(m)
+        maximal = []
+        for size in sorted(by_size, reverse=True):
+            maximal += [m for m in by_size[size] if not any(m & ~o == 0 for o in maximal)]
+        self.maximal_masks = tuple(sorted(maximal))
         if not self.maximal_masks:
             self.maximal_masks = (0,)
 
@@ -398,6 +425,144 @@ class ExplicitSystem(MatroidSpec):
 
     def to_config(self):
         return {"kind": "explicit", "maximal_sets": [sorted(iter_bits(m)) for m in self.maximal_masks]}
+
+
+def _find(parent, x):
+    """Root of x in a union-find, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+class _SpecEvaluator:
+    """Stateless evaluator: every query goes to the spec's own methods."""
+
+    __slots__ = ("spec",)
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    def independent(self, mask):
+        return self.spec.is_independent_mask(mask)
+
+    def rank(self, mask):
+        return self.spec.rank_mask(mask)
+
+
+class _AnchoredEvaluator:
+    """Evaluator that keeps the last set it found independent (the anchor)
+    and that set's state.
+
+    A subset of the anchor and the anchor plus one element are answered from
+    the state, as is the anchor with one element exchanged where the kind
+    implements ``_exchanges``; a True on the anchor plus one element moves
+    the anchor there.  Every other set gets one full evaluation through the
+    spec's own implementation, and becomes the anchor if it is independent.
+    The state is built on the first query, never at construction.
+    """
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.anchor = 0
+        self.state = None
+
+    def _known(self, mask):
+        """Independence of mask from the kept state, or None when mask has
+        none of the answered shapes."""
+        if self.state is None:
+            self._start()
+        # one xor and one and over the mask tell the shapes apart; bit_count
+        # and bit_length build no new int
+        diff = mask ^ self.anchor
+        extra = diff & mask
+        if not extra:
+            return True
+        changed = diff.bit_count()
+        if changed == 1:
+            if self._extends(extra.bit_length() - 1):
+                self.anchor = mask
+                return True
+            return False
+        if changed == 2 and extra.bit_count() == 1:
+            return self._exchanges((diff ^ extra).bit_length() - 1, extra.bit_length() - 1)
+        return None
+
+    def _full(self, mask, stop_if_dependent):
+        """Rank of mask by full evaluation (-1 for a dependent mask when
+        stop_if_dependent is set); an independent mask becomes the anchor."""
+        size, state = self._evaluate(mask, stop_if_dependent)
+        if size == mask.bit_count():
+            self.anchor, self.state = mask, state
+        return size
+
+    def _exchanges(self, x, e):
+        return None
+
+    def independent(self, mask):
+        known = self._known(mask)
+        if known is None:
+            return self._full(mask, True) >= 0
+        return known
+
+    def rank(self, mask):
+        known = self._known(mask)
+        if known is None:
+            return self._full(mask, False)
+        # one element over an independent set adds at most one to the rank
+        return mask.bit_count() - (not known)
+
+
+class _PartitionEvaluator(_AnchoredEvaluator):
+    """State: the anchor's count per class; plus an element -> class table."""
+
+    def _start(self):
+        spec = self.spec
+        class_of = [0] * spec.n
+        for i, m in enumerate(spec.class_masks):
+            for e in _scan_bits(m):
+                class_of[e] = i
+        self.class_of, self.caps = class_of, spec.caps
+        self.state = [0] * len(spec.caps)
+
+    def _evaluate(self, mask, stop_if_dependent):
+        counts = self.spec._class_counts(mask, stop_if_dependent)
+        if counts is None:
+            return -1, None
+        return sum(map(min, counts, self.caps)), counts
+
+    def _extends(self, e):
+        c = self.class_of[e]
+        counts = self.state
+        if counts[c] < self.caps[c]:
+            counts[c] += 1
+            return True
+        return False
+
+    def _exchanges(self, x, e):
+        class_of = self.class_of
+        c = class_of[e]
+        return self.state[c] - (class_of[x] == c) < self.caps[c]
+
+
+class _GraphicEvaluator(_AnchoredEvaluator):
+    """State: the union-find of the anchor's forest."""
+
+    def _start(self):
+        self.edges = self.spec.edges
+        self.state = list(range(self.spec.num_vertices))
+
+    def _evaluate(self, mask, stop_if_dependent):
+        return self.spec._forest(mask, stop_if_dependent)
+
+    def _extends(self, e):
+        parent = self.state
+        u, v = self.edges[e]
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+        return True
 
 
 def spec_from_config(ground, cfg):
@@ -448,5 +613,5 @@ def greedy_max_weight_basis(query, ground):
 def greedy_native(spec, ground=None):
     """Unbilled greedy baseline against the spec's own independence rule."""
     g = ground or spec.ground
-    return greedy_max_weight_basis(spec.is_independent_mask, g)
+    return greedy_max_weight_basis(spec.evaluator().independent, g)
 

@@ -37,12 +37,16 @@ class IntersectionOracles:
         self.dirty = None
         if dirty1 is not None and dirty2 is not None:
             self.dirty = (dirty1.rebind(ground), dirty2.rebind(ground))
+        # per-run evaluators: kept state never outlives these oracles
+        self._clean_evals = tuple(spec.evaluator() for spec in self.clean)
+        self._dirty_evals = self.dirty and tuple(spec.evaluator() for spec in self.dirty)
         self.ledger = QueryLedger(ground.n)
 
     def query_independent(self, role, which, s):
         mask = mask_of(s)
-        spec = self.clean[which - 1] if role == ROLE_CLEAN else self.dirty[which - 1]
-        answer = spec.is_independent_mask(mask)
+        # an unknown role reaches the dirty side; the ledger rejects it unbilled
+        evals = self._clean_evals if role == ROLE_CLEAN else self._dirty_evals
+        answer = evals[which - 1].independent(mask)
         self.ledger.record(role, f"ind{which}", answer, mask)
         return answer
 

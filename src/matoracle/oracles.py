@@ -100,18 +100,21 @@ class OraclePair:
         self.ground = ground
         self.clean = clean.rebind(ground)
         self.dirty = dirty.rebind(ground)
+        # per-pair evaluators: kept state never outlives the pair's run
+        self._clean_eval = self.clean.evaluator()
+        self._dirty_eval = self.dirty.evaluator()
         self.ledger = ledger if ledger is not None else QueryLedger(ground.n, cost_p=cost_p)
 
     def query_independent(self, role, s):
         mask = mask_of(s)
         # an unknown role reaches the dirty spec; the ledger rejects it unbilled
-        answer = (self.clean if role == ROLE_CLEAN else self.dirty).is_independent_mask(mask)
+        answer = (self._clean_eval if role == ROLE_CLEAN else self._dirty_eval).independent(mask)
         self.ledger.record(role, KIND_IND, answer, mask)
         return answer
 
     def query_rank(self, role, s):
         mask = mask_of(s)
-        answer = (self.clean if role == ROLE_CLEAN else self.dirty).rank_mask(mask)
+        answer = (self._clean_eval if role == ROLE_CLEAN else self._dirty_eval).rank(mask)
         self.ledger.record(role, KIND_RANK, answer, mask)
         return answer
 

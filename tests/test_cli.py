@@ -219,6 +219,20 @@ class TestSpecErrors:
         assert f"matoracle: invalid spec: {field}: must be" in _one_line_error(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, doc",
+        [("weights", {"n": 2, "weights": ["1/0", 1], "matroid": {"kind": "uniform", "k": 1},
+                      "dirty": {"mode": "identity"}}),
+         ("matroid", UNCOVERED),
+         ("weights", SHORT_WEIGHTS),
+         ("dirty", WEIGHTED_EXPLICIT)],
+    )
+    def test_gen_rejects_what_run_rejects(self, tmp_path, capsys, field, doc):
+        out = tmp_path / "inst.json"
+        assert cli.main(["gen", "--spec", _write(tmp_path, "spec.json", doc), "--out", str(out)]) == 2
+        assert f"matoracle: invalid spec: {field}: " in _one_line_error(capsys)
+        assert not out.exists()
+
     def test_gen_group_params_not_an_object_exits_2(self, tmp_path, capsys):
         spec = _write(tmp_path, "spec.json", dict(LB_BASIC_GROUP, params=3))
         assert cli.main(["gen", "--spec", spec, "--out", str(tmp_path / "inst.json")]) == 2

@@ -390,6 +390,29 @@ class TestExplicitSystem:
         sys_ = ExplicitSystem(g, [[0], [0, 1]])
         assert sys_.maximal_masks == (0b011,)
 
+    def test_dominated_filter_matches_the_pairwise_filter(self):
+        def pairwise(masks):
+            # reference copy of the filter that compared every pair of sets
+            return tuple(sorted(m for m in masks if not any(m != o and m & ~o == 0 for o in masks))) or (0,)
+
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            sets = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(rng.randint(1, 12))]
+            # duplicates, subsets of listed sets and the empty set
+            sets += rng.sample(sets, rng.randint(0, len(sets)))
+            sets += [m & rng.getrandbits(n) for m in rng.choices(sets, k=rng.randint(0, 3))]
+            if rng.random() < 0.3:
+                sets.append(0)
+            rng.shuffle(sets)
+            assert ExplicitSystem(GroundSet.unit(n), sets).maximal_masks == pairwise(set(sets))
+
+    def test_all_k_subsets_build_without_pairwise_comparison(self):
+        # U(8, 16) as its 12870 maximal sets: an antichain, which the
+        # pairwise filter took tens of seconds over
+        sets = [m for m in range(1 << 16) if m.bit_count() == 8]
+        assert ExplicitSystem(GroundSet.unit(16), sets).maximal_masks == tuple(sets)
+
 
 def test_independence_matches_membership_bruteforce():
     rng = random.Random(3)
