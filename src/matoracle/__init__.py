@@ -23,10 +23,7 @@ from .core import (
     PredictedBasisOracle,
     UniformMatroid,
     ceil_log2,
-    greedy_max_weight_basis,
     greedy_native,
-    is_independent,
-    rank,
     spec_from_config,
 )
 from .errors import (

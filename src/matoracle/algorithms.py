@@ -1,16 +1,17 @@
 """Two-oracle basis algorithms, each returning (basis, ledger).
 
-All algorithms receive a dirty basis that was computed with dirty queries only
-and then touch nothing but the clean oracle.  Billing is exact: every clean
-query the accounting of the corresponding bound charges is issued exactly as
-charged, and none besides.
+All algorithms receive a dirty basis mask that was computed with dirty queries
+only and then touch nothing but the clean oracle.  Billing is exact: every
+clean query the accounting of the corresponding bound charges is issued
+exactly as charged, and none besides.  Sets are int masks throughout; only
+the returned basis is an ElementSet.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
-from .core import ElementSet, ceil_log2, greedy_scan, mask_of
+from .core import ElementSet, ceil_log2, greedy_scan
 from .oracles import ROLE_CLEAN, ROLE_DIRTY, greedy_basis
 
 
@@ -47,12 +48,11 @@ def simple_basis(bd, pair):
     """
     g = pair.ground
     independent = partial(pair.query_independent, ROLE_CLEAN)
-    bd_mask = mask_of(bd)
-    start = bd_mask if independent(bd_mask) else 0
+    start = bd if independent(bd) else 0
     return ElementSet(g.n, greedy_scan(independent, g, start, start)), pair.ledger
 
 
-def _remove_smallest_dependent(independent, g, bd_mask, cur, lo_pos):
+def _remove_smallest_dependent(independent, g, bd, cur, lo_pos):
     """Bit of the element ending the smallest dependent prefix of cur (known
     dependent), found by binary search with the billed test independent(mask)
     above lo_pos (a member of cur whose prefix is independent, or -1); it
@@ -63,17 +63,17 @@ def _remove_smallest_dependent(independent, g, bd_mask, cur, lo_pos):
         positions, lambda p: not independent(cur & g.prefix_mask(p)), lo_idx, len(positions) - 1
     )
     e = g.element_at(pos)
-    if not bd_mask >> e & 1:
+    if not bd >> e & 1:
         raise RuntimeError("removals must stay inside the dirty basis")
     return 1 << e
 
 
-def _strip_dirty_basis(independent, g, bd_mask):
-    """Remove smallest-dependent-prefix elements from the dirty set bd_mask
+def _strip_dirty_basis(independent, g, bd):
+    """Remove smallest-dependent-prefix elements from the dirty set bd
     until the billed test independent(mask) passes; returns what is left."""
-    cur = bd_mask
+    cur = bd
     while not independent(cur):
-        cur &= ~_remove_smallest_dependent(independent, g, bd_mask, cur, -1)
+        cur &= ~_remove_smallest_dependent(independent, g, bd, cur, -1)
     return cur
 
 
@@ -86,8 +86,7 @@ def error_dependent_basis(bd, pair):
     """
     g = pair.ground
     independent = partial(pair.query_independent, ROLE_CLEAN)
-    bd_mask = mask_of(bd)
-    cur = greedy_scan(independent, g, _strip_dirty_basis(independent, g, bd_mask), bd_mask)
+    cur = greedy_scan(independent, g, _strip_dirty_basis(independent, g, bd), bd)
     return ElementSet(g.n, cur), pair.ledger
 
 
@@ -103,10 +102,9 @@ def robust_basis(bd, pair, k):
         raise ValueError("k must be a positive integer")
     g = pair.ground
     independent = partial(pair.query_independent, ROLE_CLEAN)
-    bd_mask = mask_of(bd)
-    lg = ceil_log2(bd_mask.bit_count())
+    lg = ceil_log2(bd.bit_count())
     b = 0
-    seg = g.positions(bd_mask)  # pending dirty-basis positions, canonical order
+    seg = g.positions(bd)  # pending dirty-basis positions, canonical order
 
     while seg:
         m = len(seg)
@@ -143,7 +141,7 @@ def robust_basis(bd, pair, k):
                 )
         b = upto(found - 1)
         seg = seg[found:]
-    cur = greedy_scan(independent, g, b, bd_mask)
+    cur = greedy_scan(independent, g, b, bd)
     return ElementSet(g.n, cur), pair.ledger
 
 
@@ -156,22 +154,21 @@ def weighted_basis(bd, pair):
     """
     g = pair.ground
     independent = partial(pair.query_independent, ROLE_CLEAN)
-    bd_mask = mask_of(bd)
     a_mask = 0
-    r_mask = bd_mask & ~_strip_dirty_basis(independent, g, bd_mask)
+    r_mask = bd & ~_strip_dirty_basis(independent, g, bd)
     pre = 0  # prefix mask through position p, kept as the scan walks
     for p in range(g.n):
         e = g.order[p]
         pre |= 1 << e
-        if bd_mask >> e & 1:
+        if bd >> e & 1:
             continue
-        cur = (bd_mask & ~r_mask) | a_mask
+        cur = (bd & ~r_mask) | a_mask
         if independent((cur | 1 << e) & pre):
             a_mask |= 1 << e
             cur |= 1 << e
             if not independent(cur):
-                r_mask |= _remove_smallest_dependent(independent, g, bd_mask, cur, p)
-    return ElementSet(g.n, (bd_mask & ~r_mask) | a_mask), pair.ledger
+                r_mask |= _remove_smallest_dependent(independent, g, bd, cur, p)
+    return ElementSet(g.n, (bd & ~r_mask) | a_mask), pair.ledger
 
 
 def robust_weighted_basis(bd, pair, k):
@@ -191,9 +188,8 @@ def robust_weighted_basis(bd, pair, k):
         raise ValueError("k must be a positive integer")
     g = pair.ground
     independent = partial(pair.query_independent, ROLE_CLEAN)
-    bd_mask = mask_of(bd)
-    lg = ceil_log2(bd_mask.bit_count())
-    positions = g.positions(bd_mask)
+    lg = ceil_log2(bd.bit_count())
+    positions = g.positions(bd)
     d_max = positions[-1] if positions else -1
     a_mask, r_mask = 0, 0
     q = 0
@@ -201,13 +197,13 @@ def robust_weighted_basis(bd, pair, k):
     known_dep = False  # whether (bd \ R) ∪ A is currently known dependent
 
     def current():
-        return (bd_mask & ~r_mask) | a_mask
+        return (bd & ~r_mask) | a_mask
 
     pre = 0  # prefix mask through position p, kept as the scan walks
     for p in range(g.n):
         e = g.order[p]
         pre |= 1 << e
-        if not bd_mask >> e & 1:
+        if not bd >> e & 1:
             cur = current()
             if independent((cur | 1 << e) & pre):
                 a_mask |= 1 << e
@@ -243,10 +239,10 @@ def robust_weighted_basis(bd, pair, k):
         elif q == k * lg:
             if not known_dep:
                 raise RuntimeError("binary search fired without a dependent upper bound")
-            r_mask |= _remove_smallest_dependent(independent, g, bd_mask, current(), p)
+            r_mask |= _remove_smallest_dependent(independent, g, bd, current(), p)
             q = 0
             known_dep = False
-    return ElementSet(g.n, (bd_mask & ~r_mask) | a_mask), pair.ledger
+    return ElementSet(g.n, (bd & ~r_mask) | a_mask), pair.ledger
 
 
 def rank_oracle_basis(bd, pair):
@@ -262,20 +258,23 @@ def rank_oracle_basis(bd, pair):
     (n + 1 worst case), and a mid-sized combined deficiency whose binary plan
     cannot beat the scan switches after it.
     """
-    g = pair.ground
-    bd_mask = mask_of(bd)
-    r_d = bd_mask.bit_count()
-    lg_rd = ceil_log2(r_d)
-    if bd_mask == 0:
-        r = pair.query_rank(ROLE_CLEAN, g.full_mask)
-        return ElementSet(g.n, _rank_additions(pair, g, 0, 0, r, g.full_mask)), pair.ledger
+    return ElementSet(pair.ground.n, _rank_oracle_mask(bd, pair)), pair.ledger
 
-    q1 = pair.query_rank(ROLE_CLEAN, bd_mask)
+
+def _rank_oracle_mask(bd, pair):
+    g = pair.ground
+    r_d = bd.bit_count()
+    lg_rd = ceil_log2(r_d)
+    if bd == 0:
+        r = pair.query_rank(ROLE_CLEAN, g.full_mask)
+        return _rank_additions(pair, g, 0, 0, r, g.full_mask)
+
+    q1 = pair.query_rank(ROLE_CLEAN, bd)
     d_r = r_d - q1
     if d_r > 0 and d_r * lg_rd >= g.n - 1:
         # removals alone would cost more than scanning everything
-        return ElementSet(g.n, _rank_scan(pair, g, range(g.n), 0, 0)), pair.ledger
-    if bd_mask == g.full_mask and d_r > 0:
+        return _rank_scan(pair, g, range(g.n), 0, 0)
+    if bd == g.full_mask and d_r > 0:
         # no addition candidates and removals preserve the rank: skip the
         # second upfront call, its answer is already determined
         r, d_a = q1, 0
@@ -288,15 +287,15 @@ def rank_oracle_basis(bd, pair):
         if planned > g.n + 1:
             # the binary plan cannot beat the scan; finish greedily, stopping
             # once the full rank is reached
-            return ElementSet(g.n, _rank_scan(pair, g, range(g.n), 0, 0, r)), pair.ledger
-    cur = bd_mask
+            return _rank_scan(pair, g, range(g.n), 0, 0, r)
+    cur = bd
     for _ in range(d_r):
         # the full set stays rank-deficient while removals remain, so it is
         # known dependent without a call
         cur &= ~_remove_smallest_dependent(
-            lambda m: pair.query_rank(ROLE_CLEAN, m) == m.bit_count(), g, bd_mask, cur, -1
+            lambda m: pair.query_rank(ROLE_CLEAN, m) == m.bit_count(), g, bd, cur, -1
         )
-    return ElementSet(g.n, _rank_additions(pair, g, cur, q1, r, g.full_mask & ~bd_mask)), pair.ledger
+    return _rank_additions(pair, g, cur, q1, r, g.full_mask & ~bd)
 
 
 def _rank_additions(pair, g, cur, cur_rank, target_rank, cand):
@@ -339,7 +338,7 @@ def _rank_scan(pair, g, positions, cur, cur_rank, stop_rank=None):
     return cur
 
 
-def pair_query_basis(b, pair):
+def pair_query_basis(cur, pair):
     """Augment a clean-independent set by querying non-members two at a time.
 
     Designed for instances with no removal error and a very large addition
@@ -348,7 +347,6 @@ def pair_query_basis(b, pair):
     because every rejected element is spanned by a subset of the output.
     """
     g = pair.ground
-    cur = mask_of(b)
     outside = [e for e in g.order if not cur >> e & 1]
     i = 0
     while i < len(outside):
@@ -386,8 +384,10 @@ def costly_strategies(pair):
     n = g.n
     r = pair.query_rank(ROLE_CLEAN, g.full_mask)
     if p * (n - r) * ceil_log2(n) + p <= n + p * (n - r + 1):
-        return _costly_remove_from_e(pair, r), pair.ledger.total_cost, COSTLY_A
-    return _costly_dirty_then_verify(pair), pair.ledger.total_cost, COSTLY_B
+        basis, tag = _costly_remove_from_e(pair, r), COSTLY_A
+    else:
+        basis, tag = _costly_dirty_then_verify(pair), COSTLY_B
+    return ElementSet(n, basis), pair.ledger.total_cost, tag
 
 
 def _costly_remove_from_e(pair, r):
@@ -405,10 +405,9 @@ def _costly_remove_from_e(pair, r):
                 range(g.n), lambda p: not pair.query_independent(ROLE_CLEAN, cur & g.prefix_mask(p)), -1, g.n - 1
             )
             cur &= ~(1 << g.element_at(pos))
-    return ElementSet(g.n, cur)
+    return cur
 
 
 def _costly_dirty_then_verify(pair):
-    bd = greedy_basis(pair, ROLE_DIRTY)
-    basis, _ = simple_basis(bd, pair)
-    return basis
+    bd = greedy_basis(pair, ROLE_DIRTY).mask
+    return simple_basis(bd, pair)[0].mask

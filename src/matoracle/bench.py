@@ -628,20 +628,20 @@ def _basis_trial(gen, algorithm, k, p):
         basis, _total, _tag = alg.costly_strategies(pair0)
         pair = pair0
     else:
-        bd = greedy_basis(pair0)
+        bd = greedy_basis(pair0).mask
         pair = pair0.with_dirty_basis(bd)
         if algorithm == "greedy":
             basis = greedy_basis(pair, ROLE_CLEAN)
         else:
             extra = (k_eff,) if algorithm in K_ALGS else ()
-            basis, _ = getattr(alg, BASIS_ENTRIES[algorithm])(bd.mask, pair, *extra)
+            basis, _ = getattr(alg, BASIS_ENTRIES[algorithm])(bd, pair, *extra)
     wall = time.perf_counter() - t0
     g = pair.ground
     clean = pair.clean
     r = clean.full_rank()
     r_d = pair.dirty.full_rank()
     baseline = greedy_native(clean, g)
-    correct = g.weight(basis.mask) == g.weight(baseline.mask) and clean.is_independent_mask(basis.mask)
+    correct = g.weight(basis.mask) == g.weight(baseline) and clean.is_independent_mask(basis.mask)
     eta_a, eta_r_, eta_source = _eta_for_trial(gen, pair)
     bound_val = None
     within = None
@@ -723,7 +723,7 @@ def _intersection_trial(gen, algorithm):
     try:
         if algorithm == "intersect-dirty":
             x, _, _ = dirty_intersection(ox)
-            correct = len(x) == len(optimum)
+            correct = len(x) == optimum.bit_count()
             if eta is not None:
                 bound_val = bound("intersect-dirty", n=g.n, r=len(x), eta_1=eta.eta_1, eta_2=eta.eta_2)
         else:
@@ -744,7 +744,7 @@ def _intersection_trial(gen, algorithm):
         k=None,
         p=None,
         n=g.n,
-        r=len(optimum),
+        r=optimum.bit_count(),
         eta_1=eta.eta_1 if eta else None,
         eta_2=eta.eta_2 if eta else None,
         eta_r=eta.eta_r if eta else None,
@@ -776,6 +776,12 @@ def _check_k_p(k=None, p=None):
             ok = False
         if not ok:
             raise InvalidSpec("p", f"must be a number >= 1, got {p!r}")
+
+
+def unverified_record(spec, algorithm, k, p, exc):
+    """The row of a trial whose strict certificate could not be checked."""
+    return TrialRecord(spec.instance_id, algorithm, k, _p_text(p), spec.n,
+                       certificate="unverified", error=f"TranscriptNotStored: {exc}")
 
 
 def run_trial(spec, algorithm, k=None, p=None):
@@ -850,8 +856,7 @@ def sweep(config, out_path=None):
                     except (InvalidSpec, GuardExceeded) as exc:
                         records.append(TrialRecord(inst.instance_id, algo, k, _p_text(p), inst.n, error=str(exc)))
                     except TranscriptNotStored as exc:
-                        records.append(TrialRecord(inst.instance_id, algo, k, _p_text(p), inst.n,
-                                                   certificate="unverified", error=f"TranscriptNotStored: {exc}"))
+                        records.append(unverified_record(inst, algo, k, p, exc))
     records.sort(key=lambda rec: (rec.instance_id, rec.algorithm, rec.k or 0, rec.p or ""))
     if out_path is not None:
         write_csv(records, out_path)

@@ -1,4 +1,5 @@
-"""Ground sets, bitset element sets, and concrete matroid implementations.
+"""Ground sets, concrete matroid implementations, and the record of a
+returned basis.
 
 Element sets are bit masks over element ids 0..n-1 (Python ints, so the same
 interface covers any n).  A :class:`GroundSet` fixes the canonical ordering all
@@ -8,6 +9,7 @@ before others among equal weights, and input position as the final tie-break.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -34,13 +36,6 @@ def ceil_log2(x):
     return int(x - 1).bit_length()
 
 
-def mask_of(s):
-    """Accept an ElementSet or a raw int mask."""
-    if isinstance(s, ElementSet):
-        return s.mask
-    return int(s)
-
-
 def iter_bits(mask):
     """Yield set bit positions of mask in ascending order."""
     while mask:
@@ -60,28 +55,17 @@ def _scan_bits(mask):
         e = bits.find("1", e + 1)
 
 
+@dataclass(frozen=True, slots=True)
 class ElementSet:
-    """Immutable subset of the ground set, bit-set semantics over ids 0..n-1."""
+    """Immutable subset of the ground set over ids 0..n-1: the basis an
+    algorithm returns.  Everything inside the library is a plain int mask."""
 
-    __slots__ = ("n", "mask")
+    n: int
+    mask: int = 0
 
-    def __init__(self, n, mask=0):
-        if mask < 0 or mask >> n:
+    def __post_init__(self):
+        if self.mask < 0 or self.mask >> self.n:
             raise ValueError("mask has bits outside 0..n-1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ElementSet is immutable")
-
-    @classmethod
-    def from_iterable(cls, n, elems):
-        mask = 0
-        for e in elems:
-            if not 0 <= e < n:
-                raise ValueError(f"element {e} outside 0..{n - 1}")
-            mask |= 1 << e
-        return cls(n, mask)
 
     def __len__(self):
         return self.mask.bit_count()
@@ -92,35 +76,8 @@ class ElementSet:
     def __iter__(self):
         return iter_bits(self.mask)
 
-    def __eq__(self, other):
-        return isinstance(other, ElementSet) and self.mask == other.mask and self.n == other.n
-
-    def __hash__(self):
-        return hash((self.n, self.mask))
-
-    def __or__(self, other):
-        return ElementSet(self.n, self.mask | mask_of(other))
-
-    def __and__(self, other):
-        return ElementSet(self.n, self.mask & mask_of(other))
-
-    def __sub__(self, other):
-        return ElementSet(self.n, self.mask & ~mask_of(other))
-
-    def __xor__(self, other):
-        return ElementSet(self.n, self.mask ^ mask_of(other))
-
-    def __le__(self, other):
-        return self.mask & ~mask_of(other) == 0
-
-    def add(self, e):
-        return ElementSet(self.n, self.mask | 1 << e)
-
-    def remove(self, e):
-        return ElementSet(self.n, self.mask & ~(1 << e))
-
     def __repr__(self):
-        return f"ElementSet({self.n}, {{{', '.join(map(str, self))}}})"
+        return f"{type(self).__name__}({self.n}, {{{', '.join(map(str, self))}}})"
 
 
 def _as_weight(w):
@@ -149,10 +106,9 @@ class GroundSet:
         if any(w < 0 for w in weights):
             raise ValueError("weights must be non-negative")
         n = len(weights)
-        bd = mask_of(dirty_basis)
-        if bd >> n:
+        if dirty_basis >> n:
             raise ValueError("dirty basis has elements outside the ground set")
-        order = sorted(range(n), key=lambda e: (-weights[e], 0 if bd >> e & 1 else 1, e))
+        order = sorted(range(n), key=lambda e: (-weights[e], 0 if dirty_basis >> e & 1 else 1, e))
         pos = [0] * n
         for p, e in enumerate(order):
             pos[e] = p
@@ -166,7 +122,7 @@ class GroundSet:
             prefix_masks.append(int.from_bytes(buf, "little"))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "dirty_basis_mask", bd)
+        object.__setattr__(self, "dirty_basis_mask", dirty_basis)
         object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "pos", tuple(pos))
         object.__setattr__(self, "_prefix_masks", tuple(prefix_masks))
@@ -180,7 +136,8 @@ class GroundSet:
         return cls([1] * n, dirty_basis)
 
     def with_dirty_basis(self, dirty_basis):
-        """Rebuild the canonical order around a (newly computed) dirty basis."""
+        """Rebuild the canonical order around a (newly computed) dirty basis
+        mask."""
         return GroundSet(self.weights, dirty_basis)
 
     def prefix_mask(self, p):
@@ -193,20 +150,17 @@ class GroundSet:
             mask |= 1 << e
         return mask
 
-    def prefix(self, s, p):
-        return ElementSet(self.n, mask_of(s) & self.prefix_mask(p))
-
-    def positions(self, s):
-        """Sorted canonical positions of the members of s."""
+    def positions(self, mask):
+        """Sorted canonical positions of the members of mask."""
         pos = self.pos
-        return sorted([pos[e] for e in _scan_bits(mask_of(s))])
+        return sorted([pos[e] for e in _scan_bits(mask)])
 
     def element_at(self, p):
         return self.order[p]
 
-    def weight(self, s):
+    def weight(self, mask):
         weights = self.weights
-        return sum([weights[e] for e in _scan_bits(mask_of(s))])
+        return sum([weights[e] for e in _scan_bits(mask)])
 
     @property
     def unit_weights(self):
@@ -273,23 +227,20 @@ class PartitionMatroid(MatroidSpec):
 
     kind = "partition"
 
-    def __init__(self, ground, classes, caps):
+    def __init__(self, ground, class_masks, caps):
         super().__init__(ground)
-        if len(classes) != len(caps):
+        if len(class_masks) != len(caps):
             raise ValueError("classes and caps must have equal length")
-        masks = []
         seen = 0
-        for cls in classes:
-            m = mask_of(cls) if isinstance(cls, (int, ElementSet)) else ElementSet.from_iterable(self.n, cls).mask
+        for m in class_masks:
             if m & seen:
                 raise ValueError("classes overlap")
             seen |= m
-            masks.append(m)
         if seen != ground.full_mask:
             raise ValueError("classes do not cover the ground set")
         if any(c < 0 for c in caps):
             raise ValueError("caps must be non-negative")
-        self.class_masks = tuple(masks)
+        self.class_masks = tuple(class_masks)
         self.caps = tuple(int(c) for c in caps)
 
     def _class_counts(self, mask, stop_over_cap):
@@ -370,10 +321,10 @@ class PredictedBasisOracle(MatroidSpec):
 
     kind = "predicted_basis"
 
-    def __init__(self, ground, basis):
+    def __init__(self, ground, basis_mask):
         super().__init__(ground)
-        self.basis_mask = mask_of(basis) if isinstance(basis, (int, ElementSet)) else ElementSet.from_iterable(self.n, basis).mask
-        if self.basis_mask >> self.n:
+        self.basis_mask = basis_mask
+        if basis_mask >> self.n:
             raise ValueError("predicted basis outside the ground set")
 
     def is_independent_mask(self, mask):
@@ -395,18 +346,16 @@ class ExplicitSystem(MatroidSpec):
 
     kind = "explicit"
 
-    def __init__(self, ground, maximal_sets):
+    def __init__(self, ground, maximal_masks):
         super().__init__(ground)
-        masks = set()
-        for s in maximal_sets:
-            m = mask_of(s) if isinstance(s, (int, ElementSet)) else ElementSet.from_iterable(self.n, s).mask
-            masks.add(m)
+        if any(m >> self.n for m in maximal_masks):
+            raise ValueError("maximal set outside the ground set")
         # drop sets dominated by another listed set so "maximal" is honest; only
         # a set with more elements can dominate, so walk the sizes downwards
         # and compare against the maximal sets kept so far (an antichain needs
         # no comparison at all)
         by_size = {}
-        for m in masks:
+        for m in set(maximal_masks):
             by_size.setdefault(m.bit_count(), []).append(m)
         maximal = []
         for size in sorted(by_size, reverse=True):
@@ -565,30 +514,38 @@ class _GraphicEvaluator(_AnchoredEvaluator):
         return True
 
 
+def elements_mask(elems, n, name):
+    """Mask of the element list elems of the configuration field name; a
+    ValueError naming the field for anything but a list of ints in 0..n-1."""
+    if not isinstance(elems, list):
+        raise ValueError(f"{name}: must be a list of element ids, got {elems!r}")
+    mask = 0
+    for e in elems:
+        if type(e) is not int:  # JSON true and false would pass as 1 and 0
+            raise ValueError(f"{name}: element {e!r} is not an integer")
+        if not 0 <= e < n:
+            raise ValueError(f"{name}: element {e} outside 0..{n - 1}")
+        mask |= 1 << e
+    return mask
+
+
 def spec_from_config(ground, cfg):
     """Build a MatroidSpec from its JSON-shaped configuration."""
     kind = cfg.get("kind")
+    n = ground.n
     if kind == "uniform":
         return UniformMatroid(ground, cfg["k"])
     if kind == "partition":
-        return PartitionMatroid(ground, cfg["classes"], cfg["caps"])
+        classes = [elements_mask(c, n, f"classes[{i}]") for i, c in enumerate(cfg["classes"])]
+        return PartitionMatroid(ground, classes, cfg["caps"])
     if kind == "graphic":
         return GraphicMatroid(ground, cfg["vertices"], [tuple(e) for e in cfg["edges"]])
     if kind == "predicted_basis":
-        return PredictedBasisOracle(ground, cfg["basis"])
+        return PredictedBasisOracle(ground, elements_mask(cfg["basis"], n, "basis"))
     if kind == "explicit":
-        return ExplicitSystem(ground, cfg["maximal_sets"])
+        sets = [elements_mask(s, n, f"maximal_sets[{i}]") for i, s in enumerate(cfg["maximal_sets"])]
+        return ExplicitSystem(ground, sets)
     raise ValueError(f"unknown matroid kind: {kind!r}")
-
-
-def is_independent(spec, s):
-    """Pure, unbilled independence test."""
-    return spec.is_independent_mask(mask_of(s))
-
-
-def rank(spec, s):
-    """Pure, unbilled rank."""
-    return spec.rank_mask(mask_of(s))
 
 
 def greedy_scan(query, ground, cur=0, skip=0):
@@ -601,17 +558,7 @@ def greedy_scan(query, ground, cur=0, skip=0):
     return cur
 
 
-def greedy_max_weight_basis(query, ground):
-    """Greedy in canonical order through a billed independence query callable.
-
-    Issues exactly n queries, one per element, each testing current ∪ {e}.
-    Returns the resulting maximum-weight basis as an ElementSet.
-    """
-    return ElementSet(ground.n, greedy_scan(query, ground))
-
-
 def greedy_native(spec, ground=None):
-    """Unbilled greedy baseline against the spec's own independence rule."""
-    g = ground or spec.ground
-    return greedy_max_weight_basis(spec.evaluator().independent, g)
-
+    """Mask of the unbilled greedy baseline against the spec's own
+    independence rule."""
+    return greedy_scan(spec.evaluator().independent, ground or spec.ground)

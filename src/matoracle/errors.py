@@ -25,7 +25,6 @@ import numpy as np
 from .core import (
     ENUM_GUARD,
     INTERSECTION_GUARD,
-    ElementSet,
     ExplicitSystem,
     GraphicMatroid,
     GuardExceeded,
@@ -33,7 +32,6 @@ from .core import (
     PredictedBasisOracle,
     UniformMatroid,
     iter_bits,
-    mask_of,
 )
 
 
@@ -220,18 +218,18 @@ def _overlap_table(tops, sizes, n):
 
 
 def enumerate_max_weight_bases(spec, ground=None):
-    """All inclusion-maximal independent sets of maximum total weight.
+    """Ascending masks of all inclusion-maximal independent sets of maximum
+    total weight.
 
     Exhaustive subset scan, guarded; used only by error metrics and tests.
     """
-    g = ground or spec.ground
-    return [ElementSet(g.n, m) for m in _max_weight_top_masks(spec, g).tolist()]
+    return _max_weight_top_masks(spec, ground or spec.ground).tolist()
 
 
 class ErrorReport(NamedTuple):
     eta_A: int
     eta_R: int
-    witness_basis: ElementSet
+    witness_basis: int  # mask
 
 
 class IntersectionErrorReport(NamedTuple):
@@ -242,18 +240,18 @@ class IntersectionErrorReport(NamedTuple):
 
 
 def modification_sets(s, clean, ground=None):
-    """Smallest addition/removal sets turning s into a superset/subset of some
-    maximum-weight clean basis (independent minimizations; one basis attains
-    both because all maximum-weight bases share cardinality).
+    """Masks of the smallest addition/removal sets turning the mask s into a
+    superset/subset of some maximum-weight clean basis (independent
+    minimizations; one basis attains both because all maximum-weight bases
+    share cardinality).
     """
     g = ground or clean.ground
     if g.n > ENUM_GUARD:
         raise GuardExceeded(f"n={g.n} exceeds enumeration guard")
-    s_mask = mask_of(s)
     tops = _max_weight_top_masks(clean, g)
-    overlap = subset_sizes(g.n)[tops & s_mask]
+    overlap = subset_sizes(g.n)[tops & s]
     witness = _lex_min(tops[overlap == overlap.max()], g.n)
-    return ElementSet(g.n, witness & ~s_mask), ElementSet(g.n, s_mask & ~witness)
+    return witness & ~s, s & ~witness
 
 
 def dirty_top_sets(pair):
@@ -289,7 +287,7 @@ def compute_eta(pair):
     rems = sizes[dirty_tops] - overlap
     eta_a, eta_r = int(adds.max()), int(rems.max())
     dist = adds + rems
-    witness = ElementSet(n, _lex_min(dirty_tops[dist == dist.max()], n))
+    witness = _lex_min(dirty_tops[dist == dist.max()], n)
     # the identity holds for every matroid; only a failure needs to know
     # whether the dirty system is one
     if r != pair.dirty.full_rank() + eta_a - eta_r and is_matroid(pair.dirty):

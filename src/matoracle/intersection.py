@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import algorithms as alg
-from .core import PRECHECK_GUARD, ElementSet, PartitionMatroid, iter_bits, mask_of
+from .core import PRECHECK_GUARD, ElementSet, PartitionMatroid, iter_bits
 from .errors import independence_array
 from .oracles import ROLE_CLEAN, ROLE_DIRTY, QueryLedger
 
@@ -42,8 +42,7 @@ class IntersectionOracles:
         self._dirty_evals = self.dirty and tuple(spec.evaluator() for spec in self.dirty)
         self.ledger = QueryLedger(ground.n)
 
-    def query_independent(self, role, which, s):
-        mask = mask_of(s)
+    def query_independent(self, role, which, mask):
         # an unknown role reaches the dirty side; the ledger rejects it unbilled
         evals = self._clean_evals if role == ROLE_CLEAN else self._dirty_evals
         answer = evals[which - 1].independent(mask)
@@ -128,7 +127,7 @@ def shortest_augmenting_path(graph):
 def textbook_intersection(ox, role=ROLE_CLEAN):
     """Shortest-augmenting-path matroid intersection against one oracle side.
 
-    Returns (X, u_mask, ledger).  U is the set of elements with a directed
+    Returns (x_mask, u_mask, ledger).  U is the set of elements with a directed
     path to y2 (E or the empty set on the degenerate exits), and it certifies
     optimality: |X| = rank1(U) + rank2(E \\ U) under that side's oracles.
     """
@@ -138,13 +137,12 @@ def textbook_intersection(ox, role=ROLE_CLEAN):
     while True:
         graph = build_exchange_graph(independent, g.n, x_mask)
         if not graph.y1:
-            return ElementSet(g.n, x_mask), g.full_mask, ox.ledger
+            return x_mask, g.full_mask, ox.ledger
         if not graph.y2:
-            return ElementSet(g.n, x_mask), 0, ox.ledger
+            return x_mask, 0, ox.ledger
         path = shortest_augmenting_path(graph)
         if path is None:
-            u_mask = sum(1 << e for e in _distances_to_y2(graph))
-            return ElementSet(g.n, x_mask), u_mask, ox.ledger
+            return x_mask, sum(1 << e for e in _distances_to_y2(graph)), ox.ledger
         for v in path:
             x_mask ^= 1 << v
         side = ox.clean if role == ROLE_CLEAN else ox.dirty
@@ -261,8 +259,7 @@ def warm_start(ox):
     g = ox.ground
     if ox.dirty is None:
         raise ValueError("dirty oracles are required")
-    s_d, _, _ = textbook_intersection(ox, role=ROLE_DIRTY)
-    cur = s_d.mask
+    cur, _, _ = textbook_intersection(ox, role=ROLE_DIRTY)
     for which in (1, 2):
         cur = alg._strip_dirty_basis(partial(ox.query_independent, ROLE_CLEAN, which), g, cur)
     return ElementSet(g.n, cur), ox.ledger

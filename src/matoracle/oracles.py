@@ -13,12 +13,12 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import (
+    ElementSet,
     ExplicitSystem,
     GraphicMatroid,
     PartitionMatroid,
-    greedy_max_weight_basis,
+    greedy_scan,
     iter_bits,
-    mask_of,
 )
 
 ROLE_CLEAN = "clean"
@@ -105,28 +105,28 @@ class OraclePair:
         self._dirty_eval = self.dirty.evaluator()
         self.ledger = ledger if ledger is not None else QueryLedger(ground.n, cost_p=cost_p)
 
-    def query_independent(self, role, s):
-        mask = mask_of(s)
+    def query_independent(self, role, mask):
         # an unknown role reaches the dirty spec; the ledger rejects it unbilled
         answer = (self._clean_eval if role == ROLE_CLEAN else self._dirty_eval).independent(mask)
         self.ledger.record(role, KIND_IND, answer, mask)
         return answer
 
-    def query_rank(self, role, s):
-        mask = mask_of(s)
+    def query_rank(self, role, mask):
         answer = (self._clean_eval if role == ROLE_CLEAN else self._dirty_eval).rank(mask)
         self.ledger.record(role, KIND_RANK, answer, mask)
         return answer
 
     def with_dirty_basis(self, bd):
-        """Same oracles and ledger, rebased on the order around a dirty basis."""
-        ground = self.ground.with_dirty_basis(mask_of(bd))
+        """Same oracles and ledger, rebased on the order around the dirty
+        basis mask bd."""
+        ground = self.ground.with_dirty_basis(bd)
         return OraclePair(self.clean, self.dirty, ground, ledger=self.ledger)
 
 
 def greedy_basis(pair, role=ROLE_DIRTY):
-    """Greedy max-weight basis through the billed oracle (n queries)."""
-    return greedy_max_weight_basis(lambda m: pair.query_independent(role, m), pair.ground)
+    """Greedy max-weight basis through the billed oracle: n queries, each
+    testing the current set plus one element in canonical order."""
+    return ElementSet(pair.ground.n, greedy_scan(lambda m: pair.query_independent(role, m), pair.ground))
 
 
 def replay_record(pair, rec):
@@ -196,7 +196,7 @@ def make_dirty(clean, pert):
                 i = rng.randrange(len(caps))
                 caps[i] = max(0, caps[i] + rng.choice((-1, 1)))
         keep = [(c, k) for c, k in zip(classes, caps) if c]
-        return PartitionMatroid(clean.ground, [c for c, _ in keep], [k for _, k in keep])
+        return PartitionMatroid(clean.ground, [sum(1 << e for e in c) for c, _ in keep], [k for _, k in keep])
     if pert.kind in ("edge_rewire", "stale_snapshot"):
         if not isinstance(clean, GraphicMatroid):
             raise IncompatiblePerturbation(f"{pert.kind} needs a graphic matroid")
@@ -236,8 +236,8 @@ class CertificateReport(NamedTuple):
         return self.ok
 
 
-def verify_certificate(transcript, output_basis, ground):
-    """Check that the clean queries alone prove output_basis is a basis.
+def verify_certificate(transcript, out, ground):
+    """Check that the clean queries alone prove the mask out is a basis.
 
     Independence needs some clean query answered independent whose set contains
     the output (the empty set is independent axiomatically).  Maximality needs,
@@ -246,7 +246,6 @@ def verify_certificate(transcript, output_basis, ground):
     the output are exactly {e}.  One pass over the dependent records collects
     those single elements.
     """
-    out = mask_of(output_basis)
     clean_ind = [r for r in transcript if r.role == ROLE_CLEAN and not r.kind.startswith(KIND_RANK)]
     if any(r.mask is None for r in clean_ind):
         raise TranscriptNotStored("transcript sets were not stored; cannot verify")

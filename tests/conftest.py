@@ -18,7 +18,12 @@ def make_pair(clean_cfg, dirty_cfg=None, weights=None, n=None):
     dirty = spec_from_config(g, dirty_cfg) if dirty_cfg else clean
     pair0 = OraclePair(clean, dirty, g)
     bd = greedy_basis(pair0)
-    return pair0.with_dirty_basis(bd), bd
+    return pair0.with_dirty_basis(bd.mask), bd
+
+
+def masks(*element_lists):
+    """The int mask of each element list."""
+    return [sum(1 << e for e in elems) for elems in element_lists]
 
 
 def _cfg_n(cfg):
@@ -48,7 +53,7 @@ def random_pairs(count, seed, n_range=(1, 12), kinds=("partition", "graphic", "u
         gen = generate(inst)
         pair0 = gen.fresh_pair()
         bd = greedy_basis(pair0)
-        out.append((pair0.with_dirty_basis(bd), bd))
+        out.append((pair0.with_dirty_basis(bd.mask), bd))
     return out
 
 

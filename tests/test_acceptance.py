@@ -38,7 +38,7 @@ from matoracle.bench import bound, family_instance, generate, random_intersectio
 from matoracle.core import spec_from_config
 from matoracle.oracles import ROLE_CLEAN
 
-from conftest import fresh
+from conftest import fresh, masks
 
 
 def _report(criterion, detail):
@@ -49,7 +49,7 @@ def _materialize(inst):
     gen = generate(inst)
     pair0 = gen.fresh_pair()
     bd = greedy_basis(pair0)
-    return pair0.with_dirty_basis(bd), bd
+    return pair0.with_dirty_basis(bd.mask), bd
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +87,7 @@ def weighted_trials():
         dirty = _random_partition(rng, g)
         pair0 = OraclePair(clean, dirty, g)
         bd = greedy_basis(pair0)
-        trials.append((pair0.with_dirty_basis(bd), bd))
+        trials.append((pair0.with_dirty_basis(bd.mask), bd))
     return trials
 
 
@@ -97,7 +97,7 @@ def _random_partition(rng, g):
     assignment = [rng.randrange(k) for _ in range(n)]
     classes = [[e for e in range(n) if assignment[e] == i] for i in range(k)]
     classes = [c for c in classes if c]
-    return PartitionMatroid(g, classes, [rng.randint(0, len(c)) for c in classes])
+    return PartitionMatroid(g, masks(*classes), [rng.randint(0, len(c)) for c in classes])
 
 
 def test_criterion_01_consistency():
@@ -125,7 +125,7 @@ def test_criterion_01_consistency():
         bd = greedy_basis(pair0)
         if len(bd) == 0:
             continue  # the rank algorithm's 2-call contract presumes B_d != empty
-        pair = pair0.with_dirty_basis(bd)
+        pair = pair0.with_dirty_basis(bd.mask)
         r = pair.clean.full_rank()
         p1 = fresh(pair)
         _, led = simple_basis(bd.mask, p1)
@@ -185,7 +185,7 @@ def test_criterion_03_robustified_bounds(unweighted_trials):
         dirty = UniformMatroid(g, n)
         pair0 = OraclePair(clean, dirty, g)
         bd = greedy_basis(pair0)
-        pair = pair0.with_dirty_basis(bd)
+        pair = pair0.with_dirty_basis(bd.mask)
         ea, er = 0, n - 1  # construction-known errors for the free dirty matroid
         for k in ks:
             for fn, err_branch in (
@@ -209,7 +209,7 @@ def test_criterion_04_weighted_correctness(weighted_trials, removals):
     rng = random.Random(5150)
     for pair, bd in weighted_trials:
         g = pair.ground
-        best = g.weight(greedy_native(pair.clean, g).mask)
+        best = g.weight(greedy_native(pair.clean, g))
         p2 = fresh(pair)
         basis, _ = weighted_basis(bd.mask, p2)
         assert g.weight(basis.mask) == best
@@ -219,11 +219,11 @@ def test_criterion_04_weighted_correctness(weighted_trials, removals):
         assert g.weight(basis2.mask) == best
     # constructed realization of the motivating modification pattern
     g = GroundSet([9 - i for i in range(9)])
-    clean = PartitionMatroid(g, [[0, 5], [1, 2, 3, 4], [6, 7], [8]], [0, 3, 2, 0])
+    clean = PartitionMatroid(g, masks([0, 5], [1, 2, 3, 4], [6, 7], [8]), [0, 3, 2, 0])
     dirty = spec_from_config(g, {"kind": "predicted_basis", "basis": [2, 3, 4, 7, 8]})
     pair0 = OraclePair(clean, dirty, g)
     bd = greedy_basis(pair0)
-    pair = pair0.with_dirty_basis(bd)
+    pair = pair0.with_dirty_basis(bd.mask)
     removals.clear()
     basis, _ = weighted_basis(bd.mask, pair)
     assert removals == [8, 4]  # e9 then e5
@@ -322,7 +322,7 @@ def test_criterion_09_intersection_props():
         ref = IntersectionOracles(gen.ground, ox.clean[0], ox.clean[1], ox.clean[0], ox.clean[1])
         optimum, _, _ = textbook_intersection(ref)
         x, led, _ = dirty_intersection(ox)
-        assert len(x) == len(optimum)
+        assert len(x) == optimum.bit_count()
         cap = (len(x) + 1) * (2 + (eta.eta_1 + eta.eta_2) * (ceil_log2(n) + 2))
         assert led.clean_independence_count <= cap
         ox2 = gen.fresh_oracles()

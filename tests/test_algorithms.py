@@ -27,14 +27,14 @@ from matoracle.algorithms import COSTLY_A, COSTLY_B
 from matoracle.bench import family_instance, generate
 from matoracle.oracles import ROLE_CLEAN, ROLE_DIRTY
 
-from conftest import fresh, make_pair, random_pairs
+from conftest import fresh, make_pair, masks, random_pairs
 
 
 def run_family(tag, **params):
     gen = generate(family_instance(tag, **params))
     pair0 = gen.fresh_pair()
     bd = greedy_basis(pair0)
-    return pair0.with_dirty_basis(bd), bd
+    return pair0.with_dirty_basis(bd.mask), bd
 
 
 class TestBinarySearch:
@@ -174,7 +174,7 @@ class TestWeighted:
             p2 = fresh(pair)
             basis, _ = weighted_basis(bd.mask, p2)
             g = p2.ground
-            assert g.weight(basis.mask) == g.weight(greedy_native(p2.clean, g).mask)
+            assert g.weight(basis.mask) == g.weight(greedy_native(p2.clean, g))
 
     def test_no_element_removed_twice_and_disjoint(self, small_random_pairs, removals):
         for pair, bd in small_random_pairs:
@@ -200,7 +200,7 @@ class TestRobustWeighted:
             pair, bd = make_pair({"kind": "uniform", "k": 2}, n=6)
             basis, led = robust_weighted_basis(bd.mask, pair, k)
             g = pair.ground
-            assert g.weight(basis.mask) == g.weight(greedy_native(pair.clean, g).mask)
+            assert g.weight(basis.mask) == g.weight(greedy_native(pair.clean, g))
             assert led.clean_independence_count <= 6 - 2 + k
 
     def test_adversarial_cap(self):
@@ -217,7 +217,7 @@ class TestRobustWeighted:
             p2 = fresh(pair)
             basis, _ = robust_weighted_basis(bd.mask, p2, k)
             g = p2.ground
-            assert g.weight(basis.mask) == g.weight(greedy_native(p2.clean, g).mask)
+            assert g.weight(basis.mask) == g.weight(greedy_native(p2.clean, g))
 
 
 class TestRankOracle:
@@ -416,7 +416,7 @@ class TestStructuredLargeInstances:
         dirty = make_dirty(clean, PerturbationSpec("edge_rewire", count=3, seed=9))
         pair0 = OraclePair(clean, dirty, g)
         bd = greedy_basis(pair0)
-        pair = pair0.with_dirty_basis(bd)
+        pair = pair0.with_dirty_basis(bd.mask)
         r = clean.full_rank()
         for fn in (simple_basis, error_dependent_basis):
             p2 = fresh(pair)
@@ -431,13 +431,13 @@ class TestStructuredLargeInstances:
             start += s
         n = start
         g = GroundSet.unit(n)
-        clean = PartitionMatroid(g, classes, [max(1, s // 2) for s in sizes])
+        clean = PartitionMatroid(g, masks(*classes), [max(1, s // 2) for s in sizes])
         from matoracle import PerturbationSpec, make_dirty
 
         dirty = make_dirty(clean, PerturbationSpec("capacity_shift", count=4, seed=3))
         pair0 = OraclePair(clean, dirty, g)
         bd = greedy_basis(pair0)
-        pair = pair0.with_dirty_basis(bd)
+        pair = pair0.with_dirty_basis(bd.mask)
         r = clean.full_rank()
         for k in (1, 4):
             p2 = fresh(pair)

@@ -233,6 +233,25 @@ class TestSpecErrors:
         assert f"matoracle: invalid spec: {field}: " in _one_line_error(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "where, doc",
+        [("matroid: classes[0]: must be a list", {"n": 2, "weights": "unit", "dirty": {"mode": "identity"},
+                                                 "matroid": {"kind": "partition", "classes": [3], "caps": [1]}}),
+         ("dirty: basis: must be a list", dict(U24_DIRTY_U3, dirty={"mode": "predicted_basis", "basis": 3})),
+         ("dirty: maximal_sets[0]: must be a list", dict(U24_DIRTY_U3, dirty={"mode": "explicit", "maximal_sets": [3, [2]]})),
+         ("matroid: classes[0]: element True is not an integer",
+          {"n": 2, "weights": "unit", "dirty": {"mode": "identity"},
+           "matroid": {"kind": "partition", "classes": [[True], [0]], "caps": [1, 1]}}),
+         ("dirty: basis: element 4 outside 0..3", dict(U24_DIRTY_U3, dirty={"mode": "predicted_basis", "basis": [0, 4]}))],
+    )
+    def test_element_lists_are_not_read_as_bitmasks(self, tmp_path, capsys, where, doc):
+        spec, out = _write(tmp_path, "spec.json", doc), tmp_path / "out.json"
+        for args in (["gen", "--spec", spec, "--out", str(out)],
+                     ["run", "--instance", spec, "--alg", "greedy", "--out", str(out)]):
+            assert cli.main(args) == 2
+            assert f"matoracle: invalid spec: {where}" in _one_line_error(capsys)
+            assert not out.exists()
+
     def test_gen_group_params_not_an_object_exits_2(self, tmp_path, capsys):
         spec = _write(tmp_path, "spec.json", dict(LB_BASIC_GROUP, params=3))
         assert cli.main(["gen", "--spec", spec, "--out", str(tmp_path / "inst.json")]) == 2
@@ -363,3 +382,12 @@ class TestUnstoredTranscript:
         config = _write(tmp_path, "sweep.json", {"instances": [UNSTORED], "algorithms": ["greedy"]})
         assert cli.main(["bench", "--config", config, "--out", str(tmp_path / "r.csv")]) == 1
         assert "violations=1" in capsys.readouterr().out
+
+    def test_verify_fails_each_strict_tag_and_runs_the_rest(self, tmp_path, capsys):
+        inst = _write(tmp_path, "inst.json", UNSTORED)
+        assert cli.main(["verify", "--instance", inst, "--all"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        status = {line.split()[1].rstrip(":"): line.split()[0] for line in lines}
+        assert status == {"greedy": "FAIL", "simple": "FAIL", "errdep": "FAIL", "robust": "FAIL",
+                          "weighted": "PASS", "weighted-robust": "PASS", "rank": "PASS", "costly": "PASS"}
+        assert all(" cert=unverified error=TranscriptNotStored: " in line for line in lines if line.startswith("FAIL"))

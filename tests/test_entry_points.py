@@ -71,6 +71,9 @@ def test_run_trial_calls_the_module_entry_point(tag, monkeypatch):
         else:
             ledger = result[1]
     assert isinstance(output, ElementSet) and isinstance(ledger, QueryLedger)
+    # the basis mask an outside benchmark reads: a plain int over 0..n-1
+    assert type(output.mask) is int and output.mask >= 0 and not output.mask >> output.n
+    assert output.n == rec.n
     assert (ledger.clean_independence_count, ledger.clean_rank_count, ledger.dirty_count) == (
         rec.clean_ind_queries, rec.clean_rank_queries, rec.dirty_queries
     )

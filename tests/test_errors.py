@@ -3,7 +3,6 @@ import random
 import pytest
 
 from matoracle import (
-    ElementSet,
     GroundSet,
     GuardExceeded,
     OraclePair,
@@ -17,36 +16,35 @@ from matoracle.bench import family_instance, generate
 from matoracle.core import ExplicitSystem, iter_bits, spec_from_config
 from matoracle.errors import dirty_top_sets, independence_array
 
-from conftest import make_pair, random_pairs
+from conftest import make_pair, masks, random_pairs
 
 
 class TestModificationSets:
     def test_already_optimal(self):
         g = GroundSet([5, 4, 3])
-        spec = PartitionMatroid(g, [[0, 1], [2]], [1, 1])
-        a, r = modification_sets(ElementSet.from_iterable(3, [0, 2]), spec, g)
-        assert a.mask == 0 and r.mask == 0
+        spec = PartitionMatroid(g, masks([0, 1], [2]), [1, 1])
+        a, r = modification_sets(0b101, spec, g)
+        assert a == 0 and r == 0
 
     def test_oversized_set(self):
         g = GroundSet.unit(2)
         spec = UniformMatroid(g, 1)
-        a, r = modification_sets(ElementSet(2, 0b11), spec, g)
-        assert len(a) == 0 and len(r) == 1
+        a, r = modification_sets(0b11, spec, g)
+        assert a == 0 and r.bit_count() == 1
 
     def test_figure_shaped_instance(self):
         # n = 9, weights 9..1; the unique maximum-weight clean basis is
         # {e2,e3,e4,e7,e8} while the predicted basis is {e3,e4,e5,e8,e9}
         g = GroundSet([9 - i for i in range(9)])
-        clean = PartitionMatroid(g, [[0, 5], [1, 2, 3, 4], [6, 7], [8]], [0, 3, 2, 0])
-        s = ElementSet.from_iterable(9, [2, 3, 4, 7, 8])
+        clean = PartitionMatroid(g, masks([0, 5], [1, 2, 3, 4], [6, 7], [8]), [0, 3, 2, 0])
+        (s,) = masks([2, 3, 4, 7, 8])
         a, r = modification_sets(s, clean, g)
-        assert (sorted(a), sorted(r)) == ([1, 6], [4, 8])
-        assert (len(a), len(r)) == (2, 2)
+        assert (list(iter_bits(a)), list(iter_bits(r))) == ([1, 6], [4, 8])
 
     def test_guard(self):
         g = GroundSet.unit(21)
         with pytest.raises(GuardExceeded):
-            modification_sets(ElementSet(21, 0), UniformMatroid(g, 1), g)
+            modification_sets(0, UniformMatroid(g, 1), g)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_minimality_exhaustive(self, seed):
@@ -56,11 +54,11 @@ class TestModificationSets:
         tops = _clean_top_masks(inst, n)
         for _ in range(5):
             s = rng.randrange(1 << n)
-            a, r = modification_sets(ElementSet(n, s), inst)
+            a, r = modification_sets(s, inst)
             # no strictly smaller addition set reaches a superset of a top set
             best_a = min(_count_missing(s, b) for b in tops)
             best_r = min(_count_extra(s, b) for b in tops)
-            assert len(a) == best_a and len(r) == best_r
+            assert a.bit_count() == best_a and r.bit_count() == best_r
 
     @pytest.mark.parametrize("seed", range(4))
     def test_minimality_by_literal_subset_search(self, seed):
@@ -72,7 +70,7 @@ class TestModificationSets:
         g = inst.ground
         for _ in range(4):
             s = rng.randrange(1 << n)
-            a, r = modification_sets(ElementSet(n, s), inst, g)
+            a, r = modification_sets(s, inst, g)
             outside, inside = g.full_mask & ~s, s
             lit_a = min(
                 (m.bit_count() for m in range(1 << n)
@@ -82,7 +80,7 @@ class TestModificationSets:
                 (m.bit_count() for m in range(1 << n)
                  if m & ~inside == 0 and any((s & ~m) & ~b == 0 for b in tops)),
             )
-            assert len(a) == lit_a and len(r) == lit_r
+            assert a.bit_count() == lit_a and r.bit_count() == lit_r
 
 
 def _random_clean(rng, n):
@@ -91,7 +89,7 @@ def _random_clean(rng, n):
     assignment = [rng.randrange(k) for _ in range(n)]
     classes = [[e for e in range(n) if assignment[e] == i] for i in range(k)]
     classes = [c for c in classes if c]
-    return PartitionMatroid(g, classes, [rng.randint(0, len(c)) for c in classes])
+    return PartitionMatroid(g, masks(*classes), [rng.randint(0, len(c)) for c in classes])
 
 
 def _clean_top_masks(spec, n):
@@ -124,7 +122,7 @@ def _per_top_set(pair):
     out = {}
     for s in dirty_top_sets(pair).tolist():
         a_set, r_set = modification_sets(s, pair.clean, pair.ground)
-        out[s] = (len(a_set), len(r_set))
+        out[s] = (a_set.bit_count(), r_set.bit_count())
     return out
 
 
@@ -174,13 +172,13 @@ class TestComputeEta:
         for pair, _ in small_random_pairs:
             rep = compute_eta(pair)
             per_set = _per_top_set(pair)
-            a, r = per_set[rep.witness_basis.mask]
+            a, r = per_set[rep.witness_basis]
             assert a + r == max(x + y for x, y in per_set.values())
 
     def test_explicit_dirty_uses_maximal_sets(self):
         g = GroundSet.unit(4)
         clean = UniformMatroid(g, 2)
-        dirty = ExplicitSystem(g, [[0, 1, 2], [3]])
+        dirty = ExplicitSystem(g, masks([0, 1, 2], [3]))
         pair = OraclePair(clean, dirty, g)
         tops = dirty_top_sets(pair)
         assert sorted(tops) == [0b0111, 0b1000]
@@ -217,7 +215,7 @@ class TestIndependenceArray:
 class TestIntersectionErrors:
     def test_identical_pairs(self):
         g = GroundSet.unit(4)
-        c1 = PartitionMatroid(g, [[0, 1], [2, 3]], [1, 1])
+        c1 = PartitionMatroid(g, masks([0, 1], [2, 3]), [1, 1])
         c2 = UniformMatroid(g, 2)
         rep = compute_intersection_errors(c1, c2, c1, c2)
         assert (rep.eta_1, rep.eta_2, rep.eta_r) == (0, 0, 0)
@@ -225,8 +223,8 @@ class TestIntersectionErrors:
 
     def test_cap_lowered_counts_by_enumeration(self):
         g = GroundSet.unit(5)
-        clean1 = PartitionMatroid(g, [[0, 1, 2], [3, 4]], [1, 1])
-        dirty1 = PartitionMatroid(g, [[0, 1, 2], [3, 4]], [2, 1])
+        clean1 = PartitionMatroid(g, masks([0, 1, 2], [3, 4]), [1, 1])
+        dirty1 = PartitionMatroid(g, masks([0, 1, 2], [3, 4]), [2, 1])
         clean2 = UniformMatroid(g, 3)
         rep = compute_intersection_errors(dirty1, clean2, clean1, clean2)
         expect = sum(
@@ -251,8 +249,8 @@ class TestIntersectionErrors:
             g = GroundSet.unit(n)
             c1 = _random_clean(rng, n).rebind(g)
             c2 = _random_clean(rng, n).rebind(g)
-            d1 = PartitionMatroid(g, [list(iter_bits(m)) for m in c1.class_masks], [c + 1 for c in c1.caps])
-            d2 = PartitionMatroid(g, [list(iter_bits(m)) for m in c2.class_masks], [c + 1 for c in c2.caps])
+            d1 = PartitionMatroid(g, c1.class_masks, [c + 1 for c in c1.caps])
+            d2 = PartitionMatroid(g, c2.class_masks, [c + 1 for c in c2.caps])
             rep = compute_intersection_errors(d1, d2, c1, c2)
             realized = set()
             for m in range(1 << n):

@@ -13,12 +13,13 @@ from matoracle import (
     PartitionMatroid,
     UniformMatroid,
     greedy_basis,
-    greedy_max_weight_basis,
     greedy_native,
 )
 from matoracle.bench import generate, random_instance, random_intersection_instance
-from matoracle.core import iter_bits
+from matoracle.core import greedy_scan, iter_bits
 from matoracle.oracles import ROLE_CLEAN, ROLE_DIRTY
+
+from conftest import masks
 
 
 def _random_spec(rng, kind, n):
@@ -32,7 +33,7 @@ def _random_spec(rng, kind, n):
     k = rng.randint(1, n)
     assignment = [rng.randrange(k) for _ in range(n)]
     classes = [c for c in ([e for e in range(n) if assignment[e] == i] for i in range(k)) if c]
-    return PartitionMatroid(g, classes, [rng.randint(0, len(c)) for c in classes])
+    return PartitionMatroid(g, masks(*classes), [rng.randint(0, len(c)) for c in classes])
 
 
 def _queries(rng, spec, steps):
@@ -75,7 +76,7 @@ def test_greedy_scan_needs_no_full_evaluation(kind, monkeypatch):
     # every query of a greedy scan is the last independent set plus one element
     rng = random.Random(kind)
     spec = _random_spec(rng, kind, 40)
-    want = greedy_max_weight_basis(spec.is_independent_mask, spec.ground)
+    want = greedy_scan(spec.is_independent_mask, spec.ground)
     full = {"partition": "_class_counts", "graphic": "_forest"}[kind]
     calls = []
     inner = getattr(spec, full)
@@ -128,7 +129,7 @@ def test_with_dirty_basis_keeps_the_answers(kind):
         gen = generate(random_instance(rng.randint(4, 30), kind=kind, seed=rng.randrange(10**6)))
         pair0 = gen.fresh_pair()
         bd = greedy_basis(pair0)
-        pair = pair0.with_dirty_basis(bd)
+        pair = pair0.with_dirty_basis(bd.mask)
         assert pair.ledger is pair0.ledger
         for role, spec in ((ROLE_CLEAN, gen.pair.clean), (ROLE_DIRTY, gen.pair.dirty)):
             assert pair.query_independent(role, bd.mask) == spec.is_independent_mask(bd.mask)
@@ -142,7 +143,7 @@ def test_explicit_rank_follows_the_rebased_order():
     # a non-matroid's greedy rank depends on the canonical order, which
     # with_dirty_basis moves
     g = GroundSet.unit(3)
-    dirty = ExplicitSystem(g, [[0], [1, 2]])
+    dirty = ExplicitSystem(g, masks([0], [1, 2]))
     pair0 = OraclePair(UniformMatroid(g, 2), dirty, g)
     assert pair0.query_rank(ROLE_DIRTY, 0b111) == 1
     pair = pair0.with_dirty_basis(0b110)

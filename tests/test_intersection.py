@@ -13,13 +13,14 @@ from matoracle import (
     ceil_log2,
     compute_intersection_errors,
     dirty_intersection,
-    rank,
     textbook_intersection,
     warm_start,
 )
 from matoracle.core import iter_bits
 from matoracle.intersection import shortest_augmenting_path
 from matoracle.oracles import ROLE_CLEAN, ROLE_DIRTY
+
+from conftest import masks
 
 
 def brute_max_common(c1, c2, n):
@@ -41,7 +42,7 @@ def random_partition(rng, g):
     assignment = [rng.randrange(k) for _ in range(n)]
     classes = [[e for e in range(n) if assignment[e] == i] for i in range(k)]
     classes = [c for c in classes if c]
-    return PartitionMatroid(g, classes, [rng.randint(0, len(c)) for c in classes])
+    return PartitionMatroid(g, masks(*classes), [rng.randint(0, len(c)) for c in classes])
 
 
 def random_pair_instance(rng, n, raises=2):
@@ -53,7 +54,7 @@ def random_pair_instance(rng, n, raises=2):
         for _ in range(raises):
             i = rng.randrange(len(caps))
             caps[i] += rng.randint(0, 1)
-        return PartitionMatroid(g, [list(iter_bits(m)) for m in spec.class_masks], caps)
+        return PartitionMatroid(g, spec.class_masks, caps)
 
     return IntersectionOracles(g, c1, c2, raised(c1), raised(c2))
 
@@ -76,7 +77,7 @@ class TestExchangeGraph:
     def test_empty_x(self):
         g = GroundSet.unit(4)
         c1 = UniformMatroid(g, 2)
-        c2 = PartitionMatroid(g, [[0, 1], [2, 3]], [1, 0])
+        c2 = PartitionMatroid(g, masks([0, 1], [2, 3]), [1, 0])
         ox = IntersectionOracles(g, c1, c2)
         graph = clean_graph(ox, 0)
         assert all(not v for v in graph.arcs_out.values())
@@ -166,7 +167,7 @@ class TestTextbook:
     def test_uniform_pair(self):
         g = GroundSet.unit(5)
         x, _, _ = textbook_intersection(IntersectionOracles(g, UniformMatroid(g, 3), UniformMatroid(g, 2)))
-        assert len(x) == 2
+        assert x.bit_count() == 2
 
     def test_bipartite_matching_encoding(self):
         # elements are edges of a bipartite graph; one partition matroid per
@@ -181,14 +182,14 @@ class TestTextbook:
             g = GroundSet.unit(n)
             by_left = [[i for i, e in enumerate(edges) if e[0] == u] for u in range(left)]
             by_right = [[i for i, e in enumerate(edges) if e[1] == v] for v in range(right)]
-            c1 = PartitionMatroid(g, [c for c in by_left if c], [1] * sum(1 for c in by_left if c))
-            c2 = PartitionMatroid(g, [c for c in by_right if c], [1] * sum(1 for c in by_right if c))
+            c1 = PartitionMatroid(g, masks(*(c for c in by_left if c)), [1] * sum(1 for c in by_left if c))
+            c2 = PartitionMatroid(g, masks(*(c for c in by_right if c)), [1] * sum(1 for c in by_right if c))
             x, _, _ = textbook_intersection(IntersectionOracles(g, c1, c2))
             best = max(
                 (m.bit_count() for m in range(1 << n) if _is_matching(m, edges)),
                 default=0,
             )
-            assert len(x) == best
+            assert x.bit_count() == best
 
     def test_certificate_equality_every_run(self):
         rng = random.Random(8)
@@ -196,8 +197,9 @@ class TestTextbook:
             n = rng.randint(1, 9)
             ox = random_pair_instance(rng, n, raises=0)
             x, u_mask, _ = textbook_intersection(ox)
-            assert len(x) == rank(ox.clean[0], u_mask) + rank(ox.clean[1], ox.ground.full_mask & ~u_mask)
-            assert len(x) == brute_max_common(ox.clean[0], ox.clean[1], n)
+            size = x.bit_count()
+            assert size == ox.clean[0].rank_mask(u_mask) + ox.clean[1].rank_mask(ox.ground.full_mask & ~u_mask)
+            assert size == brute_max_common(ox.clean[0], ox.clean[1], n)
 
 
 def _is_matching(m, edges):
@@ -214,8 +216,8 @@ def _is_matching(m, edges):
 class TestDirtyIntersection:
     def test_exact_dirty_oracle(self):
         g = GroundSet.unit(5)
-        c1 = PartitionMatroid(g, [[0, 1, 2], [3, 4]], [1, 1])
-        c2 = PartitionMatroid(g, [[0, 3], [1, 2, 4]], [1, 1])
+        c1 = PartitionMatroid(g, masks([0, 1, 2], [3, 4]), [1, 1])
+        c2 = PartitionMatroid(g, masks([0, 3], [1, 2, 4]), [1, 1])
         ox = IntersectionOracles(g, c1, c2, c1, c2)
         x, led, (f1, f2) = dirty_intersection(ox)
         assert f1 == f2 == []
@@ -227,9 +229,9 @@ class TestDirtyIntersection:
     def test_single_false_arc_triggers_one_search(self):
         # dirty raises one cap so exactly the one bogus entry arc appears
         g = GroundSet.unit(3)
-        c1 = PartitionMatroid(g, [[0], [1, 2]], [1, 0])
-        d1 = PartitionMatroid(g, [[0], [1, 2]], [1, 1])
-        c2 = PartitionMatroid(g, [[0, 1, 2]], [2])
+        c1 = PartitionMatroid(g, masks([0], [1, 2]), [1, 0])
+        d1 = PartitionMatroid(g, masks([0], [1, 2]), [1, 1])
+        c2 = PartitionMatroid(g, masks([0, 1, 2]), [2])
         ox = IntersectionOracles(g, c1, c2, d1, c2)
         x, led, (f1, f2) = dirty_intersection(ox)
         assert len(x) == brute_max_common(c1, c2, 3) == 1
@@ -284,9 +286,9 @@ class TestDirtyIntersection:
 
     def test_superset_violation_detected(self):
         g = GroundSet.unit(4)
-        c1 = PartitionMatroid(g, [[0, 1], [2, 3]], [1, 1])
-        d1 = PartitionMatroid(g, [[0, 1], [2, 3]], [0, 1])  # dirty below clean
-        c2 = PartitionMatroid(g, [[0, 1, 2, 3]], [2])
+        c1 = PartitionMatroid(g, masks([0, 1], [2, 3]), [1, 1])
+        d1 = PartitionMatroid(g, masks([0, 1], [2, 3]), [0, 1])  # dirty below clean
+        c2 = PartitionMatroid(g, masks([0, 1, 2, 3]), [2])
         ox = IntersectionOracles(g, c1, c2, d1, c2)
         with pytest.raises(SupersetViolation):
             dirty_intersection(ox)
@@ -302,7 +304,7 @@ class TestDirtyIntersection:
             lowered = [
                 PartitionMatroid(
                     ox.ground,
-                    [list(iter_bits(m)) for m in d.class_masks],
+                    d.class_masks,
                     [max(0, c - (rng.random() < 0.2)) for c in d.caps],
                 )
                 for d in ox.dirty
@@ -321,8 +323,8 @@ class TestDirtyIntersection:
 
     def test_superset_precheck_tie_names_matroid_1(self):
         g = GroundSet.unit(2)
-        clean = PartitionMatroid(g, [[0, 1]], [1])
-        dirty = PartitionMatroid(g, [[0, 1]], [0])
+        clean = PartitionMatroid(g, masks([0, 1]), [1])
+        dirty = PartitionMatroid(g, masks([0, 1]), [0])
         with pytest.raises(SupersetViolation, match="set 0x1 .* in matroid 1$"):
             dirty_intersection(IntersectionOracles(g, clean, clean, dirty, dirty))
 
@@ -347,7 +349,7 @@ class TestDirtyIntersection:
 class TestWarmStart:
     def test_exact_dirty(self):
         g = GroundSet.unit(5)
-        c1 = PartitionMatroid(g, [[0, 1, 2], [3, 4]], [1, 1])
+        c1 = PartitionMatroid(g, masks([0, 1, 2], [3, 4]), [1, 1])
         c2 = UniformMatroid(g, 2)
         ox = IntersectionOracles(g, c1, c2, c1, c2)
         s, led = warm_start(ox)
@@ -356,10 +358,10 @@ class TestWarmStart:
 
     def test_one_removal_each_side(self):
         g = GroundSet.unit(4)
-        c1 = PartitionMatroid(g, [[0, 1], [2, 3]], [1, 1])
-        c2 = PartitionMatroid(g, [[0, 2], [1, 3]], [1, 1])
-        d1 = PartitionMatroid(g, [[0, 1], [2, 3]], [2, 1])
-        d2 = PartitionMatroid(g, [[0, 2], [1, 3]], [2, 1])
+        c1 = PartitionMatroid(g, masks([0, 1], [2, 3]), [1, 1])
+        c2 = PartitionMatroid(g, masks([0, 2], [1, 3]), [1, 1])
+        d1 = PartitionMatroid(g, masks([0, 1], [2, 3]), [2, 1])
+        d2 = PartitionMatroid(g, masks([0, 2], [1, 3]), [2, 1])
         ox = IntersectionOracles(g, c1, c2, d1, d2)
         s, led = warm_start(ox)
         assert ox.clean[0].is_independent_mask(s.mask) and ox.clean[1].is_independent_mask(s.mask)
@@ -389,7 +391,7 @@ class TestWarmStart:
             s_d, _, _ = textbook_intersection(IntersectionOracles(ox.ground, *ox.clean, *ox.dirty), role=ROLE_DIRTY)
             removals.clear()
             s, _ = warm_start(ox)
-            assert len(removals) == len(s_d) - len(s)
-            assert set(removals) == set(s_d) - set(s)
+            assert len(removals) == s_d.bit_count() - len(s)
+            assert set(removals) == set(iter_bits(s_d)) - set(s)
             removed += len(removals)
         assert removed > 0

@@ -21,7 +21,7 @@ from matoracle import (
 from matoracle.core import ExplicitSystem, iter_bits
 from matoracle.oracles import ROLE_CLEAN, ROLE_DIRTY
 
-from conftest import fresh, make_pair
+from conftest import fresh, make_pair, masks
 
 
 def simple_pair(n=5, k=2, cost_p=1):
@@ -131,11 +131,11 @@ class TestBilledRank:
 
     def test_rank_on_perturbed_dirty_basis(self):
         g = GroundSet.unit(6)
-        clean = PartitionMatroid(g, [[0, 1, 2], [3, 4, 5]], [2, 1])
-        dirty = PartitionMatroid(g, [[0, 1, 2, 3], [4, 5]], [2, 1])
+        clean = PartitionMatroid(g, masks([0, 1, 2], [3, 4, 5]), [2, 1])
+        dirty = PartitionMatroid(g, masks([0, 1, 2, 3], [4, 5]), [2, 1])
         pair0 = OraclePair(clean, dirty, g)
         bd = greedy_basis(pair0)
-        pair = pair0.with_dirty_basis(bd)
+        pair = pair0.with_dirty_basis(bd.mask)
         got = pair.query_rank(ROLE_CLEAN, bd.mask)
         brute = max(
             m.bit_count()
@@ -148,7 +148,7 @@ class TestBilledRank:
 class TestMakeDirty:
     def test_identity_perturbation(self):
         g = GroundSet.unit(4)
-        clean = PartitionMatroid(g, [[0, 1], [2, 3]], [1, 1])
+        clean = PartitionMatroid(g, masks([0, 1], [2, 3]), [1, 1])
         dirty = make_dirty(clean, PerturbationSpec("class_swap", count=0, seed=1))
         pair = OraclePair(clean, dirty, g)
         rep = compute_eta(pair)
@@ -156,7 +156,7 @@ class TestMakeDirty:
 
     def test_class_swap_moves_one_element(self):
         g = GroundSet.unit(4)
-        clean = PartitionMatroid(g, [[0, 1, 2], [3]], [2, 0])
+        clean = PartitionMatroid(g, masks([0, 1, 2], [3]), [2, 0])
         dirty = make_dirty(clean, PerturbationSpec("class_swap", count=1, seed=3))
         assert isinstance(dirty, PartitionMatroid)
         assert _single_element_move(clean, dirty)
@@ -168,8 +168,8 @@ class TestMakeDirty:
         # moving the zero-cap element into the open class creates one
         # addition and one removal error
         g = GroundSet.unit(4)
-        clean = PartitionMatroid(g, [[0, 1, 2], [3]], [2, 0])
-        dirty = PartitionMatroid(g, [[0, 1, 2, 3]], [2])
+        clean = PartitionMatroid(g, masks([0, 1, 2], [3]), [2, 0])
+        dirty = PartitionMatroid(g, masks([0, 1, 2, 3]), [2])
         rep = compute_eta(OraclePair(clean, dirty, g))
         assert (rep.eta_A, rep.eta_R) == (1, 1)
 
@@ -187,7 +187,7 @@ class TestMakeDirty:
     def test_capacity_shift_and_edge_rewire_stay_valid(self):
         rng = random.Random(5)
         g = GroundSet.unit(6)
-        clean_p = PartitionMatroid(g, [[0, 1, 2], [3, 4, 5]], [2, 1])
+        clean_p = PartitionMatroid(g, masks([0, 1, 2], [3, 4, 5]), [2, 1])
         clean_g = GraphicMatroid(g, 4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
         for seed in range(6):
             d1 = make_dirty(clean_p, PerturbationSpec("capacity_shift", count=rng.randint(0, 3), seed=seed))
@@ -209,7 +209,7 @@ class TestMakeDirty:
         clean = UniformMatroid(g, 2)
         with pytest.raises(IncompatiblePerturbation):
             make_dirty(clean, PerturbationSpec("class_swap", count=1))
-        clean_p = PartitionMatroid(g, [[0, 1, 2]], [2])
+        clean_p = PartitionMatroid(g, masks([0, 1, 2]), [2])
         with pytest.raises(IncompatiblePerturbation):
             make_dirty(clean_p, PerturbationSpec("edge_rewire", count=1))
 
@@ -217,13 +217,13 @@ class TestMakeDirty:
 class TestExplicitAsOracle:
     def test_explicit_clean_rejected(self):
         g = GroundSet.unit(3)
-        ex = ExplicitSystem(g, [[0, 1]])
+        ex = ExplicitSystem(g, masks([0, 1]))
         with pytest.raises(ValueError):
             OraclePair(ex, UniformMatroid(g, 1), g)
 
     def test_explicit_dirty_accepted(self):
         g = GroundSet.unit(3)
-        ex = ExplicitSystem(g, [[0, 1], [2]])
+        ex = ExplicitSystem(g, masks([0, 1], [2]))
         pair = OraclePair(UniformMatroid(g, 2), ex, g)
         assert pair.query_independent(ROLE_DIRTY, 0b011) is True
 
