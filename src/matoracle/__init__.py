@@ -46,12 +46,10 @@ from .intersection import (
 from .oracles import (
     IncompatiblePerturbation,
     OraclePair,
-    PerturbationSpec,
     QueryLedger,
     QueryRecord,
     greedy_basis,
     make_dirty,
-    replay_record,
     verify_certificate,
 )
 

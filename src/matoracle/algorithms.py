@@ -62,7 +62,7 @@ def _remove_smallest_dependent(independent, g, bd, cur, lo_pos):
     pos = binary_search_smallest_dependent_prefix(
         positions, lambda p: not independent(cur & g.prefix_mask(p)), lo_idx, len(positions) - 1
     )
-    e = g.element_at(pos)
+    e = g.order[pos]
     if not bd >> e & 1:
         raise RuntimeError("removals must stay inside the dirty basis")
     return 1 << e
@@ -110,7 +110,7 @@ def robust_basis(bd, pair, k):
         m = len(seg)
         whole = b
         for p in seg:
-            whole |= 1 << g.element_at(p)
+            whole |= 1 << g.order[p]
 
         def upto(i):
             # b ∪ (first i segment elements); b sits below the segment, so the
@@ -317,7 +317,7 @@ def _rank_additions(pair, g, cur, cur_rank, target_rank, cand):
                 lo,
                 m - 1,
             )
-            cur |= 1 << g.element_at(outside_positions[hi])
+            cur |= 1 << g.order[outside_positions[hi]]
             cur_rank += 1
             lo = hi  # earlier candidates stay spanned
         return cur
@@ -328,7 +328,7 @@ def _rank_scan(pair, g, positions, cur, cur_rank, stop_rank=None):
     """Greedy scan by clean rank over the listed canonical positions, adding
     each element that raises the rank and stopping once stop_rank is reached."""
     for p in positions:
-        e = g.element_at(p)
+        e = g.order[p]
         got = pair.query_rank(ROLE_CLEAN, cur | 1 << e)
         if got > cur_rank:
             cur |= 1 << e
@@ -404,7 +404,7 @@ def _costly_remove_from_e(pair, r):
             pos = binary_search_smallest_dependent_prefix(
                 range(g.n), lambda p: not pair.query_independent(ROLE_CLEAN, cur & g.prefix_mask(p)), -1, g.n - 1
             )
-            cur &= ~(1 << g.element_at(pos))
+            cur &= ~(1 << g.order[pos])
     return cur
 
 

@@ -22,6 +22,7 @@ from .core import (
     ExplicitSystem,
     GroundSet,
     GuardExceeded,
+    PartitionMatroid,
     ceil_log2,
     greedy_native,
     spec_from_config,
@@ -36,7 +37,6 @@ from .intersection import (
 from .oracles import (
     ROLE_CLEAN,
     OraclePair,
-    PerturbationSpec,
     TranscriptNotStored,
     greedy_basis,
     make_dirty,
@@ -183,8 +183,7 @@ def _build_dirty(clean, dirty_cfg, ground):
     if mode == "identity":
         return clean
     if mode == "perturb":
-        pert = PerturbationSpec.from_config(dirty_cfg)
-        return make_dirty(clean, pert)
+        return make_dirty(clean, dirty_cfg)
     if mode == "predicted_basis":
         return spec_from_config(ground, {"kind": "predicted_basis", "basis": dirty_cfg["basis"]})
     if mode == "matroid":
@@ -673,13 +672,18 @@ def _basis_trial(gen, algorithm, k, p):
         # above the enumeration guard only the robustness branch is checkable
         bound_val = Fraction(k_eff + 1, k_eff) * g.n
         within = Fraction(pair.ledger.clean_independence_count) <= bound_val
-    cert = "n/a"
+    cert, unchecked = "n/a", None
+    # on unit weights a clean-independent pairquery output is a clean basis,
+    # so a wrong output is one that left the clean family
+    error = "FamilyViolation" if algorithm == "pairquery" and not correct else ""
     if algorithm in ("greedy", "simple", "errdep", "robust"):
-        rep = verify_certificate(pair.ledger.transcript, basis.mask, g)
-        cert = "strict-pass" if rep.ok else "strict-fail"
+        try:
+            cert = "strict-pass" if verify_certificate(pair.ledger.transcript, basis.mask, g).ok else "strict-fail"
+        except TranscriptNotStored as exc:
+            cert, error, unchecked = "unverified", f"TranscriptNotStored: {exc}", exc
     elif algorithm in WEIGHTED_ALGS:
         cert = "relaxed"
-    return TrialRecord(
+    rec = TrialRecord(
         instance_id=spec.instance_id,
         algorithm=algorithm,
         k=k,
@@ -697,11 +701,13 @@ def _basis_trial(gen, algorithm, k, p):
         correct=correct,
         certificate=cert,
         eta_source=eta_source,
-        # on unit weights a clean-independent pairquery output is a clean
-        # basis, so a wrong output is one that left the clean family
-        error="FamilyViolation" if algorithm == "pairquery" and not correct else "",
+        error=error,
         wall_time_s=round(wall, 6),
     )
+    if unchecked is not None:
+        unchecked.record = rec
+        raise unchecked
+    return rec
 
 
 def _intersection_trial(gen, algorithm):
@@ -716,7 +722,7 @@ def _intersection_trial(gen, algorithm):
         # algorithm then witnesses and reports it)
         eta = None
         eta_source = "skipped"
-    optimum, _, _ = textbook_intersection(IntersectionOracles(g, *ox.clean))  # clean reference, separate ledger
+    optimum, _ = textbook_intersection(IntersectionOracles(g, *ox.clean))  # clean reference, separate ledger
     bound_val = within = correct = None
     error, wall = "", 0.0
     t0 = time.perf_counter()
@@ -778,32 +784,45 @@ def _check_k_p(k=None, p=None):
             raise InvalidSpec("p", f"must be a number >= 1, got {p!r}")
 
 
-def unverified_record(spec, algorithm, k, p, exc):
-    """The row of a trial whose strict certificate could not be checked."""
-    return TrialRecord(spec.instance_id, algorithm, k, _p_text(p), spec.n,
-                       certificate="unverified", error=f"TranscriptNotStored: {exc}")
+def inapplicable(gen, algorithm):
+    """The InvalidSpec saying why algorithm does not apply to the generated
+    instance gen, or None when it applies.  Intersection tags need an
+    intersection instance, and intersect-dirty partition clean matroids;
+    basis tags need a basis instance, and the unweighted ones equal
+    weights."""
+    if algorithm in INTERSECTION_ALGS:
+        if gen.oracles is None:
+            return InvalidSpec("matroid2", f"{algorithm} needs an intersection instance")
+        if algorithm == "intersect-dirty":
+            for name, clean in zip(("matroid", "matroid2"), gen.oracles.clean):
+                if not isinstance(clean, PartitionMatroid):
+                    return InvalidSpec(name, f"intersect-dirty needs a partition matroid, got {clean.kind}")
+        return None
+    if gen.oracles is not None:
+        return InvalidSpec("algorithm", f"{algorithm} does not apply to intersection instances")
+    if algorithm in UNWEIGHTED_ALGS and not gen.ground.unit_weights:
+        return InvalidSpec("algorithm", f"{algorithm} targets the unweighted problem; instance has non-unit weights")
+    return None
 
 
 def run_trial(spec, algorithm, k=None, p=None):
     """Execute one algorithm on one instance and fill a TrialRecord.
 
     Raises InvalidSpec for a malformed spec, k or p, or an algorithm that does
-    not apply, and TranscriptNotStored when a strict certificate cannot be
-    checked because the ledger stored no query sets (n above
-    SET_STORAGE_LIMIT).
+    not apply (see ``inapplicable``), and TranscriptNotStored when a strict
+    certificate cannot be checked because the ledger stored no query sets (n
+    above SET_STORAGE_LIMIT); that exception's ``record`` is the trial's
+    row, with certificate "unverified".
     """
     if algorithm not in ALGORITHMS:
         raise InvalidSpec("algorithm", f"unknown algorithm {algorithm!r}")
     _check_k_p(k, p)
     gen = generate(spec)
+    reason = inapplicable(gen, algorithm)
+    if reason is not None:
+        raise reason
     if algorithm in INTERSECTION_ALGS:
-        if not spec.is_intersection:
-            raise InvalidSpec("matroid2", f"{algorithm} needs an intersection instance")
         return _intersection_trial(gen, algorithm)
-    if spec.is_intersection:
-        raise InvalidSpec("algorithm", f"{algorithm} does not apply to intersection instances")
-    if algorithm in UNWEIGHTED_ALGS and not gen.ground.unit_weights:
-        raise InvalidSpec("algorithm", f"{algorithm} targets the unweighted problem; instance has non-unit weights")
     return _basis_trial(gen, algorithm, k, p)
 
 
@@ -853,10 +872,10 @@ def sweep(config, out_path=None):
                 for p in p_grid:
                     try:
                         records.append(run_trial(inst, algo, k=k, p=p))
-                    except (InvalidSpec, GuardExceeded) as exc:
+                    except InvalidSpec as exc:
                         records.append(TrialRecord(inst.instance_id, algo, k, _p_text(p), inst.n, error=str(exc)))
                     except TranscriptNotStored as exc:
-                        records.append(unverified_record(inst, algo, k, p, exc))
+                        records.append(exc.record)
     records.sort(key=lambda rec: (rec.instance_id, rec.algorithm, rec.k or 0, rec.p or ""))
     if out_path is not None:
         write_csv(records, out_path)

@@ -13,19 +13,17 @@ import sys
 
 from .bench import (
     ALGORITHMS,
-    INTERSECTION_ALGS,
-    WEIGHTED_ALGS,
     InstanceSpec,
     InvalidSpec,
     family_instance,
     generate,
     group_params,
+    inapplicable,
     is_family_group,
     plot_data_series,
     run_trial,
     summary_lines,
     sweep,
-    unverified_record,
 )
 from .oracles import TranscriptNotStored
 
@@ -72,12 +70,9 @@ def _cmd_run(args):
 
 
 def _compatible_algorithms(inst):
-    if inst.is_intersection:
-        return sorted(INTERSECTION_ALGS)
-    # the unit-weight rule run_trial applies to the unweighted algorithms
-    if generate(inst).ground.unit_weights:
-        return [a for a in ALGORITHMS if a not in INTERSECTION_ALGS and a != "pairquery"]
-    return ["greedy"] + sorted(WEIGHTED_ALGS)
+    # pairquery's guarantee holds on its own family only
+    gen = generate(inst)
+    return [a for a in ALGORITHMS if a != "pairquery" and inapplicable(gen, a) is None]
 
 
 def _cmd_verify(args):
@@ -91,7 +86,7 @@ def _cmd_verify(args):
             rec = run_trial(inst, algo, k=args.k, p=args.p)
         except TranscriptNotStored as exc:
             # like a bench row: this tag fails, the others still run
-            rec = unverified_record(inst, algo, args.k, args.p, exc)
+            rec = exc.record
         ok = not rec.error and rec.correct is not False and rec.within_bound is not False
         cert = f" cert={rec.certificate}" if rec.certificate != "n/a" else ""
         print(

@@ -99,7 +99,7 @@ class GroundSet:
     remaining tie.  The order is computed once and is immutable.
     """
 
-    __slots__ = ("n", "weights", "dirty_basis_mask", "order", "pos", "_prefix_masks", "full_mask")
+    __slots__ = ("n", "weights", "order", "pos", "_prefix_masks", "full_mask")
 
     def __init__(self, weights, dirty_basis=0):
         weights = tuple(_as_weight(w) for w in weights)
@@ -122,7 +122,6 @@ class GroundSet:
             prefix_masks.append(int.from_bytes(buf, "little"))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "dirty_basis_mask", dirty_basis)
         object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "pos", tuple(pos))
         object.__setattr__(self, "_prefix_masks", tuple(prefix_masks))
@@ -155,9 +154,6 @@ class GroundSet:
         pos = self.pos
         return sorted([pos[e] for e in _scan_bits(mask)])
 
-    def element_at(self, p):
-        return self.order[p]
-
     def weight(self, mask):
         weights = self.weights
         return sum([weights[e] for e in _scan_bits(mask)])
@@ -184,8 +180,15 @@ class MatroidSpec:
 
     def evaluator(self):
         """A fresh per-run evaluator with independent(mask) and rank(mask)
-        that answer as this spec does; kinds with kept state override it."""
-        return _SpecEvaluator(self)
+        that answer as this spec does.  A kind without kept state is its own
+        evaluator; kinds with kept state override this."""
+        return self
+
+    def independent(self, mask):
+        return self.is_independent_mask(mask)
+
+    def rank(self, mask):
+        return self.rank_mask(mask)
 
     def rebind(self, ground):
         """Same independence rule over a reordered copy of the ground set."""
@@ -382,21 +385,6 @@ def _find(parent, x):
         parent[x] = parent[parent[x]]
         x = parent[x]
     return x
-
-
-class _SpecEvaluator:
-    """Stateless evaluator: every query goes to the spec's own methods."""
-
-    __slots__ = ("spec",)
-
-    def __init__(self, spec):
-        self.spec = spec
-
-    def independent(self, mask):
-        return self.spec.is_independent_mask(mask)
-
-    def rank(self, mask):
-        return self.spec.rank_mask(mask)
 
 
 class _AnchoredEvaluator:

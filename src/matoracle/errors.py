@@ -229,7 +229,6 @@ def enumerate_max_weight_bases(spec, ground=None):
 class ErrorReport(NamedTuple):
     eta_A: int
     eta_R: int
-    witness_basis: int  # mask
 
 
 class IntersectionErrorReport(NamedTuple):
@@ -283,16 +282,12 @@ def compute_eta(pair):
     sizes = subset_sizes(n)
     dirty_tops = dirty_top_sets(pair)
     overlap = _overlap_table(_max_weight_top_masks(pair.clean, g), sizes, n)[dirty_tops].astype(np.int64)
-    adds = r - overlap
-    rems = sizes[dirty_tops] - overlap
-    eta_a, eta_r = int(adds.max()), int(rems.max())
-    dist = adds + rems
-    witness = _lex_min(dirty_tops[dist == dist.max()], n)
+    eta_a, eta_r = r - int(overlap.min()), int((sizes[dirty_tops] - overlap).max())
     # the identity holds for every matroid; only a failure needs to know
     # whether the dirty system is one
     if r != pair.dirty.full_rank() + eta_a - eta_r and is_matroid(pair.dirty):
         raise RuntimeError("rank identity r = r_d + eta_A - eta_R violated")
-    return ErrorReport(eta_a, eta_r, witness)
+    return ErrorReport(eta_a, eta_r)
 
 
 def compute_intersection_errors(dirty1, dirty2, clean1, clean2):

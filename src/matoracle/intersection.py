@@ -127,7 +127,7 @@ def shortest_augmenting_path(graph):
 def textbook_intersection(ox, role=ROLE_CLEAN):
     """Shortest-augmenting-path matroid intersection against one oracle side.
 
-    Returns (x_mask, u_mask, ledger).  U is the set of elements with a directed
+    Returns (x_mask, u_mask).  U is the set of elements with a directed
     path to y2 (E or the empty set on the degenerate exits), and it certifies
     optimality: |X| = rank1(U) + rank2(E \\ U) under that side's oracles.
     """
@@ -137,12 +137,12 @@ def textbook_intersection(ox, role=ROLE_CLEAN):
     while True:
         graph = build_exchange_graph(independent, g.n, x_mask)
         if not graph.y1:
-            return x_mask, g.full_mask, ox.ledger
+            return x_mask, g.full_mask
         if not graph.y2:
-            return x_mask, 0, ox.ledger
+            return x_mask, 0
         path = shortest_augmenting_path(graph)
         if path is None:
-            return x_mask, sum(1 << e for e in _distances_to_y2(graph)), ox.ledger
+            return x_mask, sum(1 << e for e in _distances_to_y2(graph))
         for v in path:
             x_mask ^= 1 << v
         side = ox.clean if role == ROLE_CLEAN else ox.dirty
@@ -259,7 +259,7 @@ def warm_start(ox):
     g = ox.ground
     if ox.dirty is None:
         raise ValueError("dirty oracles are required")
-    cur, _, _ = textbook_intersection(ox, role=ROLE_DIRTY)
+    cur, _ = textbook_intersection(ox, role=ROLE_DIRTY)
     for which in (1, 2):
         cur = alg._strip_dirty_basis(partial(ox.query_independent, ROLE_CLEAN, which), g, cur)
     return ElementSet(g.n, cur), ox.ledger

@@ -35,7 +35,6 @@ class IncompatiblePerturbation(ValueError):
 
 
 class QueryRecord(NamedTuple):
-    seq: int
     role: str
     kind: str
     answer: int
@@ -66,11 +65,7 @@ class QueryLedger:
             self.dirty_count += 1
         else:
             raise ValueError(f"unknown oracle role {role!r}")
-        rec = QueryRecord(
-            len(self.transcript), role, kind, int(answer), mask if self.store_sets else None
-        )
-        self.transcript.append(rec)
-        return rec
+        self.transcript.append(QueryRecord(role, kind, int(answer), mask if self.store_sets else None))
 
     @property
     def clean_count(self):
@@ -81,11 +76,12 @@ class QueryLedger:
         return self.dirty_count + self.cost_p * self.clean_count
 
     def export_lines(self):
-        """Line-oriented transcript: seq,role,kind,answer,hex(bitset)."""
+        """Line-oriented transcript: seq,role,kind,answer,hex(bitset), where
+        seq is the record's position."""
         out = []
-        for rec in self.transcript:
+        for seq, rec in enumerate(self.transcript):
             h = "-" if rec.mask is None else format(rec.mask, "x")
-            out.append(f"{rec.seq},{rec.role},{rec.kind},{rec.answer},{h}")
+            out.append(f"{seq},{rec.role},{rec.kind},{rec.answer},{h}")
         return out
 
 
@@ -129,57 +125,27 @@ def greedy_basis(pair, role=ROLE_DIRTY):
     return ElementSet(pair.ground.n, greedy_scan(lambda m: pair.query_independent(role, m), pair.ground))
 
 
-def replay_record(pair, rec):
-    """Re-evaluate one transcript record against the underlying specs."""
-    if rec.mask is None:
-        raise ValueError("record has no stored set (size guard)")
-    spec = pair.clean if rec.role == ROLE_CLEAN else pair.dirty
-    if rec.kind.startswith(KIND_RANK):
-        return spec.rank_mask(rec.mask)
-    return int(spec.is_independent_mask(rec.mask))
-
-
-class PerturbationSpec:
-    """Seeded, structure-preserving edit of a matroid spec.
+def make_dirty(clean, cfg):
+    """Derive a dirty matroid spec from a clean one by the seeded,
+    structure-preserving perturbation of the config dict cfg.
 
     kinds: class_swap(count), capacity_shift(count) for partition matroids;
-    edge_rewire(count), stale_snapshot(edits) for graphic matroids.  A zero
-    count (or empty edit list) is the identity.
+    edge_rewire(count), stale_snapshot(edits) for graphic matroids, with
+    ``seed`` (default 0) seeding the draws.  A zero count (or empty edit
+    list) is the identity.
     """
-
-    KINDS = ("class_swap", "capacity_shift", "edge_rewire", "stale_snapshot")
-
-    def __init__(self, kind, count=0, edits=(), seed=0):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown perturbation kind {kind!r}")
-        self.kind = kind
-        self.count = int(count)
-        self.edits = tuple(tuple(e) for e in edits)
-        self.seed = int(seed)
-
-    def to_config(self):
-        cfg = {"kind": self.kind, "seed": self.seed}
-        if self.kind == "stale_snapshot":
-            cfg["edits"] = [list(e) for e in self.edits]
-        else:
-            cfg["count"] = self.count
-        return cfg
-
-    @classmethod
-    def from_config(cls, cfg):
-        return cls(cfg["kind"], cfg.get("count", 0), cfg.get("edits", ()), cfg.get("seed", 0))
-
-
-def make_dirty(clean, pert):
-    """Derive a dirty matroid spec from a clean one by the given perturbation."""
-    rng = random.Random(pert.seed)
-    if pert.kind in ("class_swap", "capacity_shift"):
+    kind = cfg["kind"]
+    if kind not in ("class_swap", "capacity_shift", "edge_rewire", "stale_snapshot"):
+        raise ValueError(f"unknown perturbation kind {kind!r}")
+    count = int(cfg.get("count", 0))
+    rng = random.Random(int(cfg.get("seed", 0)))
+    if kind in ("class_swap", "capacity_shift"):
         if not isinstance(clean, PartitionMatroid):
-            raise IncompatiblePerturbation(f"{pert.kind} needs a partition matroid")
+            raise IncompatiblePerturbation(f"{kind} needs a partition matroid")
         classes = [sorted(iter_bits(m)) for m in clean.class_masks]
         caps = list(clean.caps)
-        if pert.kind == "class_swap":
-            for _ in range(pert.count):
+        if kind == "class_swap":
+            for _ in range(count):
                 if len(classes) < 2 or clean.n == 0:
                     break
                 src = rng.randrange(len(classes))
@@ -192,48 +158,44 @@ def make_dirty(clean, pert):
                 classes[dst].append(e)
                 classes[dst].sort()
         else:
-            for _ in range(pert.count):
+            for _ in range(count):
                 i = rng.randrange(len(caps))
                 caps[i] = max(0, caps[i] + rng.choice((-1, 1)))
         keep = [(c, k) for c, k in zip(classes, caps) if c]
         return PartitionMatroid(clean.ground, [sum(1 << e for e in c) for c, _ in keep], [k for _, k in keep])
-    if pert.kind in ("edge_rewire", "stale_snapshot"):
-        if not isinstance(clean, GraphicMatroid):
-            raise IncompatiblePerturbation(f"{pert.kind} needs a graphic matroid")
-        edges = [list(e) for e in clean.edges]
-        nv = clean.num_vertices
-        if pert.kind == "edge_rewire":
-            for _ in range(pert.count):
-                if nv < 2:
-                    break
-                i = rng.randrange(len(edges))
-                side = rng.randrange(2)
-                other = edges[i][1 - side]
-                v = rng.randrange(nv - 1)
-                if v >= other:
-                    v += 1
-                edges[i][side] = v
-        else:
-            for op, idx, u, v in pert.edits:
-                if op != "set_edge":
-                    raise IncompatiblePerturbation(f"unknown stale_snapshot edit {op!r}")
-                edges[idx] = [u, v]
-        return GraphicMatroid(clean.ground, nv, [tuple(e) for e in edges])
-    raise IncompatiblePerturbation(pert.kind)
+    if not isinstance(clean, GraphicMatroid):
+        raise IncompatiblePerturbation(f"{kind} needs a graphic matroid")
+    edges = [list(e) for e in clean.edges]
+    nv = clean.num_vertices
+    if kind == "edge_rewire":
+        for _ in range(count):
+            if nv < 2:
+                break
+            i = rng.randrange(len(edges))
+            side = rng.randrange(2)
+            other = edges[i][1 - side]
+            v = rng.randrange(nv - 1)
+            if v >= other:
+                v += 1
+            edges[i][side] = v
+    else:
+        for op, idx, u, v in cfg.get("edits", ()):
+            if op != "set_edge":
+                raise IncompatiblePerturbation(f"unknown stale_snapshot edit {op!r}")
+            edges[idx] = [u, v]
+    return GraphicMatroid(clean.ground, nv, [tuple(e) for e in edges])
 
 
 class TranscriptNotStored(ValueError):
     """The transcript dropped its query sets (n above SET_STORAGE_LIMIT), so
-    the certificate cannot be checked."""
+    the certificate cannot be checked.  Raised from a trial, it carries the
+    trial's row as ``record``."""
 
 
 class CertificateReport(NamedTuple):
     ok: bool
     independence_witnessed: bool
     unwitnessed: tuple
-
-    def __bool__(self):
-        return self.ok
 
 
 def verify_certificate(transcript, out, ground):

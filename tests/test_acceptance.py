@@ -320,7 +320,7 @@ def test_criterion_09_intersection_props():
         ox = gen.fresh_oracles()
         eta = compute_intersection_errors(ox.dirty[0], ox.dirty[1], ox.clean[0], ox.clean[1])
         ref = IntersectionOracles(gen.ground, ox.clean[0], ox.clean[1], ox.clean[0], ox.clean[1])
-        optimum, _, _ = textbook_intersection(ref)
+        optimum, _ = textbook_intersection(ref)
         x, led, _ = dirty_intersection(ox)
         assert len(x) == optimum.bit_count()
         cap = (len(x) + 1) * (2 + (eta.eta_1 + eta.eta_2) * (ceil_log2(n) + 2))

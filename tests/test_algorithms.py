@@ -296,7 +296,7 @@ def _old_greedy_by_rank(pair, cur, cur_rank, stop_rank=None):
     """Reference copy of the scan rank_oracle_basis once kept as a closure."""
     g = pair.ground
     for p in range(g.n):
-        e = g.element_at(p)
+        e = g.order[p]
         got = pair.query_rank(ROLE_CLEAN, cur | 1 << e)
         if got > cur_rank:
             cur |= 1 << e
@@ -410,10 +410,10 @@ class TestStructuredLargeInstances:
                     edges.append((vid(r, c), vid(r + 1, c)))
         n = len(edges)
         g = GroundSet.unit(n)
-        from matoracle import GraphicMatroid, make_dirty, PerturbationSpec
+        from matoracle import GraphicMatroid, make_dirty
 
         clean = GraphicMatroid(g, rows * cols, edges)
-        dirty = make_dirty(clean, PerturbationSpec("edge_rewire", count=3, seed=9))
+        dirty = make_dirty(clean, {"kind": "edge_rewire", "count": 3, "seed": 9})
         pair0 = OraclePair(clean, dirty, g)
         bd = greedy_basis(pair0)
         pair = pair0.with_dirty_basis(bd.mask)
@@ -432,9 +432,9 @@ class TestStructuredLargeInstances:
         n = start
         g = GroundSet.unit(n)
         clean = PartitionMatroid(g, masks(*classes), [max(1, s // 2) for s in sizes])
-        from matoracle import PerturbationSpec, make_dirty
+        from matoracle import make_dirty
 
-        dirty = make_dirty(clean, PerturbationSpec("capacity_shift", count=4, seed=3))
+        dirty = make_dirty(clean, {"kind": "capacity_shift", "count": 4, "seed": 3})
         pair0 = OraclePair(clean, dirty, g)
         bd = greedy_basis(pair0)
         pair = pair0.with_dirty_basis(bd.mask)

@@ -46,6 +46,16 @@ U24_DIRTY_U3 = {
     "dirty": {"mode": "matroid", "kind": "uniform", "k": 3},
 }
 
+# an intersection instance whose clean sides are not partition matroids:
+# warmstart applies, intersect-dirty does not
+UNIFORM_PAIR = {
+    "n": 6,
+    "weights": "unit",
+    "matroid": {"kind": "uniform", "k": 3},
+    "matroid2": {"kind": "uniform", "k": 2},
+    "dirty": {"mode": "identity"},
+}
+
 LB_BASIC_GROUP = {"family": "lb_basic", "params": {"n": 8, "r": 4}}
 LB_BASIC = family_instance(LB_BASIC_GROUP["family"], **LB_BASIC_GROUP["params"])
 
@@ -362,8 +372,12 @@ class TestFamilyObjects:
 
 class TestUnstoredTranscript:
     def test_run_trial_still_raises(self):
-        with pytest.raises(ValueError, match="transcript sets were not stored"):
+        with pytest.raises(ValueError, match="transcript sets were not stored") as info:
             run_trial(InstanceSpec.from_dict(UNSTORED), "greedy")
+        # the raised row is the trial's full record
+        rec = info.value.record
+        assert (rec.clean_queries, rec.r, rec.r_d, rec.correct) == (SET_STORAGE_LIMIT + 1, 4, 4, True)
+        assert rec.certificate == "unverified" and rec.violation
 
     def test_sweep_records_a_violation_row_and_continues(self):
         records, violations = sweep({"instances": [UNSTORED], "algorithms": ["greedy", "rank"]})
@@ -372,6 +386,12 @@ class TestUnstoredTranscript:
         assert "transcript sets were not stored" in by_alg["greedy"].error
         assert by_alg["rank"].correct and not by_alg["rank"].error
         assert violations == [by_alg["greedy"]]
+
+    def test_sweep_row_reports_the_billed_counts(self):
+        records, _ = sweep({"instances": [UNSTORED], "algorithms": ["greedy"]})
+        (rec,) = records
+        assert (rec.clean_ind_queries, rec.dirty_queries, rec.r, rec.r_d) == (SET_STORAGE_LIMIT + 1,) * 2 + (4, 4)
+        assert rec.correct is True
 
     def test_run_exits_1(self, tmp_path, capsys):
         inst = _write(tmp_path, "inst.json", UNSTORED)
@@ -391,3 +411,36 @@ class TestUnstoredTranscript:
         assert status == {"greedy": "FAIL", "simple": "FAIL", "errdep": "FAIL", "robust": "FAIL",
                           "weighted": "PASS", "weighted-robust": "PASS", "rank": "PASS", "costly": "PASS"}
         assert all(" cert=unverified error=TranscriptNotStored: " in line for line in lines if line.startswith("FAIL"))
+
+    def test_verify_fail_line_reports_the_billed_counts(self, tmp_path, capsys):
+        inst = _write(tmp_path, "inst.json", UNSTORED)
+        assert cli.main(["verify", "--instance", inst, "--all"]) == 1
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith(f"FAIL greedy: clean={SET_STORAGE_LIMIT + 1} bound=None correct=True cert=unverified ")
+
+
+class TestIntersectDirtyNeedsPartition:
+    """intersect-dirty runs on partition clean matroids only; elsewhere it is
+    rejected like any algorithm that does not apply."""
+
+    def test_run_exits_2(self, tmp_path, capsys):
+        inst = _write(tmp_path, "inst.json", UNIFORM_PAIR)
+        args = ["run", "--instance", inst, "--alg", "intersect-dirty", "--out", str(tmp_path / "rec.json")]
+        assert cli.main(args) == 2
+        err = _one_line_error(capsys)
+        assert "matoracle: invalid spec: matroid: intersect-dirty needs a partition matroid, got uniform" in err
+        assert not (tmp_path / "rec.json").exists()
+
+    def test_bench_writes_an_error_row(self, tmp_path, capsys):
+        doc = {"instances": [UNIFORM_PAIR], "algorithms": ["intersect-dirty", "warmstart"]}
+        config = _write(tmp_path, "sweep.json", doc)
+        assert cli.main(["bench", "--config", config, "--out", str(tmp_path / "r.csv")]) == 0
+        assert "violations=0" in capsys.readouterr().out
+        rows = (tmp_path / "r.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 and "intersect-dirty needs a partition matroid" in rows[0]
+
+    def test_verify_runs_only_warmstart(self, tmp_path, capsys):
+        inst = _write(tmp_path, "inst.json", UNIFORM_PAIR)
+        assert cli.main(["verify", "--instance", inst, "--all"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("PASS warmstart: ") and len(out.splitlines()) == 1

@@ -450,19 +450,19 @@ def _rank_additions_cum(pair, g, cur, cur_rank, target_rank, outside_positions):
         cum = []
         acc = 0
         for p in outside_positions:
-            acc |= 1 << g.element_at(p)
+            acc |= 1 << g.order[p]
             cum.append(acc)
         lo = -1
         while cur_rank < target_rank:
             hi = binary_search_smallest_dependent_prefix(
                 range(m), lambda i: pair.query_rank(ROLE_CLEAN, cur | cum[i]) > cur_rank, lo, m - 1
             )
-            cur |= 1 << g.element_at(outside_positions[hi])
+            cur |= 1 << g.order[outside_positions[hi]]
             cur_rank += 1
             lo = hi
         return cur
     for p in outside_positions:
-        e = g.element_at(p)
+        e = g.order[p]
         got = pair.query_rank(ROLE_CLEAN, cur | 1 << e)
         if got > cur_rank:
             cur |= 1 << e

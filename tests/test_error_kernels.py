@@ -98,11 +98,9 @@ def _scalar_eta(pair):
     for s in dirty_tops:
         m = max((s & b).bit_count() for b in clean_tops)
         per_basis[s] = (r - m, s.bit_count() - m)
-    dist = max(a + rr for a, rr in per_basis.values())
-    witness = min((s for s, (a, rr) in per_basis.items() if a + rr == dist), key=lambda s: tuple(iter_bits(s)))
     eta_a = max(a for a, _ in per_basis.values())
     eta_r = max(rr for _, rr in per_basis.values())
-    return eta_a, eta_r, witness
+    return eta_a, eta_r
 
 
 def _scalar_intersection(d1, d2, c1, c2):
@@ -171,7 +169,7 @@ def test_compute_eta_matches_scalar(weight_mode):
         clean = _random_spec(rng, g, rng.choice(("uniform", "partition", "graphic")))
         pair = OraclePair(clean, _random_spec(rng, g, rng.choice(dirty_kinds)), g)
         rep = compute_eta(pair)
-        assert (rep.eta_A, rep.eta_R, rep.witness_basis) == _scalar_eta(pair)
+        assert rep == _scalar_eta(pair)
 
 
 def test_intersection_errors_match_scalar():

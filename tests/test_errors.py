@@ -168,13 +168,6 @@ class TestComputeEta:
             assert rep.eta_A == max(a for a, _ in entries)
             assert rep.eta_R == max(r for _, r in entries)
 
-    def test_witness_attains_max_distance(self, small_random_pairs):
-        for pair, _ in small_random_pairs:
-            rep = compute_eta(pair)
-            per_set = _per_top_set(pair)
-            a, r = per_set[rep.witness_basis]
-            assert a + r == max(x + y for x, y in per_set.values())
-
     def test_explicit_dirty_uses_maximal_sets(self):
         g = GroundSet.unit(4)
         clean = UniformMatroid(g, 2)

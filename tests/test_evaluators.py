@@ -16,7 +16,7 @@ from matoracle import (
     greedy_native,
 )
 from matoracle.bench import generate, random_instance, random_intersection_instance
-from matoracle.core import greedy_scan, iter_bits
+from matoracle.core import greedy_scan, iter_bits, spec_from_config
 from matoracle.oracles import ROLE_CLEAN, ROLE_DIRTY
 
 from conftest import masks
@@ -186,3 +186,24 @@ def test_fresh_evaluators_build_no_state():
     assert ev.state is None
     gen.pair.query_independent(ROLE_CLEAN, 0b1)
     assert ev.state is not None
+
+
+@pytest.mark.parametrize("kind", ["uniform", "predicted_basis", "explicit"])
+def test_stateless_spec_is_its_own_evaluator(kind, monkeypatch):
+    # a wrapper installed on the class method sees every billed query
+    g = GroundSet.unit(4)
+    cfg = {"uniform": {"k": 2}, "predicted_basis": {"basis": [0, 2]}, "explicit": {"maximal_sets": [[0, 1]]}}[kind]
+    spec = spec_from_config(g, {"kind": kind, **cfg})
+    assert spec.evaluator() is spec
+    seen = []
+
+    def traced(name):
+        inner = getattr(type(spec), name)
+        return lambda self, mask: seen.append(name) or inner(self, mask)
+
+    for name in ("is_independent_mask", "rank_mask"):
+        monkeypatch.setattr(type(spec), name, traced(name))
+    pair = OraclePair(UniformMatroid(g, 2), spec, g)
+    assert pair.query_independent(ROLE_DIRTY, 0b11) == (kind != "predicted_basis")
+    assert pair.query_rank(ROLE_DIRTY, 0b111) == 2
+    assert seen[:2] == ["is_independent_mask", "rank_mask"]

@@ -166,7 +166,7 @@ class TestShortestPath:
 class TestTextbook:
     def test_uniform_pair(self):
         g = GroundSet.unit(5)
-        x, _, _ = textbook_intersection(IntersectionOracles(g, UniformMatroid(g, 3), UniformMatroid(g, 2)))
+        x, _ = textbook_intersection(IntersectionOracles(g, UniformMatroid(g, 3), UniformMatroid(g, 2)))
         assert x.bit_count() == 2
 
     def test_bipartite_matching_encoding(self):
@@ -184,7 +184,7 @@ class TestTextbook:
             by_right = [[i for i, e in enumerate(edges) if e[1] == v] for v in range(right)]
             c1 = PartitionMatroid(g, masks(*(c for c in by_left if c)), [1] * sum(1 for c in by_left if c))
             c2 = PartitionMatroid(g, masks(*(c for c in by_right if c)), [1] * sum(1 for c in by_right if c))
-            x, _, _ = textbook_intersection(IntersectionOracles(g, c1, c2))
+            x, _ = textbook_intersection(IntersectionOracles(g, c1, c2))
             best = max(
                 (m.bit_count() for m in range(1 << n) if _is_matching(m, edges)),
                 default=0,
@@ -196,7 +196,7 @@ class TestTextbook:
         for _ in range(25):
             n = rng.randint(1, 9)
             ox = random_pair_instance(rng, n, raises=0)
-            x, u_mask, _ = textbook_intersection(ox)
+            x, u_mask = textbook_intersection(ox)
             size = x.bit_count()
             assert size == ox.clean[0].rank_mask(u_mask) + ox.clean[1].rank_mask(ox.ground.full_mask & ~u_mask)
             assert size == brute_max_common(ox.clean[0], ox.clean[1], n)
@@ -388,7 +388,7 @@ class TestWarmStart:
         removed = 0
         for _ in range(60):
             ox = random_pair_instance(rng, rng.randint(2, 10))
-            s_d, _, _ = textbook_intersection(IntersectionOracles(ox.ground, *ox.clean, *ox.dirty), role=ROLE_DIRTY)
+            s_d, _ = textbook_intersection(IntersectionOracles(ox.ground, *ox.clean, *ox.dirty), role=ROLE_DIRTY)
             removals.clear()
             s, _ = warm_start(ox)
             assert len(removals) == s_d.bit_count() - len(s)

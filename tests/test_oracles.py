@@ -9,13 +9,11 @@ from matoracle import (
     IncompatiblePerturbation,
     OraclePair,
     PartitionMatroid,
-    PerturbationSpec,
     QueryLedger,
     UniformMatroid,
     compute_eta,
     greedy_basis,
     make_dirty,
-    replay_record,
     verify_certificate,
 )
 from matoracle.core import ExplicitSystem, iter_bits
@@ -95,7 +93,7 @@ class TestLedger:
         p2 = fresh(pair)
         greedy_basis(p2, ROLE_CLEAN)
         for rec in p2.ledger.transcript:
-            assert replay_record(p2, rec) == rec.answer
+            assert int(p2.clean.is_independent_mask(rec.mask)) == rec.answer
 
     def test_export_lines_format(self):
         pair = simple_pair()
@@ -149,7 +147,7 @@ class TestMakeDirty:
     def test_identity_perturbation(self):
         g = GroundSet.unit(4)
         clean = PartitionMatroid(g, masks([0, 1], [2, 3]), [1, 1])
-        dirty = make_dirty(clean, PerturbationSpec("class_swap", count=0, seed=1))
+        dirty = make_dirty(clean, {"kind": "class_swap", "count": 0, "seed": 1})
         pair = OraclePair(clean, dirty, g)
         rep = compute_eta(pair)
         assert (rep.eta_A, rep.eta_R) == (0, 0)
@@ -157,11 +155,11 @@ class TestMakeDirty:
     def test_class_swap_moves_one_element(self):
         g = GroundSet.unit(4)
         clean = PartitionMatroid(g, masks([0, 1, 2], [3]), [2, 0])
-        dirty = make_dirty(clean, PerturbationSpec("class_swap", count=1, seed=3))
+        dirty = make_dirty(clean, {"kind": "class_swap", "count": 1, "seed": 3})
         assert isinstance(dirty, PartitionMatroid)
         assert _single_element_move(clean, dirty)
         # determinism under the seed
-        again = make_dirty(clean, PerturbationSpec("class_swap", count=1, seed=3))
+        again = make_dirty(clean, {"kind": "class_swap", "count": 1, "seed": 3})
         assert dirty.to_config() == again.to_config()
 
     def test_class_swap_error_shape(self):
@@ -178,7 +176,7 @@ class TestMakeDirty:
         # the triangle chord with an edge closing a 4-cycle instead
         g = GroundSet.unit(4)
         clean = GraphicMatroid(g, 4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-        pert = PerturbationSpec("stale_snapshot", edits=[("set_edge", 2, 3, 0)])
+        pert = {"kind": "stale_snapshot", "edits": [("set_edge", 2, 3, 0)]}
         dirty = make_dirty(clean, pert)
         assert dirty.edges[2] == (3, 0)
         rep = compute_eta(OraclePair(clean, dirty, g))
@@ -190,9 +188,9 @@ class TestMakeDirty:
         clean_p = PartitionMatroid(g, masks([0, 1, 2], [3, 4, 5]), [2, 1])
         clean_g = GraphicMatroid(g, 4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
         for seed in range(6):
-            d1 = make_dirty(clean_p, PerturbationSpec("capacity_shift", count=rng.randint(0, 3), seed=seed))
+            d1 = make_dirty(clean_p, {"kind": "capacity_shift", "count": rng.randint(0, 3), "seed": seed})
             assert isinstance(d1, PartitionMatroid)
-            d2 = make_dirty(clean_g, PerturbationSpec("edge_rewire", count=rng.randint(0, 3), seed=seed))
+            d2 = make_dirty(clean_g, {"kind": "edge_rewire", "count": rng.randint(0, 3), "seed": seed})
             assert isinstance(d2, GraphicMatroid)
             # downward closure on random chains
             for _ in range(10):
@@ -208,10 +206,10 @@ class TestMakeDirty:
         g = GroundSet.unit(3)
         clean = UniformMatroid(g, 2)
         with pytest.raises(IncompatiblePerturbation):
-            make_dirty(clean, PerturbationSpec("class_swap", count=1))
+            make_dirty(clean, {"kind": "class_swap", "count": 1})
         clean_p = PartitionMatroid(g, masks([0, 1, 2]), [2])
         with pytest.raises(IncompatiblePerturbation):
-            make_dirty(clean_p, PerturbationSpec("edge_rewire", count=1))
+            make_dirty(clean_p, {"kind": "edge_rewire", "count": 1})
 
 
 class TestExplicitAsOracle:
