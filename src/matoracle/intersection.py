@@ -124,16 +124,23 @@ def shortest_augmenting_path(graph):
     return path
 
 
-def textbook_intersection(ox, role=ROLE_CLEAN):
-    """Shortest-augmenting-path matroid intersection against one oracle side.
+def textbook_intersection(independent, specs, x_mask=0):
+    """Shortest-augmenting-path matroid intersection from the start set X.
+
+    independent(which, mask) is the test of matroid which in {1, 2}, and
+    specs are those two matroids; they check, unbilled, that the start and
+    every augmented X are independent in both (ValueError for a start that
+    is not).  Any common independent start reaches a maximum one: X is
+    optimal exactly when its exchange graph has no y1 -> y2 path, so an
+    optimal start costs one graph build.
 
     Returns (x_mask, u_mask).  U is the set of elements with a directed
     path to y2 (E or the empty set on the degenerate exits), and it certifies
-    optimality: |X| = rank1(U) + rank2(E \\ U) under that side's oracles.
+    optimality: |X| = rank1(U) + rank2(E \\ U).
     """
-    g = ox.ground
-    independent = partial(ox.query_independent, role)
-    x_mask = 0
+    g = specs[0].ground
+    if x_mask & ~g.full_mask or not all(spec.is_independent_mask(x_mask) for spec in specs):
+        raise ValueError(f"start set {x_mask:#x} is not independent in both matroids")
     while True:
         graph = build_exchange_graph(independent, g.n, x_mask)
         if not graph.y1:
@@ -145,8 +152,7 @@ def textbook_intersection(ox, role=ROLE_CLEAN):
             return x_mask, sum(1 << e for e in _distances_to_y2(graph))
         for v in path:
             x_mask ^= 1 << v
-        side = ox.clean if role == ROLE_CLEAN else ox.dirty
-        if not (side[0].is_independent_mask(x_mask) and side[1].is_independent_mask(x_mask)):
+        if not (specs[0].is_independent_mask(x_mask) and specs[1].is_independent_mask(x_mask)):
             raise RuntimeError("augmentation along a shortest exchange path must keep double independence")
 
 
@@ -259,7 +265,7 @@ def warm_start(ox):
     g = ox.ground
     if ox.dirty is None:
         raise ValueError("dirty oracles are required")
-    cur, _ = textbook_intersection(ox, role=ROLE_DIRTY)
+    cur, _ = textbook_intersection(partial(ox.query_independent, ROLE_DIRTY), ox.dirty)
     for which in (1, 2):
         cur = alg._strip_dirty_basis(partial(ox.query_independent, ROLE_CLEAN, which), g, cur)
     return ElementSet(g.n, cur), ox.ledger

@@ -12,7 +12,6 @@ import pytest
 
 from matoracle import (
     GroundSet,
-    IntersectionOracles,
     OraclePair,
     PartitionMatroid,
     UniformMatroid,
@@ -319,8 +318,8 @@ def test_criterion_09_intersection_props():
         gen = generate(inst)
         ox = gen.fresh_oracles()
         eta = compute_intersection_errors(ox.dirty[0], ox.dirty[1], ox.clean[0], ox.clean[1])
-        ref = IntersectionOracles(gen.ground, ox.clean[0], ox.clean[1], ox.clean[0], ox.clean[1])
-        optimum, _ = textbook_intersection(ref)
+        # unbilled: the reference must not reach ox's ledger
+        optimum, _ = textbook_intersection(lambda which, mask: ox.clean[which - 1].independent(mask), ox.clean)
         x, led, _ = dirty_intersection(ox)
         assert len(x) == optimum.bit_count()
         cap = (len(x) + 1) * (2 + (eta.eta_1 + eta.eta_2) * (ceil_log2(n) + 2))

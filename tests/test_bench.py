@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from matoracle import compute_eta, greedy_basis
+from matoracle import ElementSet, bench, compute_eta, greedy_basis, oracles
 from matoracle.bench import (
+    INTERSECTION_ALGS,
     InstanceSpec,
     InvalidSpec,
     MissingParam,
@@ -151,6 +152,48 @@ class TestRunTrial:
         assert rec.correct and rec.within_bound
         rec2 = run_trial(inst, "warmstart")
         assert rec2.correct and rec2.within_bound
+
+    @pytest.mark.parametrize("algorithm,entry", [("intersect-dirty", "dirty_intersection"), ("warmstart", "warm_start")])
+    def test_clean_dependent_output_of_optimum_size_is_incorrect(self, monkeypatch, algorithm, entry):
+        inst = family_instance("random_intersection", n=8, seed=4)
+        rec = run_trial(inst, algorithm)
+        assert rec.correct and rec.eta_r is not None
+        c1, c2 = generate(inst).oracles.clean
+        bad = next(
+            m for m in range(1 << inst.n)
+            if m.bit_count() == rec.r and not (c1.is_independent_mask(m) and c2.is_independent_mask(m))
+        )
+
+        def clean_dependent(ox):
+            x = ElementSet(ox.ground.n, bad)
+            return (x, ox.ledger, ([], [])) if entry == "dirty_intersection" else (x, ox.ledger)
+
+        monkeypatch.setattr(bench, entry, clean_dependent)
+        rec = run_trial(inst, algorithm)
+        assert rec.correct is False
+        assert rec.r == bad.bit_count()
+
+    @pytest.mark.parametrize("algorithm", sorted(INTERSECTION_ALGS))
+    def test_intersection_trial_creates_no_reference_ledger(self, monkeypatch, algorithm):
+        created, generated = [], []
+        init = oracles.QueryLedger.__init__
+
+        def tracking_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            created.append(self)
+
+        def tracking_generate(spec, inner=bench.generate):
+            generated.append(inner(spec))
+            return generated[-1]
+
+        monkeypatch.setattr(oracles.QueryLedger, "__init__", tracking_init)
+        monkeypatch.setattr(bench, "generate", tracking_generate)
+        rec = run_trial(family_instance("random_intersection", n=8, seed=4), algorithm)
+        # generate's ledger, then the trial's, which holds every billed query
+        assert len(created) == 2
+        assert created[0] is generated[0].oracles.ledger
+        assert created[1].clean_independence_count == rec.clean_ind_queries
+        assert created[1].dirty_count == rec.dirty_queries
 
 
 class TestSweep:

@@ -4,8 +4,7 @@ Runs a fixed grid of (instance, algorithm, k, p) trials through
 ``bench.run_trial`` and pins two sha256 digests:
 
 - ``LEDGER_DIGEST`` over the ``export_lines()`` of every non-empty ledger a
-  trial creates (clean and dirty transcripts, including the separate ledger
-  of the clean intersection reference);
+  trial creates (clean and dirty transcripts);
 - ``RECORD_DIGEST`` over every ``TrialRecord.to_json()`` with the
   ``wall_time_s`` field dropped.
 
@@ -32,7 +31,7 @@ from matoracle.bench import (
     run_trial,
 )
 
-LEDGER_DIGEST = "5da9ab7985906ffcd763c76d0ee9791645b01364c6a61fffeb21622bcf99a0ee"
+LEDGER_DIGEST = "2095331d7eaece5937ac809296166d9b18f5ac55141f2ebe85dbc0f1d287b206"
 RECORD_DIGEST = "713c864e17c6351c5db5f9732541fd8b49d7a5e449c7da41855199a6baaa06db"
 
 BASIS_SIZES = (1, 5, 9, 13, 40, 200)

@@ -4,6 +4,7 @@ from functools import partial
 import pytest
 
 from matoracle import (
+    GraphicMatroid,
     GroundSet,
     IntersectionOracles,
     PartitionMatroid,
@@ -57,6 +58,10 @@ def random_pair_instance(rng, n, raises=2):
         return PartitionMatroid(g, spec.class_masks, caps)
 
     return IntersectionOracles(g, c1, c2, raised(c1), raised(c2))
+
+
+def clean_textbook(ox, x_mask=0):
+    return textbook_intersection(partial(ox.query_independent, ROLE_CLEAN), ox.clean, x_mask)
 
 
 def clean_graph(ox, x_mask):
@@ -166,7 +171,7 @@ class TestShortestPath:
 class TestTextbook:
     def test_uniform_pair(self):
         g = GroundSet.unit(5)
-        x, _ = textbook_intersection(IntersectionOracles(g, UniformMatroid(g, 3), UniformMatroid(g, 2)))
+        x, _ = clean_textbook(IntersectionOracles(g, UniformMatroid(g, 3), UniformMatroid(g, 2)))
         assert x.bit_count() == 2
 
     def test_bipartite_matching_encoding(self):
@@ -184,7 +189,7 @@ class TestTextbook:
             by_right = [[i for i, e in enumerate(edges) if e[1] == v] for v in range(right)]
             c1 = PartitionMatroid(g, masks(*(c for c in by_left if c)), [1] * sum(1 for c in by_left if c))
             c2 = PartitionMatroid(g, masks(*(c for c in by_right if c)), [1] * sum(1 for c in by_right if c))
-            x, _ = textbook_intersection(IntersectionOracles(g, c1, c2))
+            x, _ = clean_textbook(IntersectionOracles(g, c1, c2))
             best = max(
                 (m.bit_count() for m in range(1 << n) if _is_matching(m, edges)),
                 default=0,
@@ -196,10 +201,73 @@ class TestTextbook:
         for _ in range(25):
             n = rng.randint(1, 9)
             ox = random_pair_instance(rng, n, raises=0)
-            x, u_mask = textbook_intersection(ox)
+            x, u_mask = clean_textbook(ox)
             size = x.bit_count()
             assert size == ox.clean[0].rank_mask(u_mask) + ox.clean[1].rank_mask(ox.ground.full_mask & ~u_mask)
             assert size == brute_max_common(ox.clean[0], ox.clean[1], n)
+
+
+class TestTextbookStart:
+    """Any common independent start reaches a maximum common independent set."""
+
+    @staticmethod
+    def random_clean(rng, g, kind):
+        if kind == "partition":
+            return random_partition(rng, g)
+        if kind == "uniform":
+            return UniformMatroid(g, rng.randint(0, g.n))
+        vertices = rng.randint(2, 6)
+        return GraphicMatroid(g, vertices, [(rng.randrange(vertices), rng.randrange(vertices)) for _ in range(g.n)])
+
+    def pairs(self, seed, count):
+        """(ox, optimum size) over partition, uniform and graphic pairs at
+        n <= 12; partition pairs get raised dirty caps, the others exact dirty
+        oracles."""
+        rng = random.Random(seed)
+        for i in range(count):
+            kind = ("partition", "uniform", "graphic")[i % 3]
+            n = rng.randint(1, 12)
+            if kind == "partition":
+                ox = random_pair_instance(rng, n)
+            else:
+                g = GroundSet.unit(n)
+                ox = ox_from(n, self.random_clean(rng, g, kind), self.random_clean(rng, g, kind))
+            yield ox, brute_max_common(ox.clean[0], ox.clean[1], n)
+
+    @staticmethod
+    def assert_certified(ox, x, u_mask, size):
+        c1, c2 = ox.clean
+        assert c1.is_independent_mask(x) and c2.is_independent_mask(x)
+        assert x.bit_count() == size
+        assert size == c1.rank_mask(u_mask) + c2.rank_mask(ox.ground.full_mask & ~u_mask)
+
+    def test_every_start_reaches_the_optimum_with_a_certificate(self):
+        rng = random.Random(21)
+        for ox, size in self.pairs(seed=20, count=45):
+            best, u_mask = clean_textbook(ox)
+            self.assert_certified(ox, best, u_mask, size)
+            starts = [best] + [best & rng.getrandbits(ox.ground.n) for _ in range(3)]
+            starts.append(warm_start(ox)[0].mask)
+            for start in starts:
+                x, u_mask = clean_textbook(ox, start)
+                self.assert_certified(ox, x, u_mask, size)
+
+    def test_optimal_start_costs_one_graph_build(self):
+        for ox, size in self.pairs(seed=22, count=30):
+            best, _ = clean_textbook(ox)
+            before = ox.ledger.clean_independence_count
+            x, _ = clean_textbook(ox, best)
+            out = ox.ground.n - size
+            assert x == best
+            assert ox.ledger.clean_independence_count - before == 2 * size * out + 2 * out
+
+    def test_dependent_start_raises(self):
+        g = GroundSet.unit(4)
+        ox = IntersectionOracles(g, UniformMatroid(g, 2), PartitionMatroid(g, masks([0, 1], [2, 3]), [1, 1]))
+        for start in (0b111, 0b0011, 1 << 4):
+            with pytest.raises(ValueError, match="not independent in both matroids"):
+                clean_textbook(ox, start)
+        assert ox.ledger.transcript == []  # the start check is unbilled
 
 
 def _is_matching(m, edges):
@@ -388,7 +456,7 @@ class TestWarmStart:
         removed = 0
         for _ in range(60):
             ox = random_pair_instance(rng, rng.randint(2, 10))
-            s_d, _ = textbook_intersection(IntersectionOracles(ox.ground, *ox.clean, *ox.dirty), role=ROLE_DIRTY)
+            s_d, _ = textbook_intersection(partial(ox.query_independent, ROLE_DIRTY), ox.dirty)
             removals.clear()
             s, _ = warm_start(ox)
             assert len(removals) == s_d.bit_count() - len(s)
