@@ -101,14 +101,21 @@ class GroundSet:
 
     __slots__ = ("n", "weights", "order", "pos", "_prefix_masks", "full_mask")
 
-    def __init__(self, weights, dirty_basis=0):
-        weights = tuple(_as_weight(w) for w in weights)
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be non-negative")
+    def __init__(self, weights, dirty_basis=0, *, checked=False):
+        """checked: weights is already a tuple of exact non-negative weights,
+        such as another GroundSet's, and is taken as it is."""
+        if not checked:
+            weights = tuple(_as_weight(w) for w in weights)
+            if any(w < 0 for w in weights):
+                raise ValueError("weights must be non-negative")
         n = len(weights)
         if dirty_basis >> n:
             raise ValueError("dirty basis has elements outside the ground set")
-        order = sorted(range(n), key=lambda e: (-weights[e], 0 if dirty_basis >> e & 1 else 1, e))
+        outside = bytearray(b"\1") * n  # 0 for the dirty basis members
+        for e in _scan_bits(dirty_basis):
+            outside[e] = 0
+        # a stable sort of ascending ids breaks the remaining ties by id
+        order = sorted(range(n), key=lambda e: (-weights[e], outside[e]))
         pos = [0] * n
         for p, e in enumerate(order):
             pos[e] = p
@@ -137,7 +144,7 @@ class GroundSet:
     def with_dirty_basis(self, dirty_basis):
         """Rebuild the canonical order around a (newly computed) dirty basis
         mask."""
-        return GroundSet(self.weights, dirty_basis)
+        return GroundSet(self.weights, dirty_basis, checked=True)
 
     def prefix_mask(self, p):
         """Mask of elements with canonical position <= p (empty for p < 0)."""
@@ -392,11 +399,12 @@ class _AnchoredEvaluator:
     and that set's state.
 
     A subset of the anchor and the anchor plus one element are answered from
-    the state, as is the anchor with one element exchanged where the kind
-    implements ``_exchanges``; a True on the anchor plus one element moves
-    the anchor there.  Every other set gets one full evaluation through the
-    spec's own implementation, and becomes the anchor if it is independent.
-    The state is built on the first query, never at construction.
+    the state; a True on the anchor plus one element moves the anchor there.
+    Any other set with exactly one element outside the anchor is answered by
+    ``_one_outside`` where the kind implements it.  Every other set gets one
+    full evaluation through the spec's own implementation, and becomes the
+    anchor if it is independent.  The state is built on the first query,
+    never at construction.
     """
 
     def __init__(self, spec):
@@ -415,15 +423,15 @@ class _AnchoredEvaluator:
         extra = diff & mask
         if not extra:
             return True
-        changed = diff.bit_count()
-        if changed == 1:
-            if self._extends(extra.bit_length() - 1):
+        if extra.bit_count() != 1:
+            return None
+        e = extra.bit_length() - 1
+        if diff.bit_count() == 1:
+            if self._extends(e):
                 self.anchor = mask
                 return True
             return False
-        if changed == 2 and extra.bit_count() == 1:
-            return self._exchanges((diff ^ extra).bit_length() - 1, extra.bit_length() - 1)
-        return None
+        return self._one_outside(mask, e)
 
     def _full(self, mask, stop_if_dependent):
         """Rank of mask by full evaluation (-1 for a dependent mask when
@@ -433,7 +441,9 @@ class _AnchoredEvaluator:
             self.anchor, self.state = mask, state
         return size
 
-    def _exchanges(self, x, e):
+    def _one_outside(self, mask, e):
+        """Independence of mask, whose only element outside the anchor is e
+        and which misses some of the anchor; None to evaluate it in full."""
         return None
 
     def independent(self, mask):
@@ -459,7 +469,7 @@ class _PartitionEvaluator(_AnchoredEvaluator):
         for i, m in enumerate(spec.class_masks):
             for e in _scan_bits(m):
                 class_of[e] = i
-        self.class_of, self.caps = class_of, spec.caps
+        self.class_of, self.class_masks, self.caps = class_of, spec.class_masks, spec.caps
         self.state = [0] * len(spec.caps)
 
     def _evaluate(self, mask, stop_if_dependent):
@@ -476,10 +486,11 @@ class _PartitionEvaluator(_AnchoredEvaluator):
             return True
         return False
 
-    def _exchanges(self, x, e):
-        class_of = self.class_of
-        c = class_of[e]
-        return self.state[c] - (class_of[x] == c) < self.caps[c]
+    def _one_outside(self, mask, e):
+        # mask - e lies inside the independent anchor, so only e's class can
+        # be over its cap
+        c = self.class_of[e]
+        return (mask & self.class_masks[c]).bit_count() <= self.caps[c]
 
 
 class _GraphicEvaluator(_AnchoredEvaluator):

@@ -17,7 +17,7 @@ import numpy as np
 from . import algorithms as alg
 from .core import PRECHECK_GUARD, ElementSet, PartitionMatroid, iter_bits
 from .errors import independence_array
-from .oracles import ROLE_CLEAN, ROLE_DIRTY, QueryLedger
+from .oracles import KIND_IND_OF, ROLE_CLEAN, ROLE_DIRTY, QueryLedger
 
 
 class SupersetViolation(RuntimeError):
@@ -43,10 +43,13 @@ class IntersectionOracles:
         self.ledger = QueryLedger(ground.n)
 
     def query_independent(self, role, which, mask):
+        kind = KIND_IND_OF.get(which)
+        if kind is None:
+            raise ValueError(f"matroid index must be 1 or 2, got {which!r}")
         # an unknown role reaches the dirty side; the ledger rejects it unbilled
         evals = self._clean_evals if role == ROLE_CLEAN else self._dirty_evals
         answer = evals[which - 1].independent(mask)
-        self.ledger.record(role, f"ind{which}", answer, mask)
+        self.ledger.record(role, kind, answer, mask)
         return answer
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import repeat
 from typing import NamedTuple
 
 from .core import (
@@ -26,8 +27,25 @@ ROLE_DIRTY = "dirty"
 
 KIND_IND = "ind"
 KIND_RANK = "rank"
+# independence kind of each intersection matroid, by its index 1 or 2
+KIND_IND_OF = {1: "ind1", 2: "ind2"}
 
 SET_STORAGE_LIMIT = 4096  # above this n, transcript records drop the query sets
+
+# one byte per record: the index of its (role, kind) in this table
+RECORD_CODES = tuple(
+    (role, kind) for role in (ROLE_CLEAN, ROLE_DIRTY) for kind in (KIND_IND, KIND_RANK, *KIND_IND_OF.values())
+)
+# role -> kind -> (code, counter), counter 0 for clean independence, 1 for
+# clean rank and 2 for dirty queries
+_CODE_OF = {
+    role: {
+        kind: (code, 2 if role == ROLE_DIRTY else int(kind == KIND_RANK))
+        for code, (r, kind) in enumerate(RECORD_CODES)
+        if r == role
+    }
+    for role in (ROLE_CLEAN, ROLE_DIRTY)
+}
 
 
 class IncompatiblePerturbation(ValueError):
@@ -42,7 +60,11 @@ class QueryRecord(NamedTuple):
 
 
 class QueryLedger:
-    """Per-run transcript and counters of clean and dirty oracle queries."""
+    """Per-run transcript and counters of clean and dirty oracle queries.
+
+    Records are kept in columns: a code byte per record (its index in
+    RECORD_CODES), a list of answers and, up to SET_STORAGE_LIMIT, a list of
+    the query sets."""
 
     def __init__(self, n, cost_p=1):
         self.n = n
@@ -50,22 +72,43 @@ class QueryLedger:
         if self.cost_p < 1:
             raise ValueError("clean-call cost p must be >= 1")
         self.store_sets = n <= SET_STORAGE_LIMIT
-        self.transcript = []
-        self.clean_independence_count = 0
-        self.clean_rank_count = 0
-        self.dirty_count = 0
+        self._codes = bytearray()
+        self._answers = []  # a list, not bytes: a rank answer can exceed 255
+        self._masks = []
+        self._counts = [0, 0, 0]  # clean independence, clean rank, dirty
 
     def record(self, role, kind, answer, mask):
-        if role == ROLE_CLEAN:
-            if kind.startswith(KIND_RANK):
-                self.clean_rank_count += 1
-            else:
-                self.clean_independence_count += 1
-        elif role == ROLE_DIRTY:
-            self.dirty_count += 1
-        else:
+        codes = _CODE_OF.get(role)
+        if codes is None:
             raise ValueError(f"unknown oracle role {role!r}")
-        self.transcript.append(QueryRecord(role, kind, int(answer), mask if self.store_sets else None))
+        code, counter = codes[kind]
+        self._codes.append(code)
+        self._answers.append(answer)
+        if self.store_sets:
+            self._masks.append(mask)
+        self._counts[counter] += 1
+
+    @property
+    def transcript(self):
+        """Read-only view of the records: a new list of QueryRecord built
+        from the columns on each access."""
+        masks = self._masks if self.store_sets else repeat(None)
+        return [
+            QueryRecord(*RECORD_CODES[code], int(answer), mask)
+            for code, answer, mask in zip(self._codes, self._answers, masks)
+        ]
+
+    @property
+    def clean_independence_count(self):
+        return self._counts[0]
+
+    @property
+    def clean_rank_count(self):
+        return self._counts[1]
+
+    @property
+    def dirty_count(self):
+        return self._counts[2]
 
     @property
     def clean_count(self):

@@ -2,6 +2,7 @@
 the queries, and keep their state per pair, never on a spec."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -14,9 +15,11 @@ from matoracle import (
     UniformMatroid,
     greedy_basis,
     greedy_native,
+    weighted_basis,
 )
 from matoracle.bench import generate, random_instance, random_intersection_instance
 from matoracle.core import greedy_scan, iter_bits, spec_from_config
+from matoracle.intersection import build_exchange_graph, textbook_intersection
 from matoracle.oracles import ROLE_CLEAN, ROLE_DIRTY
 
 from conftest import masks
@@ -38,16 +41,22 @@ def _random_spec(rng, kind, n):
 
 def _queries(rng, spec, steps):
     """Masks near a growing independent set: one element added, one
-    exchanged, subsets of it and random sets, in random order."""
+    exchanged, two exchanged for one, a subset of it plus one element,
+    subsets of it and random sets, in random order."""
     n, full = spec.n, spec.ground.full_mask
     cur = 0
     for _ in range(steps):
         inside, outside = list(iter_bits(cur)), list(iter_bits(full & ~cur))
         op = rng.random()
-        if op < 0.4 and outside:
+        if op < 0.3 and outside:
             mask = cur | 1 << rng.choice(outside)
-        elif op < 0.65 and inside and outside:
+        elif op < 0.45 and inside and outside:
             mask = cur & ~(1 << rng.choice(inside)) | 1 << rng.choice(outside)
+        elif op < 0.55 and len(inside) >= 2 and outside:
+            x1, x2 = rng.sample(inside, 2)
+            mask = cur & ~(1 << x1 | 1 << x2) | 1 << rng.choice(outside)
+        elif op < 0.7 and outside:
+            mask = cur & rng.getrandbits(n) | 1 << rng.choice(outside)
         elif op < 0.8:
             mask = cur & rng.getrandbits(n)
         else:
@@ -166,6 +175,61 @@ def test_unknown_role_raises_and_bills_nothing():
     with pytest.raises(ValueError, match="unknown oracle role"):
         ox.query_independent("oracle", 2, 0b11)
     assert (ox.ledger.clean_count, ox.ledger.dirty_count, len(ox.ledger.transcript)) == (1, 0, 1)
+
+
+@pytest.mark.parametrize("which", [0, 3, -1])
+def test_bad_matroid_index_raises_and_bills_nothing(which):
+    ox = generate(random_intersection_instance(10, seed=2)).fresh_oracles()
+    for role in (ROLE_CLEAN, ROLE_DIRTY):
+        with pytest.raises(ValueError, match="matroid index must be 1 or 2"):
+            ox.query_independent(role, which, 0b11)
+    assert (ox.ledger.clean_count, ox.ledger.dirty_count, ox.ledger.transcript) == (0, 0, [])
+    assert all(ev.state is None for ev in ox._clean_evals + ox._dirty_evals)
+
+
+def _count_full_evaluations(monkeypatch, specs):
+    calls = []
+    for spec in specs:
+        inner = spec._class_counts
+        monkeypatch.setattr(spec, "_class_counts", lambda *args, inner=inner: calls.append(args) or inner(*args))
+    return calls
+
+
+def test_exchange_graph_needs_no_full_evaluation_after_x(monkeypatch):
+    # with each evaluator anchored at X, every row query X + y or X - x + y
+    # has at most one element outside the anchor
+    rng = random.Random(3)
+    for seed in range(6):
+        ox = generate(random_intersection_instance(rng.randint(12, 30), seed=seed)).fresh_oracles()
+        direct = lambda which, mask: ox.clean[which - 1].is_independent_mask(mask)  # noqa: E731
+        x_mask, _ = textbook_intersection(direct, ox.clean)
+        x_mask &= ~(1 << next(iter_bits(x_mask), 0))  # the optimum less one element
+        want = build_exchange_graph(direct, ox.ground.n, x_mask)
+        calls = _count_full_evaluations(monkeypatch, ox.clean)
+        for which in (1, 2):
+            assert ox.query_independent(ROLE_CLEAN, which, x_mask)
+        graph = build_exchange_graph(partial(ox.query_independent, ROLE_CLEAN), ox.ground.n, x_mask)
+        assert graph == want
+        assert len(calls) == (x_mask.bit_count() > 1) * 2
+
+
+def test_weighted_partition_scan_needs_one_full_evaluation(monkeypatch):
+    # the dirty basis is the clean max-weight basis less some elements: after
+    # the full evaluation of the dirty basis, every scan query is the
+    # working set plus one element, or a subset of it plus one element
+    rng = random.Random(9)
+    for _ in range(10):
+        n = rng.randint(10, 40)
+        spec = _random_spec(rng, "partition", n)
+        g = GroundSet(rng.sample(range(4 * n), n))  # distinct weights: one max-weight basis
+        spec = spec.rebind(g)
+        best = greedy_native(spec)
+        bd = best & rng.getrandbits(n)
+        pair = OraclePair(spec, spec, g).with_dirty_basis(bd)
+        calls = _count_full_evaluations(monkeypatch, [pair.clean])
+        out, _ = weighted_basis(bd, pair)
+        assert out.mask == best
+        assert len(calls) == (bd.bit_count() > 1)
 
 
 def test_intersection_oracles_answer_as_the_specs():

@@ -17,7 +17,7 @@ from matoracle import (
     verify_certificate,
 )
 from matoracle.core import ExplicitSystem, iter_bits
-from matoracle.oracles import ROLE_CLEAN, ROLE_DIRTY
+from matoracle.oracles import ROLE_CLEAN, ROLE_DIRTY, SET_STORAGE_LIMIT, QueryRecord
 
 from conftest import fresh, make_pair, masks
 
@@ -118,6 +118,46 @@ class TestLedger:
         led.record(ROLE_CLEAN, "ind", True, 0b1)
         assert led.transcript[0].mask is None
         assert led.clean_independence_count == 1
+
+    @pytest.mark.parametrize("n", [12, SET_STORAGE_LIMIT + 1])
+    def test_columns_match_a_record_list(self, n):
+        # the columns give back what a list of QueryRecord tuples would hold
+        rng = random.Random(n)
+        led = QueryLedger(n)
+        kinds = ["ind", "rank", "ind1", "ind2"]
+        want = []
+        for _ in range(300):
+            role, kind = rng.choice([ROLE_CLEAN, ROLE_DIRTY]), rng.choice(kinds)
+            answer = rng.randrange(n) if kind == "rank" else rng.random() < 0.5
+            mask = rng.getrandbits(n)
+            led.record(role, kind, answer, mask)
+            want.append(QueryRecord(role, kind, int(answer), mask if n <= SET_STORAGE_LIMIT else None))
+        assert led.transcript == want
+        assert all(type(rec.answer) is int for rec in led.transcript)
+        assert led.export_lines() == [
+            f"{seq},{r.role},{r.kind},{r.answer},{'-' if r.mask is None else format(r.mask, 'x')}"
+            for seq, r in enumerate(want)
+        ]
+        clean = [r for r in want if r.role == ROLE_CLEAN]
+        assert led.clean_rank_count == sum(r.kind == "rank" for r in clean)
+        assert led.clean_independence_count == len(clean) - led.clean_rank_count
+        assert led.dirty_count == len(want) - len(clean)
+
+    def test_rank_answer_above_a_byte(self):
+        g = GroundSet.unit(400)
+        pair = OraclePair(UniformMatroid(g, 300), UniformMatroid(g, 300), g)
+        assert pair.query_rank(ROLE_CLEAN, g.full_mask) == 300
+        assert pair.ledger.transcript == [QueryRecord(ROLE_CLEAN, "rank", 300, g.full_mask)]
+        assert pair.ledger.export_lines() == [f"0,clean,rank,300,{g.full_mask:x}"]
+
+    def test_unknown_role_leaves_the_columns(self):
+        led = QueryLedger(8)
+        led.record(ROLE_DIRTY, "ind2", False, 0b11)
+        before = (bytes(led._codes), list(led._answers), list(led._masks), list(led._counts))
+        with pytest.raises(ValueError, match="unknown oracle role"):
+            led.record("oracle", "ind", True, 0b1)
+        assert (bytes(led._codes), led._answers, led._masks, led._counts) == before
+        assert led.transcript == [QueryRecord(ROLE_DIRTY, "ind2", 0, 0b11)]
 
 
 class TestBilledRank:
