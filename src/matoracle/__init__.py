@@ -41,6 +41,7 @@ from .intersection import (
     build_exchange_graph,
     dirty_intersection,
     textbook_intersection,
+    unbilled_rows,
     warm_start,
 )
 from .oracles import (

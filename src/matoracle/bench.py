@@ -32,6 +32,7 @@ from .intersection import (
     SupersetViolation,
     dirty_intersection,
     textbook_intersection,
+    unbilled_rows,
     warm_start,
 )
 from .oracles import (
@@ -737,10 +738,7 @@ def _intersection_trial(gen, algorithm):
     # unbilled: a clean common independent output starts the clean reference,
     # which then needs one graph build per augmentation left plus one
     clean_common = x is not None and all(c.is_independent_mask(x.mask) for c in ox.clean)
-    evals = tuple(c.evaluator() for c in ox.clean)
-    optimum, _ = textbook_intersection(
-        lambda which, mask: evals[which - 1].independent(mask), ox.clean, x.mask if clean_common else 0
-    )
+    optimum, _ = textbook_intersection(unbilled_rows(ox.clean), ox.clean, x.mask if clean_common else 0)
     if x is not None:
         if algorithm == "intersect-dirty":
             correct = clean_common and len(x) == optimum.bit_count()

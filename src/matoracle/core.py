@@ -186,8 +186,8 @@ class MatroidSpec:
         raise NotImplementedError
 
     def evaluator(self):
-        """A fresh per-run evaluator with independent(mask) and rank(mask)
-        that answer as this spec does.  A kind without kept state is its own
+        """A fresh per-run evaluator with independent(mask), rank(mask) and
+        row(x_mask, inside, y) that answer as this spec does.  A kind without kept state is its own
         evaluator; kinds with kept state override this."""
         return self
 
@@ -196,6 +196,14 @@ class MatroidSpec:
 
     def rank(self, mask):
         return self.rank_mask(mask)
+
+    def row(self, x_mask, inside, y):
+        """Exchange-graph row of y, an element outside X = x_mask, as a new
+        list: the independence of X + y, then of X + y - x for each x of
+        inside, X's elements in ascending order."""
+        grown = x_mask | 1 << y
+        independent = self.independent
+        return [independent(grown), *[independent(grown ^ 1 << x) for x in inside]]
 
     def rebind(self, ground):
         """Same independence rule over a reordered copy of the ground set."""
@@ -459,9 +467,14 @@ class _AnchoredEvaluator:
         # one element over an independent set adds at most one to the rank
         return mask.bit_count() - (not known)
 
+    row = MatroidSpec.row
+
 
 class _PartitionEvaluator(_AnchoredEvaluator):
-    """State: the anchor's count per class; plus an element -> class table."""
+    """State: the anchor's count per class; plus an element -> class table.
+
+    Rows are answered from the count per class of their X, computed once per
+    X and kept apart from the anchor."""
 
     def _start(self):
         spec = self.spec
@@ -471,6 +484,25 @@ class _PartitionEvaluator(_AnchoredEvaluator):
                 class_of[e] = i
         self.class_of, self.class_masks, self.caps = class_of, spec.class_masks, spec.caps
         self.state = [0] * len(spec.caps)
+        self._row_x, self._row_counts, self._row_classes = None, None, None
+
+    def row(self, x_mask, inside, y):
+        if self.state is None:
+            self._start()
+        if x_mask != self._row_x:
+            counts = self.spec._class_counts(x_mask, stop_over_cap=True)
+            self._row_x, self._row_counts = x_mask, counts
+            self._row_classes = None if counts is None else [self.class_of[x] for x in inside]
+        counts = self._row_counts
+        if counts is None:
+            # X is over a cap: removing x can repair it, so ask each set
+            return _AnchoredEvaluator.row(self, x_mask, inside, y)
+        # X is independent: X + y is independent iff y's class has room, and
+        # X + y - x also when x shares y's class
+        c = self.class_of[y]
+        if counts[c] < self.caps[c]:
+            return [True] * (len(inside) + 1)
+        return [False, *[cx == c for cx in self._row_classes]]
 
     def _evaluate(self, mask, stop_if_dependent):
         counts = self.spec._class_counts(mask, stop_if_dependent)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -29,28 +30,68 @@ class IntersectionOracles:
     """Two clean (and optionally two dirty) matroids billing into one ledger."""
 
     def __init__(self, ground, clean1, clean2, dirty1=None, dirty2=None):
+        if (dirty1 is None) != (dirty2 is None):
+            raise ValueError("dirty oracles come in pairs: pass both dirty1 and dirty2 or neither")
         for spec in (clean1, clean2, dirty1, dirty2):
             if spec is not None and spec.n != ground.n:
                 raise ValueError("oracles and ground set disagree on n")
         self.ground = ground
         self.clean = (clean1.rebind(ground), clean2.rebind(ground))
         self.dirty = None
-        if dirty1 is not None and dirty2 is not None:
+        if dirty1 is not None:
             self.dirty = (dirty1.rebind(ground), dirty2.rebind(ground))
         # per-run evaluators: kept state never outlives these oracles
         self._clean_evals = tuple(spec.evaluator() for spec in self.clean)
         self._dirty_evals = self.dirty and tuple(spec.evaluator() for spec in self.dirty)
         self.ledger = QueryLedger(ground.n)
 
+    def _evals(self, role):
+        """The evaluators of role; a ValueError, before anything is billed,
+        for an unknown role or dirty oracles that were never given."""
+        if role == ROLE_CLEAN:
+            return self._clean_evals
+        if role != ROLE_DIRTY:
+            raise ValueError(f"unknown oracle role {role!r}")
+        if self._dirty_evals is None:
+            raise ValueError("dirty query to intersection oracles built without dirty oracles")
+        return self._dirty_evals
+
     def query_independent(self, role, which, mask):
         kind = KIND_IND_OF.get(which)
         if kind is None:
             raise ValueError(f"matroid index must be 1 or 2, got {which!r}")
-        # an unknown role reaches the dirty side; the ledger rejects it unbilled
-        evals = self._clean_evals if role == ROLE_CLEAN else self._dirty_evals
-        answer = evals[which - 1].independent(mask)
+        answer = self._evals(role)[which - 1].independent(mask)
         self.ledger.record(role, kind, answer, mask)
         return answer
+
+    def query_row(self, role, x_mask, inside, y, known_false=((), ())):
+        """Billed exchange-graph row of y in both matroids: the answers of
+        matroid 1 and of matroid 2 for X + y, then X + y - x for each x of
+        inside (X's elements ascending), billed set by set, ind1 then ind2.
+
+        known_false holds, per matroid, sets answered dependent without a
+        query: a row that holds one leaves its record out."""
+        eval1, eval2 = self._evals(role)
+        grown = x_mask | 1 << y
+        masks = [grown, *[grown ^ 1 << x for x in inside]]
+        answers = (eval1.row(x_mask, inside, y), eval2.row(x_mask, inside, y))
+        unbilled = []
+        for k, fs in enumerate(known_false):
+            for f in fs:
+                # f is X + y or X + y - x
+                if f >> y & 1 and f | grown == grown and (grown ^ f).bit_count() <= 1:
+                    i = masks.index(f)
+                    answers[k][i] = False
+                    unbilled.append(2 * i + k)
+        self.ledger.record_row(role, *answers, masks, unbilled)
+        return answers
+
+
+def unbilled_rows(specs):
+    """Row test of build_exchange_graph answered, unbilled, by fresh
+    evaluators of the two matroid specs."""
+    eval1, eval2 = (spec.evaluator() for spec in specs)
+    return lambda x_mask, inside, y: (eval1.row(x_mask, inside, y), eval2.row(x_mask, inside, y))
 
 
 class ExchangeGraph(NamedTuple):
@@ -66,28 +107,28 @@ class ExchangeGraph(NamedTuple):
     y2: list
 
 
-def build_exchange_graph(independent, n, x_mask):
-    """Exchange graph of X over elements 0..n-1 through the billed test
-    independent(which, mask) of matroid which in {1, 2}; a set the test calls
-    dependent produces no arc and no source/sink membership.  Calls the test
-    2|X|(n-|X|) + 2(n-|X|) times."""
-    outside = [e for e in range(n) if not x_mask >> e & 1]
+def build_exchange_graph(row, n, x_mask):
+    """Exchange graph of X over elements 0..n-1 through the row test
+    row(x_mask, inside, y), which returns the answers of matroid 1 and of
+    matroid 2 for X + y and then X + y - x for each x of inside, X's elements
+    ascending; a set answered dependent produces no arc and no source/sink
+    membership.  Calls the test once per y outside X, n - |X| rows of
+    2(|X| + 1) answers."""
     inside = list(iter_bits(x_mask))
     arcs_out = {e: [] for e in range(n)}
     y1, y2 = [], []
-    # y ascends in the outer loop and x in the inner one: every list ascends
-    for y in outside:
-        grown = x_mask | 1 << y
-        if independent(1, grown):
+    # y ascends in the outer loop and x in each row: every list ascends
+    for y in range(n):
+        if x_mask >> y & 1:
+            continue
+        answers1, answers2 = row(x_mask, inside, y)
+        if answers1[0]:
             y1.append(y)
-        if independent(2, grown):
+        if answers2[0]:
             y2.append(y)
-        for x in inside:
-            swapped = grown & ~(1 << x)
-            if independent(1, swapped):
-                arcs_out[x].append(y)
-            if independent(2, swapped):
-                arcs_out[y].append(x)
+        arcs_out[y] = list(compress(inside, answers2[1:]))
+        for x in compress(inside, answers1[1:]):
+            arcs_out[x].append(y)
     return ExchangeGraph(arcs_out, y1, y2)
 
 
@@ -127,15 +168,15 @@ def shortest_augmenting_path(graph):
     return path
 
 
-def textbook_intersection(independent, specs, x_mask=0):
+def textbook_intersection(row, specs, x_mask=0):
     """Shortest-augmenting-path matroid intersection from the start set X.
 
-    independent(which, mask) is the test of matroid which in {1, 2}, and
-    specs are those two matroids; they check, unbilled, that the start and
-    every augmented X are independent in both (ValueError for a start that
-    is not).  Any common independent start reaches a maximum one: X is
-    optimal exactly when its exchange graph has no y1 -> y2 path, so an
-    optimal start costs one graph build.
+    row is the row test of build_exchange_graph, and specs are its two
+    matroids; they check, unbilled, that the start and every augmented X are
+    independent in both (ValueError for a start that is not).  Any common
+    independent start reaches a maximum one: X is optimal exactly when its
+    exchange graph has no y1 -> y2 path, so an optimal start costs one graph
+    build.
 
     Returns (x_mask, u_mask).  U is the set of elements with a directed
     path to y2 (E or the empty set on the degenerate exits), and it certifies
@@ -145,7 +186,7 @@ def textbook_intersection(independent, specs, x_mask=0):
     if x_mask & ~g.full_mask or not all(spec.is_independent_mask(x_mask) for spec in specs):
         raise ValueError(f"start set {x_mask:#x} is not independent in both matroids")
     while True:
-        graph = build_exchange_graph(independent, g.n, x_mask)
+        graph = build_exchange_graph(row, g.n, x_mask)
         if not graph.y1:
             return x_mask, g.full_mask
         if not graph.y2:
@@ -234,14 +275,14 @@ def dirty_intersection(ox):
                 f"set {m:#x} is clean-independent but dirty-dependent in matroid {1 if bad[0][m] else 2}"
             )
     false_sets = ({}, {})  # insertion-ordered, one per matroid
-
-    def independent(which, mask):
-        # a set already found false is dependent without a query
-        return mask not in false_sets[which - 1] and ox.query_independent(ROLE_DIRTY, which, mask)
-
     x_mask = 0
     while True:
-        graph = build_exchange_graph(independent, g.n, x_mask)
+        # a set already found false is dependent without a query; it lies in
+        # a row of X only as X + y or X + y - x
+        near = tuple(
+            [f for f in fs if (f & ~x_mask).bit_count() == 1 and (x_mask & ~f).bit_count() <= 1] for fs in false_sets
+        )
+        graph = build_exchange_graph(partial(ox.query_row, ROLE_DIRTY, known_false=near), g.n, x_mask)
         path = shortest_augmenting_path(graph)
         if path is None:
             return ElementSet(g.n, x_mask), ox.ledger, (list(false_sets[0]), list(false_sets[1]))
@@ -268,7 +309,7 @@ def warm_start(ox):
     g = ox.ground
     if ox.dirty is None:
         raise ValueError("dirty oracles are required")
-    cur, _ = textbook_intersection(partial(ox.query_independent, ROLE_DIRTY), ox.dirty)
+    cur, _ = textbook_intersection(partial(ox.query_row, ROLE_DIRTY), ox.dirty)
     for which in (1, 2):
         cur = alg._strip_dirty_basis(partial(ox.query_independent, ROLE_CLEAN, which), g, cur)
     return ElementSet(g.n, cur), ox.ledger

@@ -88,6 +88,32 @@ class QueryLedger:
             self._masks.append(mask)
         self._counts[counter] += 1
 
+    def record_row(self, role, answers1, answers2, masks, unbilled=()):
+        """One exchange-graph row pair as one append per column: for each set
+        of masks in order, its ind1 record and then its ind2 record, with
+        answers1 and answers2 the answers of matroid 1 and 2 (masks is read
+        only when the ledger stores sets).  unbilled lists the positions, in
+        that record order, of records left out."""
+        codes = _CODE_OF.get(role)
+        if codes is None:
+            raise ValueError(f"unknown oracle role {role!r}")
+        code1, counter = codes[KIND_IND_OF[1]]
+        code2, _ = codes[KIND_IND_OF[2]]
+        # every interleaved column is built before any column grows
+        row_codes = bytearray((code1, code2)) * len(answers1)
+        answers = [None] * len(row_codes)
+        answers[::2], answers[1::2] = answers1, answers2
+        sets = [None] * len(row_codes)
+        if self.store_sets:
+            sets[::2] = sets[1::2] = masks
+        for p in sorted(unbilled, reverse=True):
+            del row_codes[p], answers[p], sets[p]
+        self._codes += row_codes
+        self._answers += answers
+        if self.store_sets:
+            self._masks += sets
+        self._counts[counter] += len(answers)
+
     @property
     def transcript(self):
         """Read-only view of the records: a new list of QueryRecord built

@@ -28,6 +28,7 @@ from matoracle import (
     robust_weighted_basis,
     simple_basis,
     textbook_intersection,
+    unbilled_rows,
     verify_certificate,
     warm_start,
     weighted_basis,
@@ -319,7 +320,7 @@ def test_criterion_09_intersection_props():
         ox = gen.fresh_oracles()
         eta = compute_intersection_errors(ox.dirty[0], ox.dirty[1], ox.clean[0], ox.clean[1])
         # unbilled: the reference must not reach ox's ledger
-        optimum, _ = textbook_intersection(lambda which, mask: ox.clean[which - 1].independent(mask), ox.clean)
+        optimum, _ = textbook_intersection(unbilled_rows(ox.clean), ox.clean)
         x, led, _ = dirty_intersection(ox)
         assert len(x) == optimum.bit_count()
         cap = (len(x) + 1) * (2 + (eta.eta_1 + eta.eta_2) * (ceil_log2(n) + 2))

@@ -10,6 +10,7 @@ from matoracle import (
     ExplicitSystem,
     GraphicMatroid,
     GroundSet,
+    IntersectionOracles,
     OraclePair,
     PartitionMatroid,
     UniformMatroid,
@@ -20,7 +21,7 @@ from matoracle import (
 from matoracle.bench import generate, random_instance, random_intersection_instance
 from matoracle.core import greedy_scan, iter_bits, spec_from_config
 from matoracle.intersection import build_exchange_graph, textbook_intersection
-from matoracle.oracles import ROLE_CLEAN, ROLE_DIRTY
+from matoracle.oracles import ROLE_CLEAN, ROLE_DIRTY, QueryRecord
 
 from conftest import masks
 
@@ -191,26 +192,26 @@ def _count_full_evaluations(monkeypatch, specs):
     calls = []
     for spec in specs:
         inner = spec._class_counts
-        monkeypatch.setattr(spec, "_class_counts", lambda *args, inner=inner: calls.append(args) or inner(*args))
+        monkeypatch.setattr(
+            spec, "_class_counts", lambda mask, *args, inner=inner, **kw: calls.append(mask) or inner(mask, *args, **kw)
+        )
     return calls
 
 
 def test_exchange_graph_needs_no_full_evaluation_after_x(monkeypatch):
-    # with each evaluator anchored at X, every row query X + y or X - x + y
-    # has at most one element outside the anchor
+    # a partition evaluator answers every row from X's count per class, so
+    # the whole graph costs one full count of X per matroid
     rng = random.Random(3)
     for seed in range(6):
         ox = generate(random_intersection_instance(rng.randint(12, 30), seed=seed)).fresh_oracles()
-        direct = lambda which, mask: ox.clean[which - 1].is_independent_mask(mask)  # noqa: E731
+        direct = lambda x, inside, y: tuple(spec.row(x, inside, y) for spec in ox.clean)  # noqa: E731
         x_mask, _ = textbook_intersection(direct, ox.clean)
         x_mask &= ~(1 << next(iter_bits(x_mask), 0))  # the optimum less one element
         want = build_exchange_graph(direct, ox.ground.n, x_mask)
         calls = _count_full_evaluations(monkeypatch, ox.clean)
-        for which in (1, 2):
-            assert ox.query_independent(ROLE_CLEAN, which, x_mask)
-        graph = build_exchange_graph(partial(ox.query_independent, ROLE_CLEAN), ox.ground.n, x_mask)
+        graph = build_exchange_graph(partial(ox.query_row, ROLE_CLEAN), ox.ground.n, x_mask)
         assert graph == want
-        assert len(calls) == (x_mask.bit_count() > 1) * 2
+        assert calls == [x_mask] * 2
 
 
 def test_weighted_partition_scan_needs_one_full_evaluation(monkeypatch):
@@ -271,3 +272,69 @@ def test_stateless_spec_is_its_own_evaluator(kind, monkeypatch):
     assert pair.query_independent(ROLE_DIRTY, 0b11) == (kind != "predicted_basis")
     assert pair.query_rank(ROLE_DIRTY, 0b111) == 2
     assert seen[:2] == ["is_independent_mask", "rank_mask"]
+
+
+def _row_masks(x_mask, y):
+    grown = x_mask | 1 << y
+    return [grown, *[grown ^ 1 << x for x in iter_bits(x_mask)]]
+
+
+def _full_class_start(rng, spec):
+    """An independent X of the partition spec with some classes at their cap:
+    a random subset of a basis, with a random choice of classes kept whole."""
+    basis = greedy_native(spec)
+    keep = sum(m for m in spec.class_masks if rng.random() < 0.5)
+    return basis & (keep | rng.getrandbits(spec.n))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_partition_row_matches_the_spec(seed):
+    # X independent or one over a cap (the row falls back to a query per
+    # set), and y in a class with room or in a full class; the evaluator
+    # also answers single queries between rows
+    rng = random.Random(f"row:{seed}")
+    seen = set()
+    for _ in range(40):
+        spec = _random_spec(rng, "partition", rng.randint(2, 40))
+        ev = spec.evaluator()
+        for _ in range(4):
+            x_mask = _full_class_start(rng, spec)
+            room = [(x_mask & m).bit_count() < c for m, c in zip(spec.class_masks, spec.caps)]
+            addable = [e for i, m in enumerate(spec.class_masks) for e in iter_bits(m & ~x_mask) if not room[i]]
+            over = bool(addable) and rng.random() < 0.4
+            if over:
+                x_mask |= 1 << rng.choice(addable)
+            inside = list(iter_bits(x_mask))
+            for y in iter_bits(spec.ground.full_mask & ~x_mask):
+                c = next(i for i, m in enumerate(spec.class_masks) if m >> y & 1)
+                seen.add((over, room[c]))
+                assert ev.row(x_mask, inside, y) == [spec.is_independent_mask(m) for m in _row_masks(x_mask, y)]
+                mask = rng.getrandbits(spec.n)
+                assert ev.independent(mask) == spec.is_independent_mask(mask)
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("kind", ["graphic", "uniform"])
+def test_generic_row_matches_the_spec(kind):
+    # a pair of one kind through the billed row: the answers and the records,
+    # ind1 then ind2 set by set, are those of the specs
+    rng = random.Random(f"row:{kind}")
+    for _ in range(20):
+        n = rng.randint(2, 30)
+        specs = (_random_spec(rng, kind, n), _random_spec(rng, kind, n))
+        ox = IntersectionOracles(specs[0].ground, *specs)
+        want_records = []
+        for _ in range(3):
+            # a subset of a basis of matroid 1, or any set
+            x_mask = rng.getrandbits(n) & (greedy_native(ox.clean[0]) if rng.random() < 0.7 else -1)
+            inside = list(iter_bits(x_mask))
+            for y in iter_bits(ox.ground.full_mask & ~x_mask):
+                sets = _row_masks(x_mask, y)
+                want = tuple([spec.is_independent_mask(m) for m in sets] for spec in ox.clean)
+                assert ox.query_row(ROLE_CLEAN, x_mask, inside, y) == want
+                want_records += [
+                    QueryRecord(ROLE_CLEAN, f"ind{w}", int(want[w - 1][i]), m)
+                    for i, m in enumerate(sets)
+                    for w in (1, 2)
+                ]
+        assert ox.ledger.transcript == want_records

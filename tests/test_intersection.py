@@ -15,10 +15,13 @@ from matoracle import (
     compute_intersection_errors,
     dirty_intersection,
     textbook_intersection,
+    unbilled_rows,
     warm_start,
 )
+from matoracle import intersection
+from matoracle.bench import generate, random_intersection_instance
 from matoracle.core import iter_bits
-from matoracle.intersection import shortest_augmenting_path
+from matoracle.intersection import ExchangeGraph, _locate_false_set, shortest_augmenting_path
 from matoracle.oracles import ROLE_CLEAN, ROLE_DIRTY
 
 from conftest import masks
@@ -61,11 +64,11 @@ def random_pair_instance(rng, n, raises=2):
 
 
 def clean_textbook(ox, x_mask=0):
-    return textbook_intersection(partial(ox.query_independent, ROLE_CLEAN), ox.clean, x_mask)
+    return textbook_intersection(partial(ox.query_row, ROLE_CLEAN), ox.clean, x_mask)
 
 
 def clean_graph(ox, x_mask):
-    return build_exchange_graph(partial(ox.query_independent, ROLE_CLEAN), ox.ground.n, x_mask)
+    return build_exchange_graph(partial(ox.query_row, ROLE_CLEAN), ox.ground.n, x_mask)
 
 
 def _first_superset_violation(ox):
@@ -118,14 +121,14 @@ class TestExchangeGraph:
         ox = IntersectionOracles(g, c1, c2, c1, c2)
         x = 0b001
         forbidden = x & ~0b001 | 0b010  # the swap set {1}
-
-        def excluding(which, mask):
-            return not (which == 1 and mask == forbidden) and ox.query_independent(ROLE_DIRTY, which, mask)
-
-        full = build_exchange_graph(partial(ox.query_independent, ROLE_DIRTY), 3, x)
-        pruned = build_exchange_graph(excluding, 3, x)
+        full = build_exchange_graph(partial(ox.query_row, ROLE_DIRTY), 3, x)
+        billed = len(ox.ledger.transcript)
+        pruned = build_exchange_graph(partial(ox.query_row, ROLE_DIRTY, known_false=({forbidden}, ())), 3, x)
         assert set(full.arcs_out[0]) - set(pruned.arcs_out[0]) == {1}
         assert pruned.arcs_out[1] == full.arcs_out[1]
+        # the excluded set is answered unbilled; every other record repeats
+        full_records, pruned_records = ox.ledger.transcript[:billed], ox.ledger.transcript[billed:]
+        assert pruned_records == [r for r in full_records if (r.kind, r.mask) != ("ind1", forbidden)]
 
     def test_random_pairs_match_direct_evaluation(self):
         # every list ascends without a sort, and holds exactly the elements
@@ -456,10 +459,197 @@ class TestWarmStart:
         removed = 0
         for _ in range(60):
             ox = random_pair_instance(rng, rng.randint(2, 10))
-            s_d, _ = textbook_intersection(partial(ox.query_independent, ROLE_DIRTY), ox.dirty)
+            s_d, _ = textbook_intersection(partial(ox.query_row, ROLE_DIRTY), ox.dirty)
             removals.clear()
             s, _ = warm_start(ox)
             assert len(removals) == s_d.bit_count() - len(s)
             assert set(removals) == set(iter_bits(s_d)) - set(s)
             removed += len(removals)
         assert removed > 0
+
+
+class TestIntersectionOraclesFailLoudly:
+    def oracles(self, with_dirty):
+        g = GroundSet.unit(4)
+        c1, c2 = UniformMatroid(g, 2), PartitionMatroid(g, masks([0, 1], [2, 3]), [1, 1])
+        return IntersectionOracles(g, c1, c2, *((c1, c2) if with_dirty else ()))
+
+    @pytest.mark.parametrize(
+        "with_dirty, role, match",
+        [
+            (False, ROLE_DIRTY, "built without dirty oracles"),
+            (False, "oracle", "unknown oracle role"),
+            (True, "oracle", "unknown oracle role"),
+        ],
+    )
+    def test_bad_role_raises_and_bills_nothing(self, with_dirty, role, match):
+        ox = self.oracles(with_dirty)
+        with pytest.raises(ValueError, match=match):
+            ox.query_independent(role, 1, 0b1)
+        with pytest.raises(ValueError, match=match):
+            ox.query_row(role, 0b1, [0], 2)
+        assert (ox.ledger.clean_count, ox.ledger.dirty_count, ox.ledger.transcript) == (0, 0, [])
+
+    def test_one_dirty_oracle_raises(self):
+        g = GroundSet.unit(3)
+        c = UniformMatroid(g, 1)
+        for dirty in ({"dirty1": c}, {"dirty2": c}):
+            with pytest.raises(ValueError, match="dirty oracles come in pairs"):
+                IntersectionOracles(g, c, c, **dirty)
+
+
+def per_query_graph(independent, n, x_mask):
+    """Reference for row builds: the exchange graph through one call of
+    independent(which, mask) per set, in the order a row bills them."""
+    outside = [e for e in range(n) if not x_mask >> e & 1]
+    inside = list(iter_bits(x_mask))
+    arcs_out = {e: [] for e in range(n)}
+    y1, y2 = [], []
+    for y in outside:
+        grown = x_mask | 1 << y
+        if independent(1, grown):
+            y1.append(y)
+        if independent(2, grown):
+            y2.append(y)
+        for x in inside:
+            swapped = grown & ~(1 << x)
+            if independent(1, swapped):
+                arcs_out[x].append(y)
+            if independent(2, swapped):
+                arcs_out[y].append(x)
+    return ExchangeGraph(arcs_out, y1, y2)
+
+
+def per_query_dirty_intersection(ox):
+    """dirty_intersection over per_query_graph: (X, graphs, (F1, F2))."""
+    false_sets = ({}, {})
+
+    def independent(which, mask):
+        return mask not in false_sets[which - 1] and ox.query_independent(ROLE_DIRTY, which, mask)
+
+    graphs, x_mask = [], 0
+    while True:
+        graphs.append(per_query_graph(independent, ox.ground.n, x_mask))
+        path = shortest_augmenting_path(graphs[-1])
+        if path is None:
+            return x_mask, graphs, tuple(map(list, false_sets))
+        flipped = x_mask
+        for v in path:
+            flipped ^= 1 << v
+        ok1 = ox.query_independent(ROLE_CLEAN, 1, flipped)
+        ok2 = ox.query_independent(ROLE_CLEAN, 2, flipped)
+        if ok1 and ok2:
+            x_mask = flipped
+        else:
+            which = 1 if not ok1 else 2
+            _locate_false_set(ox, x_mask, path, which, false_sets[which - 1])
+
+
+class TestRowsMatchPerQueryBuilds:
+    """Above the golden grid, the graphs and transcripts of row builds equal
+    those of builds with one query per set."""
+
+    @staticmethod
+    def instances():
+        """Fresh-oracle factories at n = 48 and 64, most of whose runs find
+        false sets (seed 3 at n = 48 finds 282 and takes seconds)."""
+        for n, seed in ((48, 0), (48, 5), (48, 11), (64, 0), (64, 1), (64, 3)):
+            yield generate(random_intersection_instance(n, seed=seed, cap_raises=2)).fresh_oracles
+
+    @staticmethod
+    def recording_builds(monkeypatch):
+        """(x_mask, graph) of every build through the module attribute."""
+        builds = []
+        inner = intersection.build_exchange_graph
+
+        def recording(row, n, x_mask):
+            builds.append((x_mask, inner(row, n, x_mask)))
+            return builds[-1][1]
+
+        monkeypatch.setattr(intersection, "build_exchange_graph", recording)
+        return builds
+
+    def test_dirty_intersection(self, monkeypatch):
+        found = 0
+        for fresh in self.instances():
+            want_ox, ox = fresh(), fresh()
+            want = per_query_dirty_intersection(want_ox)
+            builds = self.recording_builds(monkeypatch)
+            x, _, false_sets = dirty_intersection(ox)
+            monkeypatch.undo()
+            assert (x.mask, [graph for _, graph in builds], false_sets) == want
+            assert ox.ledger.export_lines() == want_ox.ledger.export_lines()
+            found += bool(false_sets[0] or false_sets[1])
+        assert found
+
+    def test_warm_start(self, monkeypatch):
+        for fresh in self.instances():
+            want_ox, ox = fresh(), fresh()
+            want_builds = []
+
+            def per_query(row, n, x_mask):
+                want_builds.append((x_mask, per_query_graph(partial(want_ox.query_independent, ROLE_DIRTY), n, x_mask)))
+                return want_builds[-1][1]
+
+            monkeypatch.setattr(intersection, "build_exchange_graph", per_query)
+            want = warm_start(want_ox)[0]
+            monkeypatch.undo()
+            builds = self.recording_builds(monkeypatch)
+            assert warm_start(ox)[0] == want
+            monkeypatch.undo()
+            assert builds == want_builds
+            assert ox.ledger.export_lines() == want_ox.ledger.export_lines()
+
+    def test_dirty_dependent_x_with_known_false_sets(self):
+        # X is clean-independent but one over a dirty cap in each matroid, so
+        # the partition rows ask each set; some of its rows hold known false
+        # sets, billed by neither build
+        rng = random.Random(48)
+        for n in (48, 64):
+            ox = generate(random_intersection_instance(n, seed=n, cap_raises=2)).fresh_oracles()
+            x_mask, _ = textbook_intersection(unbilled_rows(ox.clean), ox.clean)
+            lowered = []
+            for d in ox.dirty:
+                counts = [(x_mask & m).bit_count() for m in d.class_masks]
+                i = rng.choice([i for i, k in enumerate(counts) if k])
+                caps = [*d.caps[:i], counts[i] - 1, *d.caps[i + 1 :]]
+                lowered.append(PartitionMatroid(ox.ground, d.class_masks, caps))
+            assert not any(d.is_independent_mask(x_mask) for d in lowered)
+            want_ox, got_ox = (IntersectionOracles(ox.ground, *ox.clean, *lowered) for _ in range(2))
+            inside = list(iter_bits(x_mask))
+            outside = list(iter_bits(ox.ground.full_mask & ~x_mask))
+            # per matroid, one X + y and three X + y - x with distinct y
+            known = tuple(
+                [x_mask | 1 << rng.choice(outside)]
+                + [x_mask & ~(1 << rng.choice(inside)) | 1 << y for y in rng.sample(outside, 3)]
+                for _ in range(2)
+            )
+
+            def independent(which, mask):
+                return mask not in known[which - 1] and want_ox.query_independent(ROLE_DIRTY, which, mask)
+
+            want = per_query_graph(independent, n, x_mask)
+            got = build_exchange_graph(partial(got_ox.query_row, ROLE_DIRTY, known_false=known), n, x_mask)
+            assert got == want
+            assert got_ox.ledger.export_lines() == want_ox.ledger.export_lines()
+            assert len(got_ox.ledger.transcript) == 2 * (len(inside) + 1) * len(outside) - 8
+
+
+def test_partition_rows_count_classes_once_per_x(monkeypatch):
+    # each dirty evaluator counts the classes of each X once for all its rows,
+    # and a clean query costs at most one count; a count per record would
+    # exceed the bound, and rows asked set by set would fall below it
+    ox = generate(random_intersection_instance(64, seed=3, cap_raises=2)).fresh_oracles()
+    counted = []
+    inner = PartitionMatroid._class_counts
+    monkeypatch.setattr(
+        PartitionMatroid,
+        "_class_counts",
+        lambda self, mask, *args, **kw: counted.append(mask) or inner(self, mask, *args, **kw),
+    )
+    builds = TestRowsMatchPerQueryBuilds.recording_builds(monkeypatch)
+    _, led, _ = dirty_intersection(ox)
+    xs = {x_mask for x_mask, _ in builds}
+    assert len(builds) > len(xs) > 10
+    assert 2 * len(xs) <= len(counted) <= 2 * len(xs) + led.clean_count
+    assert led.dirty_count > 100 * len(counted)

@@ -158,6 +158,28 @@ class TestLedger:
             led.record("oracle", "ind", True, 0b1)
         assert (bytes(led._codes), led._answers, led._masks, led._counts) == before
         assert led.transcript == [QueryRecord(ROLE_DIRTY, "ind2", 0, 0b11)]
+        with pytest.raises(ValueError, match="unknown oracle role"):
+            led.record_row("oracle", [True], [False], [0b1])
+        assert (bytes(led._codes), led._answers, led._masks, led._counts) == before
+
+    @pytest.mark.parametrize("n", [12, SET_STORAGE_LIMIT + 1])
+    def test_row_equals_its_records(self, n):
+        # one row pair bills as its records one by one, ind1 then ind2 per
+        # set, less the unbilled positions of that order
+        rng = random.Random(n)
+        by_row, by_record = QueryLedger(n), QueryLedger(n)
+        for _ in range(40):
+            role, size = rng.choice([ROLE_CLEAN, ROLE_DIRTY]), rng.randint(1, 8)
+            masks = [rng.getrandbits(n) for _ in range(size)]
+            answers = [[rng.random() < 0.5 for _ in range(size)] for _ in range(2)]
+            unbilled = rng.sample(range(2 * size), rng.randint(0, 2))
+            by_row.record_row(role, *answers, masks, unbilled)
+            for i, mask in enumerate(masks):
+                for k in (0, 1):
+                    if 2 * i + k not in unbilled:
+                        by_record.record(role, f"ind{k + 1}", answers[k][i], mask)
+        assert by_row.transcript == by_record.transcript
+        assert (by_row.clean_count, by_row.dirty_count) == (by_record.clean_count, by_record.dirty_count)
 
 
 class TestBilledRank:
