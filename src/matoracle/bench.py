@@ -247,7 +247,7 @@ def generate(spec):
 # instance families
 
 
-def _family_lb_basic(n, r, **_):
+def _family_lb_basic(n, r, seed=0):
     """Two-class partition matroid whose bases are C1 plus one C2 element."""
     if not 1 <= r <= n:
         raise InvalidSpec("family.r", "need 1 <= r <= n")
@@ -257,7 +257,7 @@ def _family_lb_basic(n, r, **_):
     return matroid, {"mode": "identity"}, {"eta_A": 0, "eta_R": 0}
 
 
-def _family_lb_add(n, r_d, eta_A, seed=0, **_):
+def _family_lb_add(n, r_d, eta_A, seed=0):
     """Dirty sees one full class; the clean matroid additionally opens a
     hidden class of eta_A elements drawn from the blocked remainder."""
     if not (1 <= r_d < n and 1 <= eta_A <= n - r_d):
@@ -274,7 +274,7 @@ def _family_lb_add(n, r_d, eta_A, seed=0, **_):
     return matroid, dirty, {"eta_A": eta_A, "eta_R": 0}
 
 
-def _family_lb_rem(n, r_d, eta_R, seed=0, **_):
+def _family_lb_rem(n, r_d, eta_R, seed=0):
     """Dirty sees one full class; the clean matroid silently blocks eta_R of
     its elements."""
     if not (1 <= r_d <= n and 1 <= eta_R <= r_d):
@@ -294,7 +294,7 @@ def _family_lb_rem(n, r_d, eta_R, seed=0, **_):
     return matroid, dirty, {"eta_A": 0, "eta_R": eta_R}
 
 
-def _family_lb_weighted(n, **_):
+def _family_lb_weighted(n, seed=0):
     """Weighted floor family: weights n..1, near-full class of capacity n-2."""
     if n < 3:
         raise InvalidSpec("family.n", "need n >= 3")
@@ -306,14 +306,14 @@ def _family_lb_weighted(n, **_):
     return matroid, {"mode": "identity"}, {"eta_A": 0, "eta_R": 0}
 
 
-def _family_pairquery(n, r_d, eta_A, seed=0, **_):
+def _family_pairquery(n, r_d, eta_A, seed=0):
     matroid, dirty, eta = _family_lb_add(n, r_d, eta_A, seed)
     if not eta_A >= Fraction(3, 4) * (n - r_d) + 1:
         raise InvalidSpec("family.eta_A", "pair-query family needs eta_A >= 3/4 (n - r_d) + 1")
     return matroid, dirty, eta
 
 
-def _family_adversarial(n, **_):
+def _family_adversarial(n, seed=0):
     """Free dirty matroid against a rank-one clean matroid."""
     matroid = {"kind": "uniform", "k": 1}
     dirty = {"mode": "matroid", "kind": "uniform", "k": n}
@@ -388,7 +388,7 @@ def _random_graphic_cfg(rng, n):
     return {"kind": "graphic", "vertices": nv, "edges": edges}
 
 
-def random_instance(n, kind="partition", weight_mode="unit", perturbation=None, seed=0, **_):
+def random_instance(n, kind="partition", weight_mode="unit", perturbation=None, seed=0):
     """Seed-determined random instance with an optional dirty perturbation."""
     rng = random.Random(seed)
     if kind == "partition":
@@ -424,7 +424,7 @@ def random_instance(n, kind="partition", weight_mode="unit", perturbation=None, 
     )
 
 
-def random_intersection_instance(n, seed=0, cap_raises=1, **_):
+def random_intersection_instance(n, seed=0, cap_raises=1):
     """Random partition-matroid pair with dirty caps raised (keeps supersets)."""
     rng = random.Random(seed)
     m1 = _random_partition_cfg(rng, n)
@@ -643,36 +643,24 @@ def _basis_trial(gen, algorithm, k, p):
     baseline = greedy_native(clean, g)
     correct = g.weight(basis.mask) == g.weight(baseline) and clean.is_independent_mask(basis.mask)
     eta_a, eta_r_, eta_source = _eta_for_trial(gen, pair)
-    bound_val = None
-    within = None
+    # a closed-form bound needs eta; costly's strategy costs hold only with an
+    # exact dirty oracle, and pairquery's accounting only on its own family
     if algorithm == "costly":
-        # the closed-form strategy costs describe the exact-dirty-oracle
-        # setting; with a wrong dirty oracle only correctness is checked
-        if eta_a == 0 and eta_r_ == 0:
-            bound_val = bound("costly", n=g.n, r=r, p=pair.ledger.cost_p)
-            within = pair.ledger.total_cost <= bound_val
-    elif algorithm == "pairquery":
-        # the accounting guarantee exists only on the dedicated family
-        if (spec.family or {}).get("tag") == "pairquery" and eta_a is not None:
-            bound_val = bound("pairquery", n=g.n, r=r, eta_A=eta_a)
-            within = Fraction(pair.ledger.clean_independence_count) <= bound_val
-    elif eta_a is not None:
-        bound_val = bound(
-            algorithm,
-            n=g.n,
-            r=r,
-            r_d=r_d,
-            eta_A=eta_a,
-            eta_R=eta_r_,
-            k=k_eff,
-            p=pair.ledger.cost_p,
-        )
-        measured = pair.ledger.clean_rank_count if algorithm == "rank" else pair.ledger.clean_independence_count
-        within = Fraction(measured) <= bound_val
+        applies = eta_a == 0 and eta_r_ == 0
+    else:
+        applies = eta_a is not None and (algorithm != "pairquery" or (spec.family or {}).get("tag") == "pairquery")
+    bound_val = within = None
+    if applies:
+        bound_val = bound(algorithm, n=g.n, r=r, r_d=r_d, eta_A=eta_a, eta_R=eta_r_, k=k_eff, p=pair.ledger.cost_p)
     elif algorithm in K_ALGS:
         # above the enumeration guard only the robustness branch is checkable
         bound_val = Fraction(k_eff + 1, k_eff) * g.n
-        within = Fraction(pair.ledger.clean_independence_count) <= bound_val
+    if bound_val is not None:
+        ledger = pair.ledger
+        measured = {"rank": ledger.clean_rank_count, "costly": ledger.total_cost}.get(
+            algorithm, ledger.clean_independence_count
+        )
+        within = measured <= bound_val
     cert, unchecked = "n/a", None
     # on unit weights a clean-independent pairquery output is a clean basis,
     # so a wrong output is one that left the clean family
@@ -719,8 +707,9 @@ def _intersection_trial(gen, algorithm):
         eta = errmod.compute_intersection_errors(ox.dirty[0], ox.dirty[1], ox.clean[0], ox.clean[1])
         eta_source = "bruteforce"
     except (GuardExceeded, ValueError):
-        # too large to enumerate, or the superset precondition is broken (the
-        # algorithm then witnesses and reports it)
+        # too large to enumerate, or not a superset pair: at n <= PRECHECK_GUARD
+        # the algorithm raises SupersetViolation, and above it nothing detects
+        # the pair, so a wrong X shows only as correct = False
         eta = None
         eta_source = "skipped"
     x = None

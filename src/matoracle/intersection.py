@@ -27,34 +27,29 @@ class SupersetViolation(RuntimeError):
 
 
 class IntersectionOracles:
-    """Two clean (and optionally two dirty) matroids billing into one ledger."""
+    """Two clean and two dirty matroids billing into one ledger; both dirty
+    oracles are required."""
 
-    def __init__(self, ground, clean1, clean2, dirty1=None, dirty2=None):
-        if (dirty1 is None) != (dirty2 is None):
-            raise ValueError("dirty oracles come in pairs: pass both dirty1 and dirty2 or neither")
+    def __init__(self, ground, clean1, clean2, dirty1, dirty2):
         for spec in (clean1, clean2, dirty1, dirty2):
-            if spec is not None and spec.n != ground.n:
+            if spec.n != ground.n:
                 raise ValueError("oracles and ground set disagree on n")
         self.ground = ground
         self.clean = (clean1.rebind(ground), clean2.rebind(ground))
-        self.dirty = None
-        if dirty1 is not None:
-            self.dirty = (dirty1.rebind(ground), dirty2.rebind(ground))
+        self.dirty = (dirty1.rebind(ground), dirty2.rebind(ground))
         # per-run evaluators: kept state never outlives these oracles
         self._clean_evals = tuple(spec.evaluator() for spec in self.clean)
-        self._dirty_evals = self.dirty and tuple(spec.evaluator() for spec in self.dirty)
+        self._dirty_evals = tuple(spec.evaluator() for spec in self.dirty)
         self.ledger = QueryLedger(ground.n)
 
     def _evals(self, role):
         """The evaluators of role; a ValueError, before anything is billed,
-        for an unknown role or dirty oracles that were never given."""
+        for an unknown role."""
         if role == ROLE_CLEAN:
             return self._clean_evals
-        if role != ROLE_DIRTY:
-            raise ValueError(f"unknown oracle role {role!r}")
-        if self._dirty_evals is None:
-            raise ValueError("dirty query to intersection oracles built without dirty oracles")
-        return self._dirty_evals
+        if role == ROLE_DIRTY:
+            return self._dirty_evals
+        raise ValueError(f"unknown oracle role {role!r}")
 
     def query_independent(self, role, which, mask):
         kind = KIND_IND_OF.get(which)
@@ -179,18 +174,15 @@ def textbook_intersection(row, specs, x_mask=0):
     build.
 
     Returns (x_mask, u_mask).  U is the set of elements with a directed
-    path to y2 (E or the empty set on the degenerate exits), and it certifies
-    optimality: |X| = rank1(U) + rank2(E \\ U).
+    path to y2 in the last graph, which has no y1 -> y2 path; it comes from
+    that one BFS also when y1 or y2 is empty, and it certifies optimality:
+    |X| = rank1(U) + rank2(E \\ U) (Cunningham, SIAM J. Comput. 1986).
     """
     g = specs[0].ground
     if x_mask & ~g.full_mask or not all(spec.is_independent_mask(x_mask) for spec in specs):
         raise ValueError(f"start set {x_mask:#x} is not independent in both matroids")
     while True:
         graph = build_exchange_graph(row, g.n, x_mask)
-        if not graph.y1:
-            return x_mask, g.full_mask
-        if not graph.y2:
-            return x_mask, 0
         path = shortest_augmenting_path(graph)
         if path is None:
             return x_mask, sum(1 << e for e in _distances_to_y2(graph))
@@ -228,9 +220,9 @@ def _path_checkpoints(x_mask, path, which):
     return sets, candidates
 
 
-def _locate_false_set(ox, x_mask, path, which, found):
+def _locate_false_set(ox, x_mask, path, which):
     """Bisect the failed matroid's checkpoint prefixes to one false dirty set
-    and add it to found, that matroid's false sets.
+    and return it.
 
     The final checkpoint is the full symmetric difference, already known
     dependent from the failed verification, so the search costs at most
@@ -240,12 +232,7 @@ def _locate_false_set(ox, x_mask, path, which, found):
     hi = alg.binary_search_smallest_dependent_prefix(
         range(len(sets)), lambda i: not ox.query_independent(ROLE_CLEAN, which, sets[i]), -1, len(sets) - 1
     )
-    if candidates[hi] in found:
-        raise SupersetViolation(
-            f"false-set candidate for matroid {which} rediscovered; "
-            "the dirty oracles cannot be supersets of the clean ones"
-        )
-    found[candidates[hi]] = None
+    return candidates[hi]
 
 
 def dirty_intersection(ox):
@@ -255,12 +242,13 @@ def dirty_intersection(ox):
     verified with two clean queries, and a failed verification pays at most
     ceil(log2 n) further clean queries to localize a false dirty arc, which is
     then excluded.  Requires partition clean matroids with dirty supersets.
+    At n <= PRECHECK_GUARD a pair that is not a superset raises
+    SupersetViolation before any query; above it nothing detects such a
+    pair, and the run may return a common independent X that is too small.
     Returns (X, ledger, (F1, F2)), where Fi lists the false sets of matroid i
     (dirty-independent, clean-dependent) in discovery order.
     """
     g = ox.ground
-    if ox.dirty is None:
-        raise ValueError("dirty oracles are required")
     for spec in ox.clean:
         if not isinstance(spec, PartitionMatroid):
             raise ValueError("dirty augmenting paths require partition clean matroids")
@@ -274,7 +262,7 @@ def dirty_intersection(ox):
             raise SupersetViolation(
                 f"set {m:#x} is clean-independent but dirty-dependent in matroid {1 if bad[0][m] else 2}"
             )
-    false_sets = ({}, {})  # insertion-ordered, one per matroid
+    false_sets = ([], [])
     x_mask = 0
     while True:
         # a set already found false is dependent without a query; it lies in
@@ -285,7 +273,7 @@ def dirty_intersection(ox):
         graph = build_exchange_graph(partial(ox.query_row, ROLE_DIRTY, known_false=near), g.n, x_mask)
         path = shortest_augmenting_path(graph)
         if path is None:
-            return ElementSet(g.n, x_mask), ox.ledger, (list(false_sets[0]), list(false_sets[1]))
+            return ElementSet(g.n, x_mask), ox.ledger, false_sets
         flipped = x_mask
         for v in path:
             flipped ^= 1 << v
@@ -295,7 +283,7 @@ def dirty_intersection(ox):
             x_mask = flipped
             continue
         which = 1 if not ok1 else 2
-        _locate_false_set(ox, x_mask, path, which, false_sets[which - 1])
+        false_sets[which - 1].append(_locate_false_set(ox, x_mask, path, which))
 
 
 def warm_start(ox):
@@ -307,8 +295,6 @@ def warm_start(ox):
     ceil(log2 n)); the result keeps at least s_d* - 2 eta_r elements.
     """
     g = ox.ground
-    if ox.dirty is None:
-        raise ValueError("dirty oracles are required")
     cur, _ = textbook_intersection(partial(ox.query_row, ROLE_DIRTY), ox.dirty)
     for which in (1, 2):
         cur = alg._strip_dirty_basis(partial(ox.query_independent, ROLE_CLEAN, which), g, cur)

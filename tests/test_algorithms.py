@@ -24,7 +24,7 @@ from matoracle import (
     weighted_basis,
 )
 from matoracle.algorithms import COSTLY_A, COSTLY_B
-from matoracle.bench import family_instance, generate
+from matoracle.bench import bound, family_instance, generate
 from matoracle.oracles import ROLE_CLEAN, ROLE_DIRTY
 
 from conftest import fresh, make_pair, masks, random_pairs
@@ -260,6 +260,17 @@ class TestRankOracle:
         basis, led = rank_oracle_basis(bd.mask, pair)
         assert basis.mask == 0
         assert led.clean_rank_count == n + 1
+
+    def test_full_dirty_basis_skips_the_second_upfront_call(self):
+        # B_d = E leaves no addition candidates and d_r = 2 removals, so
+        # rank(E) equals rank(B_d) and is not asked a second time
+        pair, bd = make_pair({"kind": "uniform", "k": 14}, {"kind": "uniform", "k": 16}, n=16)
+        assert bd.mask == pair.ground.full_mask
+        basis, led = rank_oracle_basis(bd.mask, pair)
+        rank_sets = [r.mask for r in led.transcript if (r.role, r.kind) == (ROLE_CLEAN, "rank")]
+        assert rank_sets.count(pair.ground.full_mask) == 1
+        assert led.clean_rank_count == 8 <= bound("rank", n=16, r_d=16, eta_A=0, eta_R=2) == 10
+        assert len(basis) == 14 and pair.clean.is_independent_mask(basis.mask)
 
     @pytest.mark.parametrize(
         "clean, dirty, n, full_rank_call",

@@ -203,6 +203,21 @@ class TestSweep:
         rows = list(csv.reader(open(tmp_path / "r.csv")))
         assert rows == [list(TrialRecord.COLUMNS)]
 
+    def test_unknown_family_parameter_rejected_before_any_trial(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(bench, "run_trial", lambda *args, **kw: ran.append(args))
+        config = {
+            "instances": [
+                {"family": "lb_basic", "params": {"n": 8, "r": 4}},
+                {"family": "lb_rem", "params": {"n": 10, "r_d": 5, "eta_R": 1, "sede": 5}, "seeds": [1, 2]},
+            ],
+            "algorithms": ["errdep"],
+        }
+        with pytest.raises(InvalidSpec, match="'sede'") as err:
+            sweep(config)
+        assert err.value.field == "family.params"
+        assert ran == []
+
     def test_k_sweep_rows_and_order(self, tmp_path):
         config = {
             "instances": [

@@ -268,6 +268,20 @@ class TestSpecErrors:
         assert "matoracle: invalid spec: params: must be an object" in _one_line_error(capsys)
 
 
+    @pytest.mark.parametrize(
+        "group, key",
+        [({"family": "random", "params": {"n": 10, "kind": "graphic", "wieght_mode": "int"}}, "wieght_mode"),
+         ({"family": "lb_rem", "params": {"n": 12, "r_d": 6, "eta_R": 2, "sede": 5}}, "sede"),
+         ({"family": "random_intersection", "params": {"n": 8, "cap_raise": 2}}, "cap_raise")],
+    )
+    def test_gen_unknown_family_parameter_exits_2(self, tmp_path, capsys, group, key):
+        out = tmp_path / "inst.json"
+        assert cli.main(["gen", "--spec", _write(tmp_path, "spec.json", group), "--out", str(out)]) == 2
+        err = _one_line_error(capsys)
+        assert "matoracle: invalid spec: family.params: " in err and repr(key) in err
+        assert not out.exists()
+
+
 class TestVerifyAlgorithms:
     def test_equal_weights_list_runs_the_unweighted_algorithms(self, tmp_path, capsys):
         # run_trial accepts the unweighted algorithms on any equal weights, so
@@ -444,3 +458,56 @@ class TestIntersectDirtyNeedsPartition:
         assert cli.main(["verify", "--instance", inst, "--all"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("PASS warmstart: ") and len(out.splitlines()) == 1
+
+
+class TestUntracedBranches:
+    """CLI branches that the other tests reach only through a subprocess, or
+    not at all."""
+
+    def test_run_off_family_pairquery_reports_the_violation(self, tmp_path, capsys):
+        # rank-one clean under a rank-three dirty matroid: the output leaves
+        # the clean family
+        doc = {"n": 5, "weights": "unit", "matroid": {"kind": "uniform", "k": 1},
+               "dirty": {"mode": "matroid", "kind": "uniform", "k": 3}}
+        out = tmp_path / "rec.json"
+        args = ["run", "--instance", _write(tmp_path, "inst.json", doc), "--alg", "pairquery", "--out", str(out)]
+        assert cli.main(args) == 1
+        assert capsys.readouterr().out.rstrip().endswith("[FamilyViolation]")
+        rec = json.loads(out.read_text())
+        assert (rec["error"], rec["correct"]) == ("FamilyViolation", False)
+
+    def test_run_over_the_bound_reports_a_violation(self, tmp_path, capsys):
+        # a family.eta of zeros understates the errors of an explicit dirty
+        # system, which no rank check can see: errdep bills 16 clean queries
+        # against the bound n - r + 1 = 7
+        doc = {"n": 8, "weights": "unit",
+               "matroid": {"kind": "partition", "classes": [[0, 1, 2, 3], [4, 5, 6, 7]], "caps": [1, 1]},
+               "dirty": {"mode": "explicit", "maximal_sets": [[0, 1, 2, 3, 4, 5]]},
+               "family": {"eta": {"eta_A": 0, "eta_R": 0}}}
+        out = tmp_path / "rec.json"
+        args = ["run", "--instance", _write(tmp_path, "inst.json", doc), "--alg", "errdep", "--out", str(out)]
+        assert cli.main(args) == 1
+        assert capsys.readouterr().out.rstrip().endswith(": clean=16 bound=7 [VIOLATION]")
+        assert json.loads(out.read_text())["within_bound"] is False
+
+    def test_verify_without_all_exits_2(self, tmp_path, capsys):
+        inst = _write(tmp_path, "inst.json", LB_BASIC.to_json())
+        assert cli.main(["verify", "--instance", inst]) == 2
+        assert "nothing to do (pass --all)" in _one_line_error(capsys)
+
+    def test_bench_array_config_exits_2(self, tmp_path, capsys):
+        config = _write(tmp_path, "sweep.json", [LB_BASIC_GROUP])
+        assert cli.main(["bench", "--config", config, "--out", str(tmp_path / "r.csv")]) == 2
+        assert "a sweep config must be a JSON object" in _one_line_error(capsys)
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_bench_plot_data(self, tmp_path, capsys):
+        doc = {"instances": [LB_BASIC_GROUP], "algorithms": ["errdep", "robust"], "k": [1, 2]}
+        plot = tmp_path / "plot.json"
+        args = ["bench", "--config", _write(tmp_path, "sweep.json", doc), "--out", str(tmp_path / "r.csv"),
+                "--plot-data", str(plot)]
+        assert cli.main(args) == 0
+        assert f"plot series -> {plot}" in capsys.readouterr().out
+        series = json.loads(plot.read_text())
+        assert sorted(pt["k"] for pt in series["by_k"]) == [1, 2]
+        assert len(series["by_eta"]) == 3

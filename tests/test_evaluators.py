@@ -322,7 +322,7 @@ def test_generic_row_matches_the_spec(kind):
     for _ in range(20):
         n = rng.randint(2, 30)
         specs = (_random_spec(rng, kind, n), _random_spec(rng, kind, n))
-        ox = IntersectionOracles(specs[0].ground, *specs)
+        ox = IntersectionOracles(specs[0].ground, *specs, *specs)
         want_records = []
         for _ in range(3):
             # a subset of a basis of matroid 1, or any set
