@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .core import ElementSet, ceil_log2, greedy_scan
+from .core import ElementSet, ceil_log2
 from .oracles import ROLE_CLEAN, ROLE_DIRTY, greedy_basis
 
 
@@ -47,9 +47,8 @@ def simple_basis(bd, pair):
     is a clean basis.
     """
     g = pair.ground
-    independent = partial(pair.query_independent, ROLE_CLEAN)
-    start = bd if independent(bd) else 0
-    return ElementSet(g.n, greedy_scan(independent, g, start, start)), pair.ledger
+    start = bd if pair.query_independent(ROLE_CLEAN, bd) else 0
+    return ElementSet(g.n, pair.query_scan(ROLE_CLEAN, start, start)), pair.ledger
 
 
 def _remove_smallest_dependent(independent, g, bd, cur, lo_pos):
@@ -86,7 +85,7 @@ def error_dependent_basis(bd, pair):
     """
     g = pair.ground
     independent = partial(pair.query_independent, ROLE_CLEAN)
-    cur = greedy_scan(independent, g, _strip_dirty_basis(independent, g, bd), bd)
+    cur = pair.query_scan(ROLE_CLEAN, _strip_dirty_basis(independent, g, bd), bd)
     return ElementSet(g.n, cur), pair.ledger
 
 
@@ -141,8 +140,7 @@ def robust_basis(bd, pair, k):
                 )
         b = upto(found - 1)
         seg = seg[found:]
-    cur = greedy_scan(independent, g, b, bd)
-    return ElementSet(g.n, cur), pair.ledger
+    return ElementSet(g.n, pair.query_scan(ROLE_CLEAN, b, bd)), pair.ledger
 
 
 def weighted_basis(bd, pair):

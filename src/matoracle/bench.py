@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import json
 import random
 import time
@@ -347,13 +348,23 @@ def group_params(group):
 
 def family_instance(tag, **params):
     """Materialize a named family instance as a full InstanceSpec."""
-    if tag == "random":
-        return _checked("family.params", random_instance, **params)
-    if tag == "random_intersection":
-        return _checked("family.params", random_intersection_instance, **params)
-    if tag not in FAMILIES:
+    instances = {"random": random_instance, "random_intersection": random_intersection_instance}
+    build = instances.get(tag) or FAMILIES.get(tag)
+    if build is None:
         raise InvalidSpec("family.tag", f"unknown family {tag!r}")
-    matroid, dirty, eta = _checked("family.params", FAMILIES[tag], **params)
+    try:
+        built = _checked("family.params", build, **params)
+    except InvalidSpec:
+        try:
+            # the call names the builder for a wrong or missing parameter;
+            # binding the parameters names none
+            inspect.signature(build).bind(**params)
+        except TypeError as exc:
+            raise InvalidSpec("family.params", f"family {tag!r} {exc}") from None
+        raise
+    if tag in instances:
+        return built
+    matroid, dirty, eta = built
     n = params["n"]
     seed = params.get("seed", 0)
     weights = [n - i for i in range(n)] if tag == "lb_weighted" else "unit"

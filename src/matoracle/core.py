@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 
 # largest n whose 2^n subsets are enumerated: basis η and the matroid check,
@@ -114,8 +115,10 @@ class GroundSet:
         outside = bytearray(b"\1") * n  # 0 for the dirty basis members
         for e in _scan_bits(dirty_basis):
             outside[e] = 0
-        # a stable sort of ascending ids breaks the remaining ties by id
-        order = sorted(range(n), key=lambda e: (-weights[e], outside[e]))
+        # two stable sorts of ascending ids with C-level keys: weight first,
+        # then dirty basis members first, then id
+        order = sorted(range(n), key=outside.__getitem__)
+        order.sort(key=weights.__getitem__, reverse=True)
         pos = [0] * n
         for p, e in enumerate(order):
             pos[e] = p
@@ -156,6 +159,12 @@ class GroundSet:
             mask |= 1 << e
         return mask
 
+    def outside(self, skip):
+        """The elements outside the mask skip, in canonical order; skip is
+        read once, as one byte per element."""
+        skipped = format(skip, f"0{self.n}b").encode()[::-1]
+        return [e for e in self.order if skipped[e] == 48]  # b"0"
+
     def positions(self, mask):
         """Sorted canonical positions of the members of mask."""
         pos = self.pos
@@ -186,9 +195,10 @@ class MatroidSpec:
         raise NotImplementedError
 
     def evaluator(self):
-        """A fresh per-run evaluator with independent(mask), rank(mask) and
-        row(x_mask, inside, y) that answer as this spec does.  A kind without kept state is its own
-        evaluator; kinds with kept state override this."""
+        """A fresh per-run evaluator with independent(mask), rank(mask),
+        scan(cur, candidates) and row(x_mask, inside, y) that answer as this
+        spec does.  A kind without kept state is its own evaluator; kinds
+        with kept state override this."""
         return self
 
     def independent(self, mask):
@@ -196,6 +206,13 @@ class MatroidSpec:
 
     def rank(self, mask):
         return self.rank_mask(mask)
+
+    def scan(self, cur, candidates):
+        """Answers of one greedy pass: the independence of cur + e for each
+        element e of the list candidates in order (none of them in cur), cur
+        growing by e on each True.  Kinds with a cheaper pass override this
+        per-query loop."""
+        return greedy_scan(self.independent, cur, candidates)
 
     def row(self, x_mask, inside, y):
         """Exchange-graph row of y, an element outside X = x_mask, as a new
@@ -235,6 +252,10 @@ class UniformMatroid(MatroidSpec):
 
     def rank_mask(self, mask):
         return min(mask.bit_count(), self.k)
+
+    def scan(self, cur, candidates):
+        room = min(max(self.k - cur.bit_count(), 0), len(candidates))
+        return [True] * room + [False] * (len(candidates) - room)
 
     def to_config(self):
         return {"kind": "uniform", "k": self.k}
@@ -388,7 +409,7 @@ class ExplicitSystem(MatroidSpec):
     def rank_mask(self, mask):
         # greedy scan of mask in canonical order using the independence rule
         # (internal, never billed); exact for matroids, defined behavior otherwise
-        return greedy_scan(self.is_independent_mask, self.ground, skip=~mask).bit_count()
+        return sum(self.scan(0, self.ground.outside(self.ground.full_mask & ~mask)))
 
     def to_config(self):
         return {"kind": "explicit", "maximal_sets": [sorted(iter_bits(m)) for m in self.maximal_masks]}
@@ -466,6 +487,20 @@ class _AnchoredEvaluator:
             return self._full(mask, False)
         # one element over an independent set adds at most one to the rank
         return mask.bit_count() - (not known)
+
+    def scan(self, cur, candidates):
+        """MatroidSpec.scan from one state: the anchor's when cur is the
+        anchor, else one full evaluation of cur (for the empty set, the empty
+        state).  Each candidate is one extension of that state, and the final
+        set becomes the anchor."""
+        if self.state is None:
+            self._start()
+        if cur != self.anchor and self._full(cur, True) < 0:
+            # every superset of a dependent set is dependent
+            return [False] * len(candidates)
+        answers = list(map(self._extends, candidates))
+        self.anchor = cur | mask_of(compress(candidates, answers), self.spec.n)
+        return answers
 
     row = MatroidSpec.row
 
@@ -579,17 +614,31 @@ def spec_from_config(ground, cfg):
     raise ValueError(f"unknown matroid kind: {kind!r}")
 
 
-def greedy_scan(query, ground, cur=0, skip=0):
-    """Greedy in canonical order from the mask cur: query(cur | 1 << e) for
-    every element e outside the mask skip, keeping e when it answers True.
-    Returns the final mask."""
-    for e in ground.order:
-        if not skip >> e & 1 and query(cur | 1 << e):
-            cur |= 1 << e
-    return cur
+def mask_of(elements, n):
+    """Mask of the ids in elements, all below n, built in time linear in n
+    through one byte per element."""
+    flags = bytearray(b"0") * (n + 1)  # a spare "0" keeps n = 0 parsable
+    for e in elements:
+        flags[e] = 49  # b"1"
+    return int(flags[::-1], 2)
+
+
+def greedy_scan(query, cur, candidates):
+    """The per-query greedy pass: query(cur | 1 << e) for each element e of
+    candidates in order, keeping e when it answers True.  Returns the
+    answers."""
+    answers = []
+    for e in candidates:
+        grown = cur | 1 << e
+        ok = query(grown)
+        if ok:
+            cur = grown
+        answers.append(ok)
+    return answers
 
 
 def greedy_native(spec, ground=None):
     """Mask of the unbilled greedy baseline against the spec's own
-    independence rule."""
-    return greedy_scan(spec.evaluator().independent, ground or spec.ground)
+    independence rule: one pass of a fresh evaluator."""
+    order = (ground or spec.ground).order
+    return mask_of(compress(order, spec.evaluator().scan(0, order)), spec.n)

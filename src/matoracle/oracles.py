@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from typing import NamedTuple
 
 from .core import (
@@ -18,8 +18,8 @@ from .core import (
     ExplicitSystem,
     GraphicMatroid,
     PartitionMatroid,
-    greedy_scan,
     iter_bits,
+    mask_of,
 )
 
 ROLE_CLEAN = "clean"
@@ -87,6 +87,27 @@ class QueryLedger:
         if self.store_sets:
             self._masks.append(mask)
         self._counts[counter] += 1
+
+    def record_scan(self, role, cur, candidates, answers):
+        """One greedy pass as one append per column: the independence
+        record of cur + e for each element e of candidates in order, cur
+        growing by e on each True answer (the sets are built only when the
+        ledger stores them)."""
+        codes = _CODE_OF.get(role)
+        if codes is None:
+            raise ValueError(f"unknown oracle role {role!r}")
+        code, counter = codes[KIND_IND]
+        if self.store_sets:
+            sets = []
+            for e, ok in zip(candidates, answers):
+                grown = cur | 1 << e
+                sets.append(grown)
+                if ok:
+                    cur = grown
+            self._masks += sets
+        self._codes += bytes((code,)) * len(answers)
+        self._answers += answers
+        self._counts[counter] += len(answers)
 
     def record_row(self, role, answers1, answers2, masks, unbilled=()):
         """One exchange-graph row pair as one append per column: for each set
@@ -181,6 +202,19 @@ class OraclePair:
         self.ledger.record(role, KIND_RANK, answer, mask)
         return answer
 
+    def query_scan(self, role, cur, skip=0):
+        """Billed greedy pass from the mask cur over the elements outside the
+        mask skip (which holds cur), in canonical order: the same records as
+        query_independent(role, cur | 1 << e) for each such e, cur growing
+        by e on each True, answered and billed in one call each.  Returns the
+        final mask."""
+        if role not in _CODE_OF:
+            raise ValueError(f"unknown oracle role {role!r}")
+        candidates = self.ground.outside(skip)
+        answers = (self._clean_eval if role == ROLE_CLEAN else self._dirty_eval).scan(cur, candidates)
+        self.ledger.record_scan(role, cur, candidates, answers)
+        return cur | mask_of(compress(candidates, answers), self.ground.n)
+
     def with_dirty_basis(self, bd):
         """Same oracles and ledger, rebased on the order around the dirty
         basis mask bd."""
@@ -191,7 +225,7 @@ class OraclePair:
 def greedy_basis(pair, role=ROLE_DIRTY):
     """Greedy max-weight basis through the billed oracle: n queries, each
     testing the current set plus one element in canonical order."""
-    return ElementSet(pair.ground.n, greedy_scan(lambda m: pair.query_independent(role, m), pair.ground))
+    return ElementSet(pair.ground.n, pair.query_scan(role, 0))
 
 
 def make_dirty(clean, cfg):

@@ -279,6 +279,7 @@ class TestSpecErrors:
         assert cli.main(["gen", "--spec", _write(tmp_path, "spec.json", group), "--out", str(out)]) == 2
         err = _one_line_error(capsys)
         assert "matoracle: invalid spec: family.params: " in err and repr(key) in err
+        assert repr(group["family"]) in err and "_family_" not in err
         assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from matoracle import (
     greedy_native,
 )
 from matoracle.algorithms import _rank_additions, binary_search_smallest_dependent_prefix
-from matoracle.core import elements_mask, greedy_scan, iter_bits, spec_from_config
+from matoracle.core import elements_mask, greedy_scan, iter_bits, mask_of, spec_from_config
 from matoracle.errors import is_matroid
 from matoracle.oracles import ROLE_CLEAN
 
@@ -245,6 +246,11 @@ def test_all_bases_share_cardinality():
         assert len(bases) == 1
 
 
+def _greedy(query, g):
+    """Final mask of the per-query greedy pass over all of g."""
+    return mask_of(compress(g.order, greedy_scan(query, 0, g.order)), g.n)
+
+
 class TestGreedy:
     def test_uniform_unit(self):
         g = GroundSet.unit(5)
@@ -255,7 +261,7 @@ class TestGreedy:
             calls.append(mask)
             return spec.is_independent_mask(mask)
 
-        basis = greedy_scan(query, g)
+        basis = _greedy(query, g)
         assert sorted(iter_bits(basis)) == [g.order[0], g.order[1], g.order[2]]
         assert len(calls) == 5
 
@@ -263,7 +269,7 @@ class TestGreedy:
         g = GroundSet([3, 2, 1])
         spec = spec_from_config(g, K3)
         calls = []
-        basis = greedy_scan(lambda m: calls.append(m) or spec.is_independent_mask(m), g)
+        basis = _greedy(lambda m: calls.append(m) or spec.is_independent_mask(m), g)
         assert basis == 0b011 and len(calls) == 3
 
     def test_partition_weighted_against_enumeration(self):
@@ -281,7 +287,7 @@ class TestGreedy:
         weights = [rng.randint(0, 9) for _ in range(n)]
         g = GroundSet(weights)
         spec = _random_spec(rng, n).rebind(g)
-        basis = greedy_scan(spec.is_independent_mask, g)
+        basis = _greedy(spec.is_independent_mask, g)
         tops = enumerate_max_weight_bases(spec, g)
         assert basis in tops and g.weight(basis) == g.weight(tops[0])
 

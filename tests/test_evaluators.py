@@ -3,6 +3,7 @@ the queries, and keep their state per pair, never on a spec."""
 
 import random
 from functools import partial
+from itertools import compress
 
 import pytest
 
@@ -13,13 +14,14 @@ from matoracle import (
     IntersectionOracles,
     OraclePair,
     PartitionMatroid,
+    PredictedBasisOracle,
     UniformMatroid,
     greedy_basis,
     greedy_native,
     weighted_basis,
 )
 from matoracle.bench import generate, random_instance, random_intersection_instance
-from matoracle.core import greedy_scan, iter_bits, spec_from_config
+from matoracle.core import greedy_scan, iter_bits, mask_of, spec_from_config
 from matoracle.intersection import build_exchange_graph, textbook_intersection
 from matoracle.oracles import ROLE_CLEAN, ROLE_DIRTY, QueryRecord
 
@@ -86,13 +88,92 @@ def test_greedy_scan_needs_no_full_evaluation(kind, monkeypatch):
     # every query of a greedy scan is the last independent set plus one element
     rng = random.Random(kind)
     spec = _random_spec(rng, kind, 40)
-    want = greedy_scan(spec.is_independent_mask, spec.ground)
+    order = spec.ground.order
+    want = mask_of(compress(order, greedy_scan(spec.is_independent_mask, 0, order)), spec.n)
     full = {"partition": "_class_counts", "graphic": "_forest"}[kind]
     calls = []
     inner = getattr(spec, full)
     monkeypatch.setattr(spec, full, lambda *args: calls.append(args) or inner(*args))
     assert greedy_native(spec) == want
     assert calls == []
+
+
+def _per_query_scan(spec, cur, candidates):
+    """Reference pass: one spec query per candidate, cur growing on True."""
+    answers = []
+    for e in candidates:
+        answers.append(spec.is_independent_mask(cur | 1 << e))
+        if answers[-1]:
+            cur |= 1 << e
+    return answers
+
+
+def _scan_spec(rng, kind, n):
+    if kind == "predicted_basis":
+        return PredictedBasisOracle(GroundSet([rng.randint(0, 3) for _ in range(n)]), rng.getrandbits(n))
+    if kind == "explicit":
+        g = GroundSet([rng.randint(0, 3) for _ in range(n)])
+        return ExplicitSystem(g, [rng.getrandbits(n) for _ in range(rng.randint(1, 4))])
+    return _random_spec(rng, kind, n)
+
+
+@pytest.mark.parametrize("kind", ["partition", "graphic", "uniform", "predicted_basis", "explicit"])
+def test_scan_matches_the_per_query_pass(kind):
+    # passes from the empty set, from the evaluator's anchor and from a
+    # random set (independent or not) inside skip, each on the evaluator the
+    # passes before it left behind, with single queries in between
+    rng = random.Random(kind)
+    for _ in range(40):
+        spec = _scan_spec(rng, kind, rng.randint(1, 40))
+        g, ev, last = spec.ground, spec.evaluator(), 0
+        for _ in range(6):
+            cur = rng.choice([0, last, rng.getrandbits(spec.n)])
+            skip = cur | rng.getrandbits(spec.n) & rng.getrandbits(spec.n)
+            candidates = g.outside(skip)
+            assert candidates == [e for e in g.order if not skip >> e & 1]
+            answers = ev.scan(cur, candidates)
+            assert answers == _per_query_scan(spec, cur, candidates)
+            last = cur | mask_of(compress(candidates, answers), spec.n)
+            for mask in (last, last | rng.getrandbits(spec.n), last & rng.getrandbits(spec.n)):
+                assert ev.independent(mask) == spec.is_independent_mask(mask)
+
+
+@pytest.mark.parametrize(
+    "spec, cur",
+    [(PartitionMatroid(GroundSet.unit(6), masks([0, 1, 2], [3, 4, 5]), [1, 2]), 0b000011),  # over a cap
+     (GraphicMatroid(GroundSet.unit(5), 4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0)]), 0b00111),  # a cycle
+     (UniformMatroid(GroundSet.unit(5), 2), 0b00111)],
+)
+def test_scan_from_a_dependent_set_answers_false(spec, cur):
+    candidates = spec.ground.outside(cur)
+    ev = spec.evaluator()
+    assert ev.scan(cur, candidates) == [False] * len(candidates) == _per_query_scan(spec, cur, candidates)
+    # the dependent start did not become the anchor
+    assert ev.independent(0b1) and not ev.independent(cur)
+
+
+@pytest.mark.parametrize("kind", ["partition", "graphic", "uniform"])
+def test_a_pass_is_not_answered_query_by_query(kind, monkeypatch):
+    # at most one full evaluation (of the start set) per pass and no
+    # independence query; the uniform pass needs no evaluation at all
+    rng = random.Random(kind)
+    for _ in range(10):
+        spec = _random_spec(rng, kind, rng.randint(8, 40))
+        ev = spec.evaluator()
+        ev.independent(rng.getrandbits(spec.n))  # some anchor
+        calls = []
+        for name in ("independent", "is_independent_mask", "rank_mask", "_class_counts", "_forest"):
+            for obj in {spec, ev}:
+                if hasattr(obj, name):
+                    inner = getattr(obj, name)
+                    monkeypatch.setattr(obj, name, lambda *args, name=name, inner=inner: calls.append(name) or inner(*args))
+        full = {"partition": ["_class_counts"], "graphic": ["_forest"], "uniform": []}[kind]
+        for start in ("empty", "random", "anchor"):
+            cur = {"empty": 0, "random": rng.getrandbits(spec.n), "anchor": getattr(ev, "anchor", 0)}[start]
+            calls.clear()
+            ev.scan(cur, spec.ground.outside(cur | rng.getrandbits(spec.n)))
+            assert calls in ([], full), (start, calls)
+        monkeypatch.undo()
 
 
 def _alternate(rng, evaluators, spec, steps):

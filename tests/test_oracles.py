@@ -161,6 +161,18 @@ class TestLedger:
         with pytest.raises(ValueError, match="unknown oracle role"):
             led.record_row("oracle", [True], [False], [0b1])
         assert (bytes(led._codes), led._answers, led._masks, led._counts) == before
+        with pytest.raises(ValueError, match="unknown oracle role"):
+            led.record_scan("oracle", 0, [0, 1], [True, False])
+        assert (bytes(led._codes), led._answers, led._masks, led._counts) == before
+
+    def test_unknown_role_scan_touches_nothing(self):
+        g = GroundSet.unit(6)
+        pair = OraclePair(PartitionMatroid(g, masks([0, 1, 2], [3, 4, 5]), [1, 2]), UniformMatroid(g, 3), g)
+        with pytest.raises(ValueError, match="unknown oracle role"):
+            pair.query_scan("oracle", 0b1)
+        led = pair.ledger
+        assert (bytes(led._codes), led._answers, led._masks, led._counts) == (b"", [], [], [0, 0, 0])
+        assert pair._clean_eval.state is None and pair._clean_eval.anchor == 0
 
     @pytest.mark.parametrize("n", [12, SET_STORAGE_LIMIT + 1])
     def test_row_equals_its_records(self, n):
@@ -180,6 +192,34 @@ class TestLedger:
                         by_record.record(role, f"ind{k + 1}", answers[k][i], mask)
         assert by_row.transcript == by_record.transcript
         assert (by_row.clean_count, by_row.dirty_count) == (by_record.clean_count, by_record.dirty_count)
+
+
+    @pytest.mark.parametrize("n", [12, SET_STORAGE_LIMIT + 1])
+    def test_scan_equals_its_queries(self, n):
+        # a billed pass records what one query per candidate records, with
+        # single queries before, between and after the passes
+        rng = random.Random(n)
+        g = GroundSet([rng.randint(0, 3) for _ in range(n)], rng.getrandbits(n))
+        classes = [[e for e in range(n) if e % 5 == c] for c in range(5)]
+        clean = PartitionMatroid(g, masks(*classes), [rng.randint(0, len(c)) for c in classes])
+        dirty = UniformMatroid(g, rng.randint(0, n))
+        by_scan, by_query = OraclePair(clean, dirty, g), OraclePair(clean, dirty, g)
+        for _ in range(4):
+            role = rng.choice([ROLE_CLEAN, ROLE_DIRTY])
+            cur = rng.choice([0, rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)])
+            skip = cur | rng.getrandbits(n) & rng.getrandbits(n)
+            got = by_scan.query_scan(role, cur, skip)
+            for e in g.order:
+                if not skip >> e & 1 and by_query.query_independent(role, cur | 1 << e):
+                    cur |= 1 << e
+            assert got == cur
+            single = rng.getrandbits(n)
+            for pair in (by_scan, by_query):
+                pair.query_independent(role, single)
+        led_s, led_q = by_scan.ledger, by_query.ledger
+        assert led_s.export_lines() == led_q.export_lines()
+        assert (led_s.clean_independence_count, led_s.clean_rank_count, led_s.dirty_count) == (
+            led_q.clean_independence_count, led_q.clean_rank_count, led_q.dirty_count)
 
 
 class TestBilledRank:
