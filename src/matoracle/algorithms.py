@@ -345,7 +345,7 @@ def pair_query_basis(cur, pair):
     because every rejected element is spanned by a subset of the output.
     """
     g = pair.ground
-    outside = [e for e in g.order if not cur >> e & 1]
+    outside = g.outside(cur)
     i = 0
     while i < len(outside):
         if len(outside) - i == 1:

@@ -102,13 +102,14 @@ class GroundSet:
 
     __slots__ = ("n", "weights", "order", "pos", "_prefix_masks", "full_mask")
 
-    def __init__(self, weights, dirty_basis=0, *, checked=False):
-        """checked: weights is already a tuple of exact non-negative weights,
-        such as another GroundSet's, and is taken as it is."""
-        if not checked:
-            weights = tuple(_as_weight(w) for w in weights)
-            if any(w < 0 for w in weights):
-                raise ValueError("weights must be non-negative")
+    def __init__(self, weights, dirty_basis=0):
+        weights = tuple(weights)
+        # plain ints are checked at C speed; other weights are converted one
+        # by one
+        if not set(map(type, weights)) <= {int}:
+            weights = tuple(map(_as_weight, weights))
+        if weights and min(weights) < 0:
+            raise ValueError("weights must be non-negative")
         n = len(weights)
         if dirty_basis >> n:
             raise ValueError("dirty basis has elements outside the ground set")
@@ -147,7 +148,7 @@ class GroundSet:
     def with_dirty_basis(self, dirty_basis):
         """Rebuild the canonical order around a (newly computed) dirty basis
         mask."""
-        return GroundSet(self.weights, dirty_basis, checked=True)
+        return GroundSet(self.weights, dirty_basis)
 
     def prefix_mask(self, p):
         """Mask of elements with canonical position <= p (empty for p < 0)."""

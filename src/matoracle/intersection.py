@@ -18,7 +18,7 @@ import numpy as np
 from . import algorithms as alg
 from .core import PRECHECK_GUARD, ElementSet, PartitionMatroid, iter_bits
 from .errors import independence_array
-from .oracles import KIND_IND_OF, ROLE_CLEAN, ROLE_DIRTY, QueryLedger
+from .oracles import KIND_IND_OF, ROLE_CLEAN, ROLE_DIRTY, QueryLedger, by_role
 
 
 class SupersetViolation(RuntimeError):
@@ -28,7 +28,11 @@ class SupersetViolation(RuntimeError):
 
 class IntersectionOracles:
     """Two clean and two dirty matroids billing into one ledger; both dirty
-    oracles are required."""
+    oracles are required.
+
+    Each role has one pair of evaluators, matroid 1's and matroid 2's; a
+    query of an unknown role raises a ValueError before anything is
+    evaluated or billed."""
 
     def __init__(self, ground, clean1, clean2, dirty1, dirty2):
         for spec in (clean1, clean2, dirty1, dirty2):
@@ -38,24 +42,17 @@ class IntersectionOracles:
         self.clean = (clean1.rebind(ground), clean2.rebind(ground))
         self.dirty = (dirty1.rebind(ground), dirty2.rebind(ground))
         # per-run evaluators: kept state never outlives these oracles
-        self._clean_evals = tuple(spec.evaluator() for spec in self.clean)
-        self._dirty_evals = tuple(spec.evaluator() for spec in self.dirty)
+        self._evals = {
+            ROLE_CLEAN: tuple(spec.evaluator() for spec in self.clean),
+            ROLE_DIRTY: tuple(spec.evaluator() for spec in self.dirty),
+        }
         self.ledger = QueryLedger(ground.n)
-
-    def _evals(self, role):
-        """The evaluators of role; a ValueError, before anything is billed,
-        for an unknown role."""
-        if role == ROLE_CLEAN:
-            return self._clean_evals
-        if role == ROLE_DIRTY:
-            return self._dirty_evals
-        raise ValueError(f"unknown oracle role {role!r}")
 
     def query_independent(self, role, which, mask):
         kind = KIND_IND_OF.get(which)
         if kind is None:
             raise ValueError(f"matroid index must be 1 or 2, got {which!r}")
-        answer = self._evals(role)[which - 1].independent(mask)
+        answer = by_role(self._evals, role)[which - 1].independent(mask)
         self.ledger.record(role, kind, answer, mask)
         return answer
 
@@ -66,7 +63,7 @@ class IntersectionOracles:
 
         known_false holds, per matroid, sets answered dependent without a
         query: a row that holds one leaves its record out."""
-        eval1, eval2 = self._evals(role)
+        eval1, eval2 = by_role(self._evals, role)
         grown = x_mask | 1 << y
         masks = [grown, *[grown ^ 1 << x for x in inside]]
         answers = (eval1.row(x_mask, inside, y), eval2.row(x_mask, inside, y))

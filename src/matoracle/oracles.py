@@ -2,7 +2,7 @@
 certificate verifier.
 
 Every billed call appends one record to the run's :class:`QueryLedger`; the
-ledger's counters are the artifact's central measured quantity.  Dirty calls
+ledger's counts are the artifact's central measured quantity.  Dirty calls
 are free under the default cost model but still counted and recorded.
 """
 
@@ -36,16 +36,19 @@ SET_STORAGE_LIMIT = 4096  # above this n, transcript records drop the query sets
 RECORD_CODES = tuple(
     (role, kind) for role in (ROLE_CLEAN, ROLE_DIRTY) for kind in (KIND_IND, KIND_RANK, *KIND_IND_OF.values())
 )
-# role -> kind -> (code, counter), counter 0 for clean independence, 1 for
-# clean rank and 2 for dirty queries
+# role -> kind -> code
 _CODE_OF = {
-    role: {
-        kind: (code, 2 if role == ROLE_DIRTY else int(kind == KIND_RANK))
-        for code, (r, kind) in enumerate(RECORD_CODES)
-        if r == role
-    }
-    for role in (ROLE_CLEAN, ROLE_DIRTY)
+    role: {kind: code for code, (r, kind) in enumerate(RECORD_CODES) if r == role} for role in (ROLE_CLEAN, ROLE_DIRTY)
 }
+
+
+def by_role(table, role):
+    """The entry of role in table, a dict keyed by oracle role; a ValueError
+    for any other role."""
+    try:
+        return table[role]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown oracle role {role!r}") from None
 
 
 class IncompatiblePerturbation(ValueError):
@@ -60,11 +63,12 @@ class QueryRecord(NamedTuple):
 
 
 class QueryLedger:
-    """Per-run transcript and counters of clean and dirty oracle queries.
+    """Per-run transcript of clean and dirty oracle queries.
 
     Records are kept in columns: a code byte per record (its index in
     RECORD_CODES), a list of answers and, up to SET_STORAGE_LIMIT, a list of
-    the query sets."""
+    the query sets.  The counts are read from the code column; no tally is
+    kept beside it."""
 
     def __init__(self, n, cost_p=1):
         self.n = n
@@ -75,28 +79,19 @@ class QueryLedger:
         self._codes = bytearray()
         self._answers = []  # a list, not bytes: a rank answer can exceed 255
         self._masks = []
-        self._counts = [0, 0, 0]  # clean independence, clean rank, dirty
 
     def record(self, role, kind, answer, mask):
-        codes = _CODE_OF.get(role)
-        if codes is None:
-            raise ValueError(f"unknown oracle role {role!r}")
-        code, counter = codes[kind]
-        self._codes.append(code)
+        self._codes.append(by_role(_CODE_OF, role)[kind])
         self._answers.append(answer)
         if self.store_sets:
             self._masks.append(mask)
-        self._counts[counter] += 1
 
     def record_scan(self, role, cur, candidates, answers):
         """One greedy pass as one append per column: the independence
         record of cur + e for each element e of candidates in order, cur
         growing by e on each True answer (the sets are built only when the
         ledger stores them)."""
-        codes = _CODE_OF.get(role)
-        if codes is None:
-            raise ValueError(f"unknown oracle role {role!r}")
-        code, counter = codes[KIND_IND]
+        code = by_role(_CODE_OF, role)[KIND_IND]
         if self.store_sets:
             sets = []
             for e, ok in zip(candidates, answers):
@@ -107,7 +102,6 @@ class QueryLedger:
             self._masks += sets
         self._codes += bytes((code,)) * len(answers)
         self._answers += answers
-        self._counts[counter] += len(answers)
 
     def record_row(self, role, answers1, answers2, masks, unbilled=()):
         """One exchange-graph row pair as one append per column: for each set
@@ -115,13 +109,9 @@ class QueryLedger:
         answers1 and answers2 the answers of matroid 1 and 2 (masks is read
         only when the ledger stores sets).  unbilled lists the positions, in
         that record order, of records left out."""
-        codes = _CODE_OF.get(role)
-        if codes is None:
-            raise ValueError(f"unknown oracle role {role!r}")
-        code1, counter = codes[KIND_IND_OF[1]]
-        code2, _ = codes[KIND_IND_OF[2]]
+        codes = by_role(_CODE_OF, role)
         # every interleaved column is built before any column grows
-        row_codes = bytearray((code1, code2)) * len(answers1)
+        row_codes = bytearray((codes[KIND_IND_OF[1]], codes[KIND_IND_OF[2]])) * len(answers1)
         answers = [None] * len(row_codes)
         answers[::2], answers[1::2] = answers1, answers2
         sets = [None] * len(row_codes)
@@ -133,7 +123,6 @@ class QueryLedger:
         self._answers += answers
         if self.store_sets:
             self._masks += sets
-        self._counts[counter] += len(answers)
 
     @property
     def transcript(self):
@@ -147,15 +136,16 @@ class QueryLedger:
 
     @property
     def clean_independence_count(self):
-        return self._counts[0]
+        """Clean ind, ind1 and ind2 records."""
+        return sum(self._codes.count(code) for kind, code in _CODE_OF[ROLE_CLEAN].items() if kind != KIND_RANK)
 
     @property
     def clean_rank_count(self):
-        return self._counts[1]
+        return self._codes.count(_CODE_OF[ROLE_CLEAN][KIND_RANK])
 
     @property
     def dirty_count(self):
-        return self._counts[2]
+        return len(self._codes) - self.clean_count
 
     @property
     def clean_count(self):
@@ -176,7 +166,10 @@ class QueryLedger:
 
 
 class OraclePair:
-    """A clean/dirty oracle pair over one ground set, billing into one ledger."""
+    """A clean/dirty oracle pair over one ground set, billing into one ledger.
+
+    Each role has one evaluator; a query of an unknown role raises a
+    ValueError before anything is evaluated or billed."""
 
     def __init__(self, clean, dirty, ground, ledger=None, cost_p=1):
         if isinstance(clean, ExplicitSystem):
@@ -187,18 +180,16 @@ class OraclePair:
         self.clean = clean.rebind(ground)
         self.dirty = dirty.rebind(ground)
         # per-pair evaluators: kept state never outlives the pair's run
-        self._clean_eval = self.clean.evaluator()
-        self._dirty_eval = self.dirty.evaluator()
+        self._evals = {ROLE_CLEAN: self.clean.evaluator(), ROLE_DIRTY: self.dirty.evaluator()}
         self.ledger = ledger if ledger is not None else QueryLedger(ground.n, cost_p=cost_p)
 
     def query_independent(self, role, mask):
-        # an unknown role reaches the dirty spec; the ledger rejects it unbilled
-        answer = (self._clean_eval if role == ROLE_CLEAN else self._dirty_eval).independent(mask)
+        answer = by_role(self._evals, role).independent(mask)
         self.ledger.record(role, KIND_IND, answer, mask)
         return answer
 
     def query_rank(self, role, mask):
-        answer = (self._clean_eval if role == ROLE_CLEAN else self._dirty_eval).rank(mask)
+        answer = by_role(self._evals, role).rank(mask)
         self.ledger.record(role, KIND_RANK, answer, mask)
         return answer
 
@@ -208,10 +199,8 @@ class OraclePair:
         query_independent(role, cur | 1 << e) for each such e, cur growing
         by e on each True, answered and billed in one call each.  Returns the
         final mask."""
-        if role not in _CODE_OF:
-            raise ValueError(f"unknown oracle role {role!r}")
         candidates = self.ground.outside(skip)
-        answers = (self._clean_eval if role == ROLE_CLEAN else self._dirty_eval).scan(cur, candidates)
+        answers = by_role(self._evals, role).scan(cur, candidates)
         self.ledger.record_scan(role, cur, candidates, answers)
         return cur | mask_of(compress(candidates, answers), self.ground.n)
 

@@ -94,6 +94,38 @@ class TestGroundSet:
         with pytest.raises(ValueError):
             GroundSet([1, -1])
 
+    @pytest.mark.parametrize(
+        "weights, want",
+        [
+            ([3, 0, 2], (3, 0, 2)),
+            ((w for w in [1, 2]), (1, 2)),
+            ([True, 2, False], (True, 2, False)),
+            (["1/2", "3", 4], (Fraction(1, 2), 3, 4)),
+            ([Fraction(2, 3), 1], (Fraction(2, 3), 1)),
+            ([], ()),
+        ],
+    )
+    def test_weights_accepted(self, weights, want):
+        g = GroundSet(weights)
+        assert g.weights == want
+        assert list(map(type, g.weights)) == list(map(type, want))
+        assert g.with_dirty_basis(g.full_mask).weights == want
+
+    @pytest.mark.parametrize(
+        "weights, error, match",
+        [
+            ([2, "-1/2"], ValueError, "weights must be non-negative"),
+            ([Fraction(-1, 3)], ValueError, "weights must be non-negative"),
+            ([1, 1.0], ValueError, "weights must be exact"),
+            ([None], ValueError, "weights must be exact"),
+            (["x"], ValueError, "invalid literal"),
+            (["1/0"], ZeroDivisionError, None),
+        ],
+    )
+    def test_weights_rejected(self, weights, error, match):
+        with pytest.raises(error, match=match):
+            GroundSet(weights)
+
     @pytest.mark.parametrize("n", [1, 7, 64, 65, 300])
     def test_positions_match_bit_walk(self, n):
         rng = random.Random(n)

@@ -266,7 +266,7 @@ def test_bad_matroid_index_raises_and_bills_nothing(which):
         with pytest.raises(ValueError, match="matroid index must be 1 or 2"):
             ox.query_independent(role, which, 0b11)
     assert (ox.ledger.clean_count, ox.ledger.dirty_count, ox.ledger.transcript) == (0, 0, [])
-    assert all(ev.state is None for ev in ox._clean_evals + ox._dirty_evals)
+    assert all(ev.state is None for ev in ox._evals[ROLE_CLEAN] + ox._evals[ROLE_DIRTY])
 
 
 def _count_full_evaluations(monkeypatch, specs):
@@ -328,7 +328,7 @@ def test_fresh_evaluators_build_no_state():
     # generate does no O(n) work for the evaluators: state comes with the
     # first query
     gen = generate(random_instance(64, kind="partition", seed=1))
-    ev = gen.pair._clean_eval
+    ev = gen.pair._evals[ROLE_CLEAN]
     assert ev.state is None
     gen.pair.query_independent(ROLE_CLEAN, 0b1)
     assert ev.state is not None

@@ -17,9 +17,15 @@ from matoracle import (
     verify_certificate,
 )
 from matoracle.core import ExplicitSystem, iter_bits
+from matoracle.intersection import IntersectionOracles
 from matoracle.oracles import ROLE_CLEAN, ROLE_DIRTY, SET_STORAGE_LIMIT, QueryRecord
 
 from conftest import fresh, make_pair, masks
+
+
+def _columns_and_counts(led):
+    counts = (led.clean_independence_count, led.clean_rank_count, led.dirty_count)
+    return bytes(led._codes), list(led._answers), list(led._masks), counts
 
 
 def simple_pair(n=5, k=2, cost_p=1):
@@ -65,14 +71,24 @@ class TestLedger:
                 pair.query_rank(role, rng.randrange(32))
             else:
                 pair.query_independent(role, rng.randrange(32))
-        led = pair.ledger
-        assert led.clean_independence_count == sum(
-            1 for r in led.transcript if r.role == ROLE_CLEAN and r.kind == "ind"
-        )
-        assert led.clean_rank_count == sum(
-            1 for r in led.transcript if r.role == ROLE_CLEAN and r.kind == "rank"
-        )
-        assert led.dirty_count == sum(1 for r in led.transcript if r.role == ROLE_DIRTY)
+        pair.query_scan(ROLE_CLEAN, 0b1, 0b101)
+        # a row of X + y and X + y - x, x in X, for X = {0}, y = 1, whose
+        # X + y is known dependent in matroid 2: 3 billed records, not 4
+        g = GroundSet.unit(4)
+        one_class = PartitionMatroid(g, masks([0, 1, 2, 3]), [1])
+        ox = IntersectionOracles(g, UniformMatroid(g, 2), one_class, UniformMatroid(g, 2), one_class)
+        ox.query_row(ROLE_CLEAN, 0b1, [0], 1, known_false=((), (0b11,)))
+        ox.query_independent(ROLE_DIRTY, 2, 0b1)
+        assert [(r.kind, r.mask) for r in ox.ledger.transcript[:3]] == [("ind1", 0b11), ("ind1", 0b10), ("ind2", 0b10)]
+        for led in (pair.ledger, ox.ledger):
+            assert led.clean_independence_count == sum(
+                1 for r in led.transcript if r.role == ROLE_CLEAN and r.kind in ("ind", "ind1", "ind2")
+            )
+            assert led.clean_rank_count == sum(
+                1 for r in led.transcript if r.role == ROLE_CLEAN and r.kind == "rank"
+            )
+            assert led.dirty_count == sum(1 for r in led.transcript if r.role == ROLE_DIRTY)
+        assert (ox.ledger.clean_independence_count, ox.ledger.clean_rank_count, ox.ledger.dirty_count) == (3, 0, 1)
 
     def test_total_cost(self):
         pair = simple_pair(cost_p=3)
@@ -153,26 +169,54 @@ class TestLedger:
     def test_unknown_role_leaves_the_columns(self):
         led = QueryLedger(8)
         led.record(ROLE_DIRTY, "ind2", False, 0b11)
-        before = (bytes(led._codes), list(led._answers), list(led._masks), list(led._counts))
+        before = _columns_and_counts(led)
+        assert before[3] == (0, 0, 1)
         with pytest.raises(ValueError, match="unknown oracle role"):
             led.record("oracle", "ind", True, 0b1)
-        assert (bytes(led._codes), led._answers, led._masks, led._counts) == before
+        assert _columns_and_counts(led) == before
         assert led.transcript == [QueryRecord(ROLE_DIRTY, "ind2", 0, 0b11)]
         with pytest.raises(ValueError, match="unknown oracle role"):
             led.record_row("oracle", [True], [False], [0b1])
-        assert (bytes(led._codes), led._answers, led._masks, led._counts) == before
+        assert _columns_and_counts(led) == before
         with pytest.raises(ValueError, match="unknown oracle role"):
             led.record_scan("oracle", 0, [0, 1], [True, False])
-        assert (bytes(led._codes), led._answers, led._masks, led._counts) == before
+        assert _columns_and_counts(led) == before
 
     def test_unknown_role_scan_touches_nothing(self):
         g = GroundSet.unit(6)
         pair = OraclePair(PartitionMatroid(g, masks([0, 1, 2], [3, 4, 5]), [1, 2]), UniformMatroid(g, 3), g)
         with pytest.raises(ValueError, match="unknown oracle role"):
             pair.query_scan("oracle", 0b1)
-        led = pair.ledger
-        assert (bytes(led._codes), led._answers, led._masks, led._counts) == (b"", [], [], [0, 0, 0])
-        assert pair._clean_eval.state is None and pair._clean_eval.anchor == 0
+        assert _columns_and_counts(pair.ledger) == (b"", [], [], (0, 0, 0))
+        clean_eval = pair._evals[ROLE_CLEAN]
+        assert clean_eval.state is None and clean_eval.anchor == 0
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda pair, ox: pair.query_independent("oracle", 0b11),
+            lambda pair, ox: pair.query_rank("oracle", 0b11),
+            lambda pair, ox: pair.query_scan("oracle", 0b1),
+            lambda pair, ox: ox.query_independent("oracle", 1, 0b11),
+            lambda pair, ox: ox.query_row("oracle", 0b1, [0], 1),
+        ],
+        ids=["pair.query_independent", "pair.query_rank", "pair.query_scan", "ox.query_independent", "ox.query_row"],
+    )
+    def test_unknown_role_evaluates_nothing(self, query):
+        # partition evaluators on both sides keep state, so an evaluation
+        # before the role is rejected would show in state or anchor
+        g = GroundSet.unit(6)
+        p1 = PartitionMatroid(g, masks([0, 1, 2], [3, 4, 5]), [1, 2])
+        p2 = PartitionMatroid(g, masks([0, 3], [1, 4], [2, 5]), [1, 1, 1])
+        pair = OraclePair(p1, p2, g)
+        ox = IntersectionOracles(g, p1, p2, p2, p1)
+        with pytest.raises(ValueError, match="unknown oracle role"):
+            query(pair, ox)
+        evals = [*pair._evals.values(), *ox._evals[ROLE_CLEAN], *ox._evals[ROLE_DIRTY]]
+        assert len(evals) == 6
+        assert all(ev.state is None and ev.anchor == 0 for ev in evals)
+        for led in (pair.ledger, ox.ledger):
+            assert _columns_and_counts(led) == (b"", [], [], (0, 0, 0))
 
     @pytest.mark.parametrize("n", [12, SET_STORAGE_LIMIT + 1])
     def test_row_equals_its_records(self, n):
