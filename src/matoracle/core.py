@@ -197,8 +197,8 @@ class MatroidSpec:
 
     def evaluator(self):
         """A fresh per-run evaluator with independent(mask), rank(mask),
-        scan(cur, candidates) and row(x_mask, inside, y) that answer as this
-        spec does.  A kind without kept state is its own evaluator; kinds
+        scan(cur, candidates) and rows(x_mask, inside, outside) that answer
+        as this spec does.  A kind without kept state is its own evaluator; kinds
         with kept state override this."""
         return self
 
@@ -215,13 +215,20 @@ class MatroidSpec:
         per-query loop."""
         return greedy_scan(self.independent, cur, candidates)
 
-    def row(self, x_mask, inside, y):
-        """Exchange-graph row of y, an element outside X = x_mask, as a new
-        list: the independence of X + y, then of X + y - x for each x of
-        inside, X's elements in ascending order."""
-        grown = x_mask | 1 << y
+    def rows(self, x_mask, inside, outside):
+        """Exchange-graph rows of X = x_mask, one answer list per element y
+        of outside (every element outside X, ascending): the independence
+        of X + y, then of X + y - x for each x of inside (X's elements,
+        ascending).  Rows may share one list, so a caller copies a row
+        before changing it; kinds with a cheaper graph override this
+        per-query loop."""
         independent = self.independent
-        return [independent(grown), *[independent(grown ^ 1 << x) for x in inside]]
+        bits = [1 << x for x in inside]
+        out = []
+        for y in outside:
+            grown = x_mask | 1 << y
+            out.append([independent(grown), *[independent(grown ^ b) for b in bits]])
+        return out
 
     def rebind(self, ground):
         """Same independence rule over a reordered copy of the ground set."""
@@ -503,14 +510,14 @@ class _AnchoredEvaluator:
         self.anchor = cur | mask_of(compress(candidates, answers), self.spec.n)
         return answers
 
-    row = MatroidSpec.row
+    rows = MatroidSpec.rows
 
 
 class _PartitionEvaluator(_AnchoredEvaluator):
     """State: the anchor's count per class; plus an element -> class table.
 
-    Rows are answered from the count per class of their X, computed once per
-    X and kept apart from the anchor."""
+    Exchange graphs are answered from the count per class of their X,
+    computed once per X and kept apart from the anchor."""
 
     def _start(self):
         spec = self.spec
@@ -520,25 +527,34 @@ class _PartitionEvaluator(_AnchoredEvaluator):
                 class_of[e] = i
         self.class_of, self.class_masks, self.caps = class_of, spec.class_masks, spec.caps
         self.state = [0] * len(spec.caps)
-        self._row_x, self._row_counts, self._row_classes = None, None, None
+        self._rows_x, self._rows_counts = None, None
 
-    def row(self, x_mask, inside, y):
+    def rows(self, x_mask, inside, outside):
         if self.state is None:
             self._start()
-        if x_mask != self._row_x:
-            counts = self.spec._class_counts(x_mask, stop_over_cap=True)
-            self._row_x, self._row_counts = x_mask, counts
-            self._row_classes = None if counts is None else [self.class_of[x] for x in inside]
-        counts = self._row_counts
+        if x_mask != self._rows_x:
+            self._rows_x, self._rows_counts = x_mask, self.spec._class_counts(x_mask, stop_over_cap=True)
+        counts = self._rows_counts
         if counts is None:
             # X is over a cap: removing x can repair it, so ask each set
-            return _AnchoredEvaluator.row(self, x_mask, inside, y)
-        # X is independent: X + y is independent iff y's class has room, and
-        # X + y - x also when x shares y's class
-        c = self.class_of[y]
-        if counts[c] < self.caps[c]:
-            return [True] * (len(inside) + 1)
-        return [False, *[cx == c for cx in self._row_classes]]
+            return _AnchoredEvaluator.rows(self, x_mask, inside, outside)
+        # X is independent: X + y is independent iff y's class c has room,
+        # and X + y - x also when x is in class c; so every y of one class
+        # shares one row
+        class_of, caps = self.class_of, self.caps
+        row_of = {}
+        out = []
+        for y in outside:
+            c = class_of[y]
+            row = row_of.get(c)
+            if row is None:
+                if counts[c] < caps[c]:
+                    row = [True] * (len(inside) + 1)
+                else:
+                    row = [False, *[class_of[x] == c for x in inside]]
+                row_of[c] = row
+            out.append(row)
+        return out
 
     def _evaluate(self, mask, stop_if_dependent):
         counts = self.spec._class_counts(mask, stop_if_dependent)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from itertools import compress
+from itertools import compress, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -49,93 +49,100 @@ class IntersectionOracles:
         self.ledger = QueryLedger(ground.n)
 
     def query_independent(self, role, which, mask):
-        kind = KIND_IND_OF.get(which)
-        if kind is None:
+        if type(which) is not int or which not in KIND_IND_OF:
             raise ValueError(f"matroid index must be 1 or 2, got {which!r}")
         answer = by_role(self._evals, role)[which - 1].independent(mask)
-        self.ledger.record(role, kind, answer, mask)
+        self.ledger.record(role, KIND_IND_OF[which], answer, mask)
         return answer
 
-    def query_row(self, role, x_mask, inside, y, known_false=((), ())):
-        """Billed exchange-graph row of y in both matroids: the answers of
-        matroid 1 and of matroid 2 for X + y, then X + y - x for each x of
-        inside (X's elements ascending), billed set by set, ind1 then ind2.
+    def query_rows(self, role, x_mask, inside, outside, known_false=((), ())):
+        """Billed exchange graph of X = x_mask in both matroids: the row
+        lists of matroid 1 and of matroid 2 (see MatroidSpec.rows; inside and
+        outside hold every element in and outside X, ascending), billed in
+        one ledger append, y by y and set by set, ind1 then ind2.
 
         known_false holds, per matroid, sets answered dependent without a
-        query: a row that holds one leaves its record out."""
-        eval1, eval2 = by_role(self._evals, role)
-        grown = x_mask | 1 << y
-        masks = [grown, *[grown ^ 1 << x for x in inside]]
-        answers = (eval1.row(x_mask, inside, y), eval2.row(x_mask, inside, y))
-        unbilled = []
+        query: each that is X + y or X + y - x leaves its record out."""
+        evals = by_role(self._evals, role)
+        answers = tuple(ev.rows(x_mask, inside, outside) for ev in evals)
+        width = len(inside) + 1
+        unbilled = set()
         for k, fs in enumerate(known_false):
             for f in fs:
-                # f is X + y or X + y - x
-                if f >> y & 1 and f | grown == grown and (grown ^ f).bit_count() <= 1:
-                    i = masks.index(f)
-                    answers[k][i] = False
-                    unbilled.append(2 * i + k)
-        self.ledger.record_row(role, *answers, masks, unbilled)
+                extra, missing = f & ~x_mask, x_mask & ~f
+                if extra.bit_count() != 1 or missing.bit_count() > 1:
+                    continue
+                # y's index in outside and x's in inside count the elements
+                # below them outside and inside X
+                r = (extra - 1 & ~x_mask).bit_count()
+                if r >= len(outside):
+                    continue
+                i = (x_mask & missing - 1).bit_count() + 1 if missing else 0
+                row = answers[k][r] = answers[k][r].copy()  # rows may share a list
+                row[i] = False
+                unbilled.add(2 * (r * width + i) + k)
+        self.ledger.record_graph(role, x_mask, inside, outside, *answers, unbilled)
         return answers
 
 
 def unbilled_rows(specs):
-    """Row test of build_exchange_graph answered, unbilled, by fresh
+    """Graph test of build_exchange_graph answered, unbilled, by fresh
     evaluators of the two matroid specs."""
     eval1, eval2 = (spec.evaluator() for spec in specs)
-    return lambda x_mask, inside, y: (eval1.row(x_mask, inside, y), eval2.row(x_mask, inside, y))
+    return lambda x_mask, inside, outside: (eval1.rows(x_mask, inside, outside), eval2.rows(x_mask, inside, outside))
 
 
 class ExchangeGraph(NamedTuple):
     """Directed bipartite exchange graph for a common independent set X.
 
     Arc x -> y is present iff X - x + y is independent in matroid 1, arc
-    y -> x iff independent in matroid 2; y1/y2 hold the elements whose single
-    addition stays independent in matroid 1/2.  Every list ascends.
+    y -> x iff independent in matroid 2; arcs_in holds the same arcs
+    reversed.  y1/y2 hold the elements whose single addition stays
+    independent in matroid 1/2.  Every list ascends.
     """
 
     arcs_out: dict  # element -> list of successors
+    arcs_in: dict  # element -> list of predecessors
     y1: list
     y2: list
 
 
-def build_exchange_graph(row, n, x_mask):
-    """Exchange graph of X over elements 0..n-1 through the row test
-    row(x_mask, inside, y), which returns the answers of matroid 1 and of
-    matroid 2 for X + y and then X + y - x for each x of inside, X's elements
-    ascending; a set answered dependent produces no arc and no source/sink
-    membership.  Calls the test once per y outside X, n - |X| rows of
-    2(|X| + 1) answers."""
+def build_exchange_graph(rows, n, x_mask):
+    """Exchange graph of X over elements 0..n-1 through one call of the
+    graph test rows(x_mask, inside, outside), with inside and outside the
+    elements in and outside X ascending, which returns the row lists of
+    matroid 1 and of matroid 2 (see MatroidSpec.rows): n - |X| rows of
+    |X| + 1 answers each.  A set answered dependent produces no arc and no
+    source/sink membership."""
     inside = list(iter_bits(x_mask))
+    outside = [y for y in range(n) if not x_mask >> y & 1]
+    rows1, rows2 = rows(x_mask, inside, outside)
     arcs_out = {e: [] for e in range(n)}
+    arcs_in = {e: [] for e in range(n)}
     y1, y2 = [], []
     # y ascends in the outer loop and x in each row: every list ascends
-    for y in range(n):
-        if x_mask >> y & 1:
-            continue
-        answers1, answers2 = row(x_mask, inside, y)
+    for y, answers1, answers2 in zip(outside, rows1, rows2):
         if answers1[0]:
             y1.append(y)
         if answers2[0]:
             y2.append(y)
-        arcs_out[y] = list(compress(inside, answers2[1:]))
-        for x in compress(inside, answers1[1:]):
+        arcs_out[y] = out = list(compress(inside, islice(answers2, 1, None)))
+        for x in out:
+            arcs_in[x].append(y)
+        arcs_in[y] = into = list(compress(inside, islice(answers1, 1, None)))
+        for x in into:
             arcs_out[x].append(y)
-    return ExchangeGraph(arcs_out, y1, y2)
+    return ExchangeGraph(arcs_out, arcs_in, y1, y2)
 
 
 def _distances_to_y2(graph):
     """Arc distance to y2 of every vertex with a directed path to y2 (BFS
-    over reversed arcs)."""
+    over arcs_in)."""
     dist_t = {t: 0 for t in graph.y2}
     dq = deque(graph.y2)
-    preds = {e: [] for e in graph.arcs_out}
-    for u, vs in graph.arcs_out.items():
-        for v in vs:
-            preds[v].append(u)
     while dq:
         v = dq.popleft()
-        for u in preds[v]:
+        for u in graph.arcs_in[v]:
             if u not in dist_t:
                 dist_t[u] = dist_t[v] + 1
                 dq.append(u)
@@ -160,10 +167,10 @@ def shortest_augmenting_path(graph):
     return path
 
 
-def textbook_intersection(row, specs, x_mask=0):
+def textbook_intersection(rows, specs, x_mask=0):
     """Shortest-augmenting-path matroid intersection from the start set X.
 
-    row is the row test of build_exchange_graph, and specs are its two
+    rows is the graph test of build_exchange_graph, and specs are its two
     matroids; they check, unbilled, that the start and every augmented X are
     independent in both (ValueError for a start that is not).  Any common
     independent start reaches a maximum one: X is optimal exactly when its
@@ -179,10 +186,11 @@ def textbook_intersection(row, specs, x_mask=0):
     if x_mask & ~g.full_mask or not all(spec.is_independent_mask(x_mask) for spec in specs):
         raise ValueError(f"start set {x_mask:#x} is not independent in both matroids")
     while True:
-        graph = build_exchange_graph(row, g.n, x_mask)
+        graph = build_exchange_graph(rows, g.n, x_mask)
         path = shortest_augmenting_path(graph)
         if path is None:
             return x_mask, sum(1 << e for e in _distances_to_y2(graph))
+        del graph  # so that the next build does not hold two graphs at once
         for v in path:
             x_mask ^= 1 << v
         if not (specs[0].is_independent_mask(x_mask) and specs[1].is_independent_mask(x_mask)):
@@ -262,13 +270,11 @@ def dirty_intersection(ox):
     false_sets = ([], [])
     x_mask = 0
     while True:
-        # a set already found false is dependent without a query; it lies in
-        # a row of X only as X + y or X + y - x
-        near = tuple(
-            [f for f in fs if (f & ~x_mask).bit_count() == 1 and (x_mask & ~f).bit_count() <= 1] for fs in false_sets
+        # a set already found false is answered dependent without a query
+        # wherever it lies in the graph of X
+        path = shortest_augmenting_path(
+            build_exchange_graph(partial(ox.query_rows, ROLE_DIRTY, known_false=false_sets), g.n, x_mask)
         )
-        graph = build_exchange_graph(partial(ox.query_row, ROLE_DIRTY, known_false=near), g.n, x_mask)
-        path = shortest_augmenting_path(graph)
         if path is None:
             return ElementSet(g.n, x_mask), ox.ledger, false_sets
         flipped = x_mask
@@ -292,7 +298,7 @@ def warm_start(ox):
     ceil(log2 n)); the result keeps at least s_d* - 2 eta_r elements.
     """
     g = ox.ground
-    cur, _ = textbook_intersection(partial(ox.query_row, ROLE_DIRTY), ox.dirty)
+    cur, _ = textbook_intersection(partial(ox.query_rows, ROLE_DIRTY), ox.dirty)
     for which in (1, 2):
         cur = alg._strip_dirty_basis(partial(ox.query_independent, ROLE_CLEAN, which), g, cur)
     return ElementSet(g.n, cur), ox.ledger

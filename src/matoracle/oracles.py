@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import NamedTuple
 
 from .core import (
@@ -103,25 +103,33 @@ class QueryLedger:
         self._codes += bytes((code,)) * len(answers)
         self._answers += answers
 
-    def record_row(self, role, answers1, answers2, masks, unbilled=()):
-        """One exchange-graph row pair as one append per column: for each set
-        of masks in order, its ind1 record and then its ind2 record, with
-        answers1 and answers2 the answers of matroid 1 and 2 (masks is read
-        only when the ledger stores sets).  unbilled lists the positions, in
-        that record order, of records left out."""
+    def record_graph(self, role, x_mask, inside, outside, rows1, rows2, unbilled=()):
+        """One exchange graph as one append per column: for each y of
+        outside and each set of its row (X + y, then X + y - x for each x of
+        inside), the set's ind1 record and then its ind2 record, with rows1
+        and rows2 the answer lists of matroid 1 and 2 per y (the sets are
+        built only when the ledger stores them).  unbilled holds the
+        positions, in that record order, of records left out."""
         codes = by_role(_CODE_OF, role)
         # every interleaved column is built before any column grows
-        row_codes = bytearray((codes[KIND_IND_OF[1]], codes[KIND_IND_OF[2]])) * len(answers1)
-        answers = [None] * len(row_codes)
-        answers[::2], answers[1::2] = answers1, answers2
-        sets = [None] * len(row_codes)
+        size = len(outside) * (len(inside) + 1)
+        graph_codes = bytearray((codes[KIND_IND_OF[1]], codes[KIND_IND_OF[2]])) * size
+        answers = [None] * (2 * size)
+        answers[::2] = chain.from_iterable(rows1)
+        answers[1::2] = chain.from_iterable(rows2)
+        sets = None
         if self.store_sets:
-            sets[::2] = sets[1::2] = masks
+            # X, then X - x for each x of inside, each with y added
+            base = [x_mask, *[x_mask ^ 1 << x for x in inside]]
+            sets = [None] * (2 * size)
+            sets[::2] = sets[1::2] = [s | bit for bit in [1 << y for y in outside] for s in base]
         for p in sorted(unbilled, reverse=True):
-            del row_codes[p], answers[p], sets[p]
-        self._codes += row_codes
+            del graph_codes[p], answers[p]
+            if sets is not None:
+                del sets[p]
+        self._codes += graph_codes
         self._answers += answers
-        if self.store_sets:
+        if sets is not None:
             self._masks += sets
 
     @property

@@ -259,7 +259,7 @@ def test_unknown_role_raises_and_bills_nothing():
     assert (ox.ledger.clean_count, ox.ledger.dirty_count, len(ox.ledger.transcript)) == (1, 0, 1)
 
 
-@pytest.mark.parametrize("which", [0, 3, -1])
+@pytest.mark.parametrize("which", [0, 3, -1, True, 1.0, 2.0, "1"])
 def test_bad_matroid_index_raises_and_bills_nothing(which):
     ox = generate(random_intersection_instance(10, seed=2)).fresh_oracles()
     for role in (ROLE_CLEAN, ROLE_DIRTY):
@@ -280,17 +280,17 @@ def _count_full_evaluations(monkeypatch, specs):
 
 
 def test_exchange_graph_needs_no_full_evaluation_after_x(monkeypatch):
-    # a partition evaluator answers every row from X's count per class, so
-    # the whole graph costs one full count of X per matroid
+    # a partition evaluator answers the whole graph from X's count per
+    # class, so it costs one full count of X per matroid
     rng = random.Random(3)
     for seed in range(6):
         ox = generate(random_intersection_instance(rng.randint(12, 30), seed=seed)).fresh_oracles()
-        direct = lambda x, inside, y: tuple(spec.row(x, inside, y) for spec in ox.clean)  # noqa: E731
+        direct = lambda x, inside, outside: tuple(spec.rows(x, inside, outside) for spec in ox.clean)  # noqa: E731
         x_mask, _ = textbook_intersection(direct, ox.clean)
         x_mask &= ~(1 << next(iter_bits(x_mask), 0))  # the optimum less one element
         want = build_exchange_graph(direct, ox.ground.n, x_mask)
         calls = _count_full_evaluations(monkeypatch, ox.clean)
-        graph = build_exchange_graph(partial(ox.query_row, ROLE_CLEAN), ox.ground.n, x_mask)
+        graph = build_exchange_graph(partial(ox.query_rows, ROLE_CLEAN), ox.ground.n, x_mask)
         assert graph == want
         assert calls == [x_mask] * 2
 
@@ -370,9 +370,10 @@ def _full_class_start(rng, spec):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_partition_row_matches_the_spec(seed):
-    # X independent or one over a cap (the row falls back to a query per
+    # X independent or one over a cap (the rows fall back to a query per
     # set), and y in a class with room or in a full class; the evaluator
-    # also answers single queries between rows
+    # also answers single queries between graphs, and a second graph of the
+    # same X after them
     rng = random.Random(f"row:{seed}")
     seen = set()
     for _ in range(40):
@@ -386,19 +387,23 @@ def test_partition_row_matches_the_spec(seed):
             if over:
                 x_mask |= 1 << rng.choice(addable)
             inside = list(iter_bits(x_mask))
-            for y in iter_bits(spec.ground.full_mask & ~x_mask):
+            outside = list(iter_bits(spec.ground.full_mask & ~x_mask))
+            want = [[spec.is_independent_mask(m) for m in _row_masks(x_mask, y)] for y in outside]
+            for y in outside:
                 c = next(i for i, m in enumerate(spec.class_masks) if m >> y & 1)
                 seen.add((over, room[c]))
-                assert ev.row(x_mask, inside, y) == [spec.is_independent_mask(m) for m in _row_masks(x_mask, y)]
-                mask = rng.getrandbits(spec.n)
-                assert ev.independent(mask) == spec.is_independent_mask(mask)
+            for _ in range(2):
+                assert ev.rows(x_mask, inside, outside) == want
+                for _ in range(len(outside)):
+                    mask = rng.getrandbits(spec.n)
+                    assert ev.independent(mask) == spec.is_independent_mask(mask)
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 @pytest.mark.parametrize("kind", ["graphic", "uniform"])
 def test_generic_row_matches_the_spec(kind):
-    # a pair of one kind through the billed row: the answers and the records,
-    # ind1 then ind2 set by set, are those of the specs
+    # a pair of one kind through the billed graph: the answers and the
+    # records, y by y and set by set, ind1 then ind2, are those of the specs
     rng = random.Random(f"row:{kind}")
     for _ in range(20):
         n = rng.randint(2, 30)
@@ -409,13 +414,15 @@ def test_generic_row_matches_the_spec(kind):
             # a subset of a basis of matroid 1, or any set
             x_mask = rng.getrandbits(n) & (greedy_native(ox.clean[0]) if rng.random() < 0.7 else -1)
             inside = list(iter_bits(x_mask))
-            for y in iter_bits(ox.ground.full_mask & ~x_mask):
-                sets = _row_masks(x_mask, y)
-                want = tuple([spec.is_independent_mask(m) for m in sets] for spec in ox.clean)
-                assert ox.query_row(ROLE_CLEAN, x_mask, inside, y) == want
-                want_records += [
-                    QueryRecord(ROLE_CLEAN, f"ind{w}", int(want[w - 1][i]), m)
-                    for i, m in enumerate(sets)
-                    for w in (1, 2)
-                ]
+            outside = list(iter_bits(ox.ground.full_mask & ~x_mask))
+            want = tuple(
+                [[spec.is_independent_mask(m) for m in _row_masks(x_mask, y)] for y in outside] for spec in ox.clean
+            )
+            assert ox.query_rows(ROLE_CLEAN, x_mask, inside, outside) == want
+            want_records += [
+                QueryRecord(ROLE_CLEAN, f"ind{w}", int(want[w - 1][r][i]), m)
+                for r, y in enumerate(outside)
+                for i, m in enumerate(_row_masks(x_mask, y))
+                for w in (1, 2)
+            ]
         assert ox.ledger.transcript == want_records

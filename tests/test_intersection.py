@@ -22,7 +22,7 @@ from matoracle import intersection
 from matoracle.bench import generate, random_intersection_instance, run_trial
 from matoracle.core import iter_bits
 from matoracle.intersection import ExchangeGraph, _locate_false_set, shortest_augmenting_path
-from matoracle.oracles import ROLE_CLEAN, ROLE_DIRTY
+from matoracle.oracles import ROLE_CLEAN, ROLE_DIRTY, QueryRecord
 
 from conftest import masks
 
@@ -64,11 +64,11 @@ def random_pair_instance(rng, n, raises=2):
 
 
 def clean_textbook(ox, x_mask=0):
-    return textbook_intersection(partial(ox.query_row, ROLE_CLEAN), ox.clean, x_mask)
+    return textbook_intersection(partial(ox.query_rows, ROLE_CLEAN), ox.clean, x_mask)
 
 
 def clean_graph(ox, x_mask):
-    return build_exchange_graph(partial(ox.query_row, ROLE_CLEAN), ox.ground.n, x_mask)
+    return build_exchange_graph(partial(ox.query_rows, ROLE_CLEAN), ox.ground.n, x_mask)
 
 
 def _first_superset_violation(ox):
@@ -121,9 +121,9 @@ class TestExchangeGraph:
         ox = IntersectionOracles(g, c1, c2, c1, c2)
         x = 0b001
         forbidden = x & ~0b001 | 0b010  # the swap set {1}
-        full = build_exchange_graph(partial(ox.query_row, ROLE_DIRTY), 3, x)
+        full = build_exchange_graph(partial(ox.query_rows, ROLE_DIRTY), 3, x)
         billed = len(ox.ledger.transcript)
-        pruned = build_exchange_graph(partial(ox.query_row, ROLE_DIRTY, known_false=({forbidden}, ())), 3, x)
+        pruned = build_exchange_graph(partial(ox.query_rows, ROLE_DIRTY, known_false=({forbidden}, ())), 3, x)
         assert set(full.arcs_out[0]) - set(pruned.arcs_out[0]) == {1}
         assert pruned.arcs_out[1] == full.arcs_out[1]
         # the excluded set is answered unbilled; every other record repeats
@@ -151,6 +151,25 @@ class TestExchangeGraph:
                 else:
                     want = [v for v in iter_bits(x) if c2.is_independent_mask(x & ~(1 << v) | 1 << e)]
                 assert graph.arcs_out[e] == want
+
+    def test_arcs_in_reverse_arcs_out(self):
+        # on common independent X and on X over a dirty cap (whose partition
+        # graph asks each set), arcs_in holds every arc of arcs_out reversed,
+        # each list ascending
+        rng = random.Random(20)
+        for _ in range(40):
+            n = rng.randint(4, 64)
+            ox = random_pair_instance(rng, n)
+            x, _ = textbook_intersection(unbilled_rows(ox.clean), ox.clean)
+            x = rng.choice([x & rng.getrandbits(n), x | rng.getrandbits(n) & rng.getrandbits(n)])
+            for role in (ROLE_CLEAN, ROLE_DIRTY):
+                graph = build_exchange_graph(partial(ox.query_rows, role), n, x)
+                want = {e: [] for e in range(n)}
+                for u in range(n):
+                    for v in graph.arcs_out[u]:
+                        want[v].append(u)
+                assert graph.arcs_in == want
+                assert list(graph.arcs_in) == list(graph.arcs_out) == list(range(n))
 
 
 class TestShortestPath:
@@ -482,7 +501,7 @@ class TestWarmStart:
         removed = 0
         for _ in range(60):
             ox = random_pair_instance(rng, rng.randint(2, 10))
-            s_d, _ = textbook_intersection(partial(ox.query_row, ROLE_DIRTY), ox.dirty)
+            s_d, _ = textbook_intersection(partial(ox.query_rows, ROLE_DIRTY), ox.dirty)
             removals.clear()
             s, _ = warm_start(ox)
             assert len(removals) == s_d.bit_count() - len(s)
@@ -499,16 +518,17 @@ class TestIntersectionOraclesFailLoudly:
         with pytest.raises(ValueError, match="unknown oracle role"):
             ox.query_independent("oracle", 1, 0b1)
         with pytest.raises(ValueError, match="unknown oracle role"):
-            ox.query_row("oracle", 0b1, [0], 2)
+            ox.query_rows("oracle", 0b1, [0], [1, 2, 3])
         assert (ox.ledger.clean_count, ox.ledger.dirty_count, ox.ledger.transcript) == (0, 0, [])
 
 
 def per_query_graph(independent, n, x_mask):
-    """Reference for row builds: the exchange graph through one call of
-    independent(which, mask) per set, in the order a row bills them."""
+    """Reference for graph builds: the exchange graph through one call of
+    independent(which, mask) per set, in the order a graph bills them."""
     outside = [e for e in range(n) if not x_mask >> e & 1]
     inside = list(iter_bits(x_mask))
     arcs_out = {e: [] for e in range(n)}
+    arcs_in = {e: [] for e in range(n)}
     y1, y2 = [], []
     for y in outside:
         grown = x_mask | 1 << y
@@ -520,9 +540,11 @@ def per_query_graph(independent, n, x_mask):
             swapped = grown & ~(1 << x)
             if independent(1, swapped):
                 arcs_out[x].append(y)
+                arcs_in[y].append(x)
             if independent(2, swapped):
                 arcs_out[y].append(x)
-    return ExchangeGraph(arcs_out, y1, y2)
+                arcs_in[x].append(y)
+    return ExchangeGraph(arcs_out, arcs_in, y1, y2)
 
 
 def per_query_dirty_intersection(ox):
@@ -551,8 +573,9 @@ def per_query_dirty_intersection(ox):
 
 
 class TestRowsMatchPerQueryBuilds:
-    """Above the golden grid, the graphs and transcripts of row builds equal
-    those of builds with one query per set."""
+    """Above the golden grid, the graphs and transcripts of builds that
+    answer and bill a whole graph in one call equal those of builds with one
+    query per set."""
 
     @staticmethod
     def instances():
@@ -567,8 +590,8 @@ class TestRowsMatchPerQueryBuilds:
         builds = []
         inner = intersection.build_exchange_graph
 
-        def recording(row, n, x_mask):
-            builds.append((x_mask, inner(row, n, x_mask)))
+        def recording(rows, n, x_mask):
+            builds.append((x_mask, inner(rows, n, x_mask)))
             return builds[-1][1]
 
         monkeypatch.setattr(intersection, "build_exchange_graph", recording)
@@ -592,7 +615,7 @@ class TestRowsMatchPerQueryBuilds:
             want_ox, ox = fresh(), fresh()
             want_builds = []
 
-            def per_query(row, n, x_mask):
+            def per_query(rows, n, x_mask):
                 want_builds.append((x_mask, per_query_graph(partial(want_ox.query_independent, ROLE_DIRTY), n, x_mask)))
                 return want_builds[-1][1]
 
@@ -607,8 +630,8 @@ class TestRowsMatchPerQueryBuilds:
 
     def test_dirty_dependent_x_with_known_false_sets(self):
         # X is clean-independent but one over a dirty cap in each matroid, so
-        # the partition rows ask each set; some of its rows hold known false
-        # sets, billed by neither build
+        # the partition graph asks each set; some of its rows hold known
+        # false sets, billed by neither build
         rng = random.Random(48)
         for n in (48, 64):
             ox = generate(random_intersection_instance(n, seed=n, cap_raises=2)).fresh_oracles()
@@ -634,10 +657,116 @@ class TestRowsMatchPerQueryBuilds:
                 return mask not in known[which - 1] and want_ox.query_independent(ROLE_DIRTY, which, mask)
 
             want = per_query_graph(independent, n, x_mask)
-            got = build_exchange_graph(partial(got_ox.query_row, ROLE_DIRTY, known_false=known), n, x_mask)
+            got = build_exchange_graph(partial(got_ox.query_rows, ROLE_DIRTY, known_false=known), n, x_mask)
             assert got == want
             assert got_ox.ledger.export_lines() == want_ox.ledger.export_lines()
             assert len(got_ox.ledger.transcript) == 2 * (len(inside) + 1) * len(outside) - 8
+
+
+class TestOneCallPerGraph:
+    """A build asks each matroid's evaluator for the whole graph in one rows
+    call and, when billed, appends it to the ledger in one call; rows answered
+    or billed y by y would make one call per y."""
+
+    @staticmethod
+    def counted(monkeypatch, evaluator, calls):
+        """evaluator with each rows call recorded as (x_mask, outside)."""
+        inner = evaluator.rows
+
+        def rows(x_mask, inside, outside):
+            calls.append((x_mask, outside))
+            return inner(x_mask, inside, outside)
+
+        monkeypatch.setattr(evaluator, "rows", rows)
+        return evaluator
+
+    @staticmethod
+    def instances():
+        """(fresh-oracle factory, algorithm names): partition pairs with
+        raised dirty caps, and exact uniform and graphic pairs."""
+        rng = random.Random(30)
+        for n, seed in ((24, 1), (48, 2)):
+            gen = generate(random_intersection_instance(n, seed=seed, cap_raises=2))
+            yield gen.fresh_oracles, ("dirty_intersection", "warm_start")
+        for kind in ("uniform", "graphic"):
+            g = GroundSet.unit(12)
+            specs = [TestTextbookStart.random_clean(rng, g, kind) for _ in range(2)]
+            yield (lambda specs=specs: ox_from(12, *specs)), ("warm_start",)
+
+    @pytest.mark.parametrize("run", ["dirty_intersection", "warm_start"])
+    def test_billed_builds(self, monkeypatch, run):
+        for fresh, runs in self.instances():
+            if run not in runs:
+                continue
+            ox = fresh()
+            n = ox.ground.n
+            calls = ([], [], [], [])  # clean 1, clean 2, dirty 1, dirty 2
+            for ev, made in zip(ox._evals[ROLE_CLEAN] + ox._evals[ROLE_DIRTY], calls):
+                self.counted(monkeypatch, ev, made)
+            appends, inner = [], ox.ledger.record_graph
+            monkeypatch.setattr(ox.ledger, "record_graph", lambda *a: appends.append(a[1]) or inner(*a))
+            builds = TestRowsMatchPerQueryBuilds.recording_builds(monkeypatch)
+            getattr(intersection, run)(ox)
+            monkeypatch.undo()
+            xs = [x_mask for x_mask, _ in builds]
+            outside = [[y for y in range(n) if not x_mask >> y & 1] for x_mask in xs]
+            assert len(xs) > 1
+            assert calls[0] == calls[1] == []
+            assert calls[2] == calls[3] == list(zip(xs, outside))
+            assert appends == xs
+
+    def test_unbilled_builds(self, monkeypatch):
+        for fresh, _ in self.instances():
+            ox = fresh()
+            calls = ([], [])
+            for spec, made in zip(ox.clean, calls):
+                make = spec.evaluator
+                monkeypatch.setattr(
+                    spec, "evaluator", lambda make=make, made=made: self.counted(monkeypatch, make(), made)
+                )
+            builds = TestRowsMatchPerQueryBuilds.recording_builds(monkeypatch)
+            textbook_intersection(unbilled_rows(ox.clean), ox.clean)
+            monkeypatch.undo()
+            xs = [x_mask for x_mask, _ in builds]
+            assert len(xs) > 1
+            assert [x_mask for x_mask, _ in calls[0]] == [x_mask for x_mask, _ in calls[1]] == xs
+            assert ox.ledger.transcript == []
+
+    def test_known_false_at_row_edges(self):
+        # matroid 1 knows the first set of the first row false, matroid 2 the
+        # last set of a row whose list the evaluator shares with other rows:
+        # both are answered False and left unbilled, and the rows that share
+        # the list keep its answers
+        found = 0
+        for seed in range(8):
+            ox = generate(random_intersection_instance(24, seed=seed, cap_raises=2)).fresh_oracles()
+            n = ox.ground.n
+            x, _ = textbook_intersection(unbilled_rows(ox.clean), ox.clean)
+            x &= x - 1  # the optimum less its lowest element
+            inside = list(iter_bits(x))
+            outside = [y for y in range(n) if not x >> y & 1]
+            want = unbilled_rows(ox.dirty)(x, inside, outside)
+            shared = [r for r, row in enumerate(want[1]) if row[-1] and sum(other is row for other in want[1]) > 1]
+            if not shared:
+                continue
+            found += 1
+            r = shared[0]
+            known = ([x | 1 << outside[0]], [x & ~(1 << inside[-1]) | 1 << outside[r]])
+            got = ox.query_rows(ROLE_DIRTY, x, inside, outside, known_false=known)
+            expect = tuple([list(row) for row in rows] for rows in want)
+            expect[0][0][0] = False
+            expect[1][r][-1] = False
+            assert got == expect
+            assert [got[1][q] for q in range(len(outside)) if want[1][q] is want[1][r] and q != r] != []
+            records = [
+                QueryRecord(ROLE_DIRTY, f"ind{k}", int(want[k - 1][q][i]), mask)
+                for q, y in enumerate(outside)
+                for i, mask in enumerate([x | 1 << y, *[x & ~(1 << e) | 1 << y for e in inside]])
+                for k in (1, 2)
+                if (k, q, i) not in ((1, 0, 0), (2, r, len(inside)))
+            ]
+            assert ox.ledger.transcript == records
+        assert found > 2
 
 
 def test_partition_rows_count_classes_once_per_x(monkeypatch):

@@ -72,12 +72,13 @@ class TestLedger:
             else:
                 pair.query_independent(role, rng.randrange(32))
         pair.query_scan(ROLE_CLEAN, 0b1, 0b101)
-        # a row of X + y and X + y - x, x in X, for X = {0}, y = 1, whose
-        # X + y is known dependent in matroid 2: 3 billed records, not 4
-        g = GroundSet.unit(4)
-        one_class = PartitionMatroid(g, masks([0, 1, 2, 3]), [1])
+        # the graph of X = {0} over {0, 1}, one row of X + y and X + y - x
+        # for y = 1, whose X + y is known dependent in matroid 2: 3 billed
+        # records, not 4
+        g = GroundSet.unit(2)
+        one_class = PartitionMatroid(g, masks([0, 1]), [1])
         ox = IntersectionOracles(g, UniformMatroid(g, 2), one_class, UniformMatroid(g, 2), one_class)
-        ox.query_row(ROLE_CLEAN, 0b1, [0], 1, known_false=((), (0b11,)))
+        ox.query_rows(ROLE_CLEAN, 0b1, [0], [1], known_false=((), (0b11,)))
         ox.query_independent(ROLE_DIRTY, 2, 0b1)
         assert [(r.kind, r.mask) for r in ox.ledger.transcript[:3]] == [("ind1", 0b11), ("ind1", 0b10), ("ind2", 0b10)]
         for led in (pair.ledger, ox.ledger):
@@ -176,7 +177,7 @@ class TestLedger:
         assert _columns_and_counts(led) == before
         assert led.transcript == [QueryRecord(ROLE_DIRTY, "ind2", 0, 0b11)]
         with pytest.raises(ValueError, match="unknown oracle role"):
-            led.record_row("oracle", [True], [False], [0b1])
+            led.record_graph("oracle", 0b1, [0], [1], [[True, True]], [[False, True]])
         assert _columns_and_counts(led) == before
         with pytest.raises(ValueError, match="unknown oracle role"):
             led.record_scan("oracle", 0, [0, 1], [True, False])
@@ -198,9 +199,9 @@ class TestLedger:
             lambda pair, ox: pair.query_rank("oracle", 0b11),
             lambda pair, ox: pair.query_scan("oracle", 0b1),
             lambda pair, ox: ox.query_independent("oracle", 1, 0b11),
-            lambda pair, ox: ox.query_row("oracle", 0b1, [0], 1),
+            lambda pair, ox: ox.query_rows("oracle", 0b1, [0], [1, 2, 3, 4, 5]),
         ],
-        ids=["pair.query_independent", "pair.query_rank", "pair.query_scan", "ox.query_independent", "ox.query_row"],
+        ids=["pair.query_independent", "pair.query_rank", "pair.query_scan", "ox.query_independent", "ox.query_rows"],
     )
     def test_unknown_role_evaluates_nothing(self, query):
         # partition evaluators on both sides keep state, so an evaluation
@@ -220,23 +221,32 @@ class TestLedger:
 
     @pytest.mark.parametrize("n", [12, SET_STORAGE_LIMIT + 1])
     def test_row_equals_its_records(self, n):
-        # one row pair bills as its records one by one, ind1 then ind2 per
-        # set, less the unbilled positions of that order
+        # the rows of one graph bill as their records one by one, y by y and
+        # set by set, ind1 then ind2, less the unbilled positions of that
+        # order; above the storage limit X has at most two elements, so a
+        # graph stays near 6n records
         rng = random.Random(n)
-        by_row, by_record = QueryLedger(n), QueryLedger(n)
-        for _ in range(40):
-            role, size = rng.choice([ROLE_CLEAN, ROLE_DIRTY]), rng.randint(1, 8)
-            masks = [rng.getrandbits(n) for _ in range(size)]
-            answers = [[rng.random() < 0.5 for _ in range(size)] for _ in range(2)]
-            unbilled = rng.sample(range(2 * size), rng.randint(0, 2))
-            by_row.record_row(role, *answers, masks, unbilled)
-            for i, mask in enumerate(masks):
-                for k in (0, 1):
-                    if 2 * i + k not in unbilled:
-                        by_record.record(role, f"ind{k + 1}", answers[k][i], mask)
-        assert by_row.transcript == by_record.transcript
-        assert (by_row.clean_count, by_row.dirty_count) == (by_record.clean_count, by_record.dirty_count)
-
+        by_graph, by_record = QueryLedger(n), QueryLedger(n)
+        for _ in range(40 if n < 100 else 3):
+            role = rng.choice([ROLE_CLEAN, ROLE_DIRTY])
+            x_mask = rng.getrandbits(n) if n < 100 else 1 << rng.randrange(n) | 1 << rng.randrange(n)
+            inside = list(iter_bits(x_mask))
+            outside = [y for y in range(n) if not x_mask >> y & 1]
+            answers = [[[rng.random() < 0.5 for _ in range(len(inside) + 1)] for _ in outside] for _ in range(2)]
+            size = 2 * len(outside) * (len(inside) + 1)
+            unbilled = rng.sample(range(size), min(size, rng.randint(0, 2)))
+            by_graph.record_graph(role, x_mask, inside, outside, *answers, unbilled)
+            records = [
+                (f"ind{k + 1}", answers[k][r][i], mask)
+                for r, y in enumerate(outside)
+                for i, mask in enumerate([x_mask | 1 << y, *[x_mask & ~(1 << x) | 1 << y for x in inside]])
+                for k in (0, 1)
+            ]
+            for p, (kind, answer, mask) in enumerate(records):
+                if p not in unbilled:
+                    by_record.record(role, kind, answer, mask)
+        assert by_graph.transcript == by_record.transcript
+        assert (by_graph.clean_count, by_graph.dirty_count) == (by_record.clean_count, by_record.dirty_count)
 
     @pytest.mark.parametrize("n", [12, SET_STORAGE_LIMIT + 1])
     def test_scan_equals_its_queries(self, n):
