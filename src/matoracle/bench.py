@@ -14,8 +14,10 @@ import inspect
 import json
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import algorithms as alg
 from . import errors as errmod
@@ -56,38 +58,6 @@ class InvalidSpec(ValueError):
 
 class MissingParam(KeyError):
     """A bound evaluator was called without a parameter its formula needs."""
-
-
-ALGORITHMS = (
-    "greedy",
-    "simple",
-    "errdep",
-    "robust",
-    "weighted",
-    "weighted-robust",
-    "rank",
-    "pairquery",
-    "costly",
-    "intersect-dirty",
-    "warmstart",
-)
-
-WEIGHTED_ALGS = {"weighted", "weighted-robust"}
-UNWEIGHTED_ALGS = {"simple", "errdep", "robust", "rank", "pairquery", "costly"}
-INTERSECTION_ALGS = {"intersect-dirty", "warmstart"}
-K_ALGS = {"robust", "weighted-robust"}
-
-# basis tags run as algorithms.<name>(dirty basis, pair[, k]); looked up at
-# call time, so a wrapper installed on the module attribute sees every trial
-BASIS_ENTRIES = {
-    "simple": "simple_basis",
-    "errdep": "error_dependent_basis",
-    "robust": "robust_basis",
-    "weighted": "weighted_basis",
-    "weighted-robust": "robust_weighted_basis",
-    "rank": "rank_oracle_basis",
-    "pairquery": "pair_query_basis",
-}
 
 
 @dataclass
@@ -131,7 +101,7 @@ class InstanceSpec:
         for key in ("n", "weights", "matroid", "dirty"):
             if key not in doc:
                 raise InvalidSpec(key, "required field missing")
-        if not isinstance(doc["n"], int) or doc["n"] < 0:
+        if type(doc["n"]) is not int or doc["n"] < 0:
             raise InvalidSpec("n", "must be a non-negative integer")
         if "family" in doc and not isinstance(doc["family"], dict):
             raise InvalidSpec("family", "must be an object, or a string tag naming a family group")
@@ -536,26 +506,46 @@ def _bound_warmstart(p):
     return Fraction(2 + 2 * er * (1 + ceil_log2(n)))
 
 
-BOUNDS = {
-    "greedy": _bound_greedy,
-    "simple": _bound_simple,
-    "errdep": _bound_errdep,
-    "robust": _bound_robust,
-    "weighted": _bound_weighted,
-    "weighted-robust": _bound_weighted_robust,
-    "rank": _bound_rank,
-    "pairquery": _bound_pairquery,
-    "costly": _bound_costly,
-    "intersect-dirty": _bound_intersect_dirty,
-    "warmstart": _bound_warmstart,
+class Tag(NamedTuple):
+    """What the harness knows of one algorithm tag."""
+
+    bound: Callable[[dict], Fraction]  # closed-form bound of a params dict
+    # function of ``algorithms`` that runs the tag, looked up at call time so
+    # that a wrapper installed on the module attribute sees every trial; None
+    # where bench calls its own import (greedy_basis, dirty_intersection,
+    # warm_start), which a wrapper on bench sees
+    entry: str | None
+    unit_only: bool  # targets the unweighted problem
+    takes_k: bool  # trade-off k, default algorithms.default_k(n)
+    certificate: str  # "strict" (checked from the clean transcript), "relaxed" or "n/a"
+    measured: str  # the ledger count the bound caps
+    intersection: bool = False
+
+
+_IND, _RANK = "clean_independence_count", "clean_rank_count"
+
+# in the order verify runs them
+TAGS = {
+    "greedy": Tag(_bound_greedy, None, False, False, "strict", _IND),
+    "simple": Tag(_bound_simple, "simple_basis", True, False, "strict", _IND),
+    "errdep": Tag(_bound_errdep, "error_dependent_basis", True, False, "strict", _IND),
+    "robust": Tag(_bound_robust, "robust_basis", True, True, "strict", _IND),
+    "weighted": Tag(_bound_weighted, "weighted_basis", False, False, "relaxed", _IND),
+    "weighted-robust": Tag(_bound_weighted_robust, "robust_weighted_basis", False, True, "relaxed", _IND),
+    "rank": Tag(_bound_rank, "rank_oracle_basis", True, False, "n/a", _RANK),
+    "pairquery": Tag(_bound_pairquery, "pair_query_basis", True, False, "n/a", _IND),
+    "costly": Tag(_bound_costly, "costly_strategies", True, False, "n/a", "total_cost"),
+    "intersect-dirty": Tag(_bound_intersect_dirty, None, False, False, "n/a", _IND, True),
+    "warmstart": Tag(_bound_warmstart, None, False, False, "n/a", _IND, True),
 }
+ALGORITHMS = tuple(TAGS)
 
 
 def bound(tag, **params):
     """Exact closed-form bound value for the algorithm tag (min over branches)."""
-    if tag not in BOUNDS:
+    if tag not in TAGS:
         raise MissingParam(f"no bound formula for {tag!r}")
-    return BOUNDS[tag](params)
+    return TAGS[tag].bound(params)
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +603,11 @@ class TrialRecord:
 
     @property
     def violation(self):
-        """Bound exceeded, wrong output, or a strict certificate left unchecked."""
-        return self.within_bound is False or self.correct is False or self.certificate == "unverified"
+        """Bound exceeded, wrong output, or a strict certificate that failed or
+        was left unchecked."""
+        return (
+            self.within_bound is False or self.correct is False or self.certificate in ("strict-fail", "unverified")
+        )
 
 
 TrialRecord.COLUMNS = tuple(f.name for f in fields(TrialRecord))
@@ -632,20 +625,20 @@ def _eta_for_trial(gen, pair):
 
 def _basis_trial(gen, algorithm, k, p):
     spec = gen.spec
+    row = TAGS[algorithm]
     pair0 = gen.fresh_pair(cost_p=1 if p is None else p)
-    k_eff = k or (alg.default_k(pair0.ground.n) if algorithm in K_ALGS else None)
+    k_eff = k or (alg.default_k(pair0.ground.n) if row.takes_k else None)
     t0 = time.perf_counter()
     if algorithm == "costly":
-        basis, _total, _tag = alg.costly_strategies(pair0)
+        basis, _total, _tag = getattr(alg, row.entry)(pair0)
         pair = pair0
     else:
         bd = greedy_basis(pair0).mask
         pair = pair0.with_dirty_basis(bd)
-        if algorithm == "greedy":
+        if row.entry is None:
             basis = greedy_basis(pair, ROLE_CLEAN)
         else:
-            extra = (k_eff,) if algorithm in K_ALGS else ()
-            basis, _ = getattr(alg, BASIS_ENTRIES[algorithm])(bd, pair, *extra)
+            basis, _ = getattr(alg, row.entry)(bd, pair, *([k_eff] if row.takes_k else []))
     wall = time.perf_counter() - t0
     g = pair.ground
     clean = pair.clean
@@ -663,26 +656,20 @@ def _basis_trial(gen, algorithm, k, p):
     bound_val = within = None
     if applies:
         bound_val = bound(algorithm, n=g.n, r=r, r_d=r_d, eta_A=eta_a, eta_R=eta_r_, k=k_eff, p=pair.ledger.cost_p)
-    elif algorithm in K_ALGS:
+    elif row.takes_k:
         # above the enumeration guard only the robustness branch is checkable
         bound_val = Fraction(k_eff + 1, k_eff) * g.n
     if bound_val is not None:
-        ledger = pair.ledger
-        measured = {"rank": ledger.clean_rank_count, "costly": ledger.total_cost}.get(
-            algorithm, ledger.clean_independence_count
-        )
-        within = measured <= bound_val
-    cert, unchecked = "n/a", None
+        within = getattr(pair.ledger, row.measured) <= bound_val
+    cert, unchecked = row.certificate, None
     # on unit weights a clean-independent pairquery output is a clean basis,
     # so a wrong output is one that left the clean family
     error = "FamilyViolation" if algorithm == "pairquery" and not correct else ""
-    if algorithm in ("greedy", "simple", "errdep", "robust"):
+    if cert == "strict":
         try:
             cert = "strict-pass" if verify_certificate(pair.ledger.transcript, basis.mask, g).ok else "strict-fail"
         except TranscriptNotStored as exc:
             cert, error, unchecked = "unverified", f"TranscriptNotStored: {exc}", exc
-    elif algorithm in WEIGHTED_ALGS:
-        cert = "relaxed"
     rec = TrialRecord(
         instance_id=spec.instance_id,
         algorithm=algorithm,
@@ -750,7 +737,7 @@ def _intersection_trial(gen, algorithm):
         else:
             correct = clean_common
         if bound_val is not None:
-            within = Fraction(ox.ledger.clean_independence_count) <= bound_val
+            within = getattr(ox.ledger, TAGS[algorithm].measured) <= bound_val
     return TrialRecord(
         instance_id=spec.instance_id,
         algorithm=algorithm,
@@ -797,7 +784,8 @@ def inapplicable(gen, algorithm):
     intersection instance, and intersect-dirty partition clean matroids;
     basis tags need a basis instance, and the unweighted ones equal
     weights."""
-    if algorithm in INTERSECTION_ALGS:
+    row = TAGS[algorithm]
+    if row.intersection:
         if gen.oracles is None:
             return InvalidSpec("matroid2", f"{algorithm} needs an intersection instance")
         if algorithm == "intersect-dirty":
@@ -807,7 +795,7 @@ def inapplicable(gen, algorithm):
         return None
     if gen.oracles is not None:
         return InvalidSpec("algorithm", f"{algorithm} does not apply to intersection instances")
-    if algorithm in UNWEIGHTED_ALGS and not gen.ground.unit_weights:
+    if row.unit_only and not gen.ground.unit_weights:
         return InvalidSpec("algorithm", f"{algorithm} targets the unweighted problem; instance has non-unit weights")
     return None
 
@@ -828,7 +816,7 @@ def run_trial(spec, algorithm, k=None, p=None):
     reason = inapplicable(gen, algorithm)
     if reason is not None:
         raise reason
-    if algorithm in INTERSECTION_ALGS:
+    if TAGS[algorithm].intersection:
         return _intersection_trial(gen, algorithm)
     return _basis_trial(gen, algorithm, k, p)
 
@@ -873,7 +861,7 @@ def sweep(config, out_path=None):
             _check_k_p(**{name: value})
     for inst in instances:
         for algo in algorithms:
-            k_grid = ks if algo in K_ALGS else [None]
+            k_grid = ks if TAGS[algo].takes_k else [None]
             p_grid = ps if algo == "costly" else [None]
             for k in k_grid:
                 for p in p_grid:

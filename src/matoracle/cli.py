@@ -1,8 +1,8 @@
 """Benchmark command line: gen, run, verify, bench subcommands.
 
 Exit codes: 0 when every trial is correct and within its bound, 1 on a
-violation, an incorrect output or an unchecked certificate, 2 on a malformed
-spec or command line or an output file that cannot be written.
+violation, an incorrect output or a failed or unchecked certificate, 2 on a
+malformed spec or command line or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import sys
 
 from .bench import (
-    ALGORITHMS,
+    TAGS,
     InstanceSpec,
     InvalidSpec,
     family_instance,
@@ -60,11 +60,7 @@ def _cmd_run(args):
     rec = run_trial(inst, args.alg, k=args.k, p=args.p)
     with open(args.out, "w") as fh:
         fh.write(rec.to_json() + "\n")
-    status = "ok"
-    if rec.error:
-        status = rec.error
-    elif rec.within_bound is False or rec.correct is False:
-        status = "VIOLATION"
+    status = rec.error or ("VIOLATION" if rec.violation else "ok")
     print(f"{rec.instance_id} {rec.algorithm}: clean={rec.clean_queries} bound={rec.bound} [{status}]")
     return 0 if status == "ok" else 1
 
@@ -72,7 +68,7 @@ def _cmd_run(args):
 def _compatible_algorithms(inst):
     # pairquery's guarantee holds on its own family only
     gen = generate(inst)
-    return [a for a in ALGORITHMS if a != "pairquery" and inapplicable(gen, a) is None]
+    return [a for a in TAGS if a != "pairquery" and inapplicable(gen, a) is None]
 
 
 def _cmd_verify(args):
@@ -87,7 +83,7 @@ def _cmd_verify(args):
         except TranscriptNotStored as exc:
             # like a bench row: this tag fails, the others still run
             rec = exc.record
-        ok = not rec.error and rec.correct is not False and rec.within_bound is not False
+        ok = not (rec.error or rec.violation)
         cert = f" cert={rec.certificate}" if rec.certificate != "n/a" else ""
         print(
             f"{'PASS' if ok else 'FAIL'} {algo}: clean={rec.clean_queries} "
@@ -125,7 +121,7 @@ def main(argv=None):
 
     p_run = sub.add_parser("run", help="run one algorithm on one instance")
     p_run.add_argument("--instance", required=True)
-    p_run.add_argument("--alg", required=True, choices=[a for a in ALGORITHMS])
+    p_run.add_argument("--alg", required=True, choices=list(TAGS))
     p_run.add_argument("--k", type=int, default=None)
     p_run.add_argument("--p", type=int, default=None)
     p_run.add_argument("--out", required=True)

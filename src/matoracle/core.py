@@ -82,7 +82,7 @@ class ElementSet:
 
 
 def _as_weight(w):
-    if isinstance(w, (int, Fraction)):
+    if isinstance(w, Fraction) or type(w) is int:  # JSON true and false are not weights
         return w
     if isinstance(w, str) and "/" in w:
         num, den = w.split("/", 1)
@@ -251,8 +251,8 @@ class UniformMatroid(MatroidSpec):
 
     def __init__(self, ground, k):
         super().__init__(ground)
-        if k < 0:
-            raise ValueError("uniform matroid needs k >= 0")
+        if type(k) is not int or k < 0:
+            raise ValueError(f"uniform matroid needs an integer k >= 0, got {k!r}")
         self.k = k
 
     def is_independent_mask(self, mask):
@@ -285,10 +285,10 @@ class PartitionMatroid(MatroidSpec):
             seen |= m
         if seen != ground.full_mask:
             raise ValueError("classes do not cover the ground set")
-        if any(c < 0 for c in caps):
-            raise ValueError("caps must be non-negative")
+        if not all(type(c) is int and c >= 0 for c in caps):
+            raise ValueError(f"caps must be non-negative integers, got {caps!r}")
         self.class_masks = tuple(class_masks)
-        self.caps = tuple(int(c) for c in caps)
+        self.caps = tuple(caps)
 
     def _class_counts(self, mask, stop_over_cap):
         """Members of mask per class; None as soon as one class is over its
@@ -327,11 +327,15 @@ class GraphicMatroid(MatroidSpec):
         super().__init__(ground)
         if len(edges) != self.n:
             raise ValueError("need exactly one edge per element")
+        if type(num_vertices) is not int:
+            raise ValueError(f"vertices must be an integer, got {num_vertices!r}")
         for u, v in edges:
+            if not (type(u) is int and type(v) is int):
+                raise ValueError(f"edge ({u!r},{v!r}) has an endpoint that is not an integer")
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise ValueError(f"edge ({u},{v}) outside vertex range")
         self.num_vertices = num_vertices
-        self.edges = tuple((int(u), int(v)) for u, v in edges)
+        self.edges = tuple((u, v) for u, v in edges)
 
     def _forest(self, mask, stop_on_cycle):
         """(size, parent): the number of edges of a spanning forest of mask

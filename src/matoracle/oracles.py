@@ -237,8 +237,11 @@ def make_dirty(clean, cfg):
     kind = cfg["kind"]
     if kind not in ("class_swap", "capacity_shift", "edge_rewire", "stale_snapshot"):
         raise ValueError(f"unknown perturbation kind {kind!r}")
-    count = int(cfg.get("count", 0))
-    rng = random.Random(int(cfg.get("seed", 0)))
+    count, seed = cfg.get("count", 0), cfg.get("seed", 0)
+    for name, value in (("count", count), ("seed", seed)):
+        if type(value) is not int:  # a JSON true or 1.7 is not read as 1
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    rng = random.Random(seed)
     if kind in ("class_swap", "capacity_shift"):
         if not isinstance(clean, PartitionMatroid):
             raise IncompatiblePerturbation(f"{kind} needs a partition matroid")

@@ -9,7 +9,7 @@ import pytest
 
 from matoracle import ElementSet, bench, compute_eta, greedy_basis, oracles
 from matoracle.bench import (
-    INTERSECTION_ALGS,
+    TAGS,
     InstanceSpec,
     InvalidSpec,
     MissingParam,
@@ -173,7 +173,7 @@ class TestRunTrial:
         assert rec.correct is False
         assert rec.r == bad.bit_count()
 
-    @pytest.mark.parametrize("algorithm", sorted(INTERSECTION_ALGS))
+    @pytest.mark.parametrize("algorithm", [tag for tag, row in TAGS.items() if row.intersection])
     def test_intersection_trial_creates_no_reference_ledger(self, monkeypatch, algorithm):
         created, generated = [], []
         init = oracles.QueryLedger.__init__

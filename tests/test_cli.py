@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from matoracle import cli
-from matoracle.bench import InstanceSpec, InvalidSpec, family_instance, generate, run_trial, sweep
-from matoracle.oracles import SET_STORAGE_LIMIT
+from matoracle import bench, cli
+from matoracle.bench import TAGS, InstanceSpec, InvalidSpec, family_instance, generate, run_trial, sweep
+from matoracle.oracles import SET_STORAGE_LIMIT, CertificateReport
 
 UNCOVERED = {
     "n": 4,
@@ -383,6 +383,67 @@ class TestFamilyObjects:
             code = cli.main(["bench", "--config", config, "--out", str(tmp_path / "r.csv")])
         assert code == 2
         assert "matoracle: invalid spec: family: must be" in _one_line_error(capsys)
+
+
+# a three-element instance whose integer fields the cases below replace
+U13 = {"n": 3, "weights": "unit", "matroid": {"kind": "uniform", "k": 1}, "dirty": {"mode": "identity"}}
+P3 = {"kind": "partition", "classes": [[0, 1, 2]], "caps": [1]}
+
+
+@pytest.mark.parametrize(
+    "field, doc",
+    [("matroid", dict(U13, matroid={"kind": "uniform", "k": 1.5})),
+     ("dirty", dict(U13, dirty={"mode": "matroid", "kind": "uniform", "k": 1.5})),
+     ("matroid", dict(U13, matroid={"kind": "uniform", "k": True})),
+     ("matroid", dict(U13, matroid=dict(P3, caps=[1.5]))),
+     ("matroid", dict(U13, matroid=dict(P3, caps=[True]))),
+     ("matroid", dict(U13, matroid={"kind": "graphic", "vertices": 3, "edges": [[0, 1], [1, 2], [0, 1.5]]})),
+     ("matroid", dict(U13, matroid={"kind": "graphic", "vertices": True, "edges": [[0, 0]] * 3})),
+     ("n", dict(U13, n=True)),
+     ("dirty", dict(U13, matroid=P3, dirty={"mode": "perturb", "kind": "class_swap", "count": 1.7})),
+     ("dirty", dict(U13, matroid=P3, dirty={"mode": "perturb", "kind": "class_swap", "count": 1, "seed": 1.5})),
+     ("weights", dict(U13, weights=[True, False, 1]))],
+)
+def test_integer_fields_reject_other_numbers(tmp_path, capsys, field, doc):
+    """A float or a JSON true in an integer field is neither truncated nor
+    read as 1: gen and run exit 2 naming the field, and gen writes nothing."""
+    spec, out = _write(tmp_path, "spec.json", doc), tmp_path / "out.json"
+    for args in (["gen", "--spec", spec, "--out", str(out)],
+                 ["run", "--instance", spec, "--alg", "greedy", "--out", str(out)]):
+        assert cli.main(args) == 2
+        assert _one_line_error(capsys).startswith(f"matoracle: invalid spec: {field}: ")
+        assert not out.exists()
+
+
+class TestFailedCertificate:
+    """A strict certificate that fails is a violation for run, verify and
+    bench alike."""
+
+    @pytest.fixture(autouse=True)
+    def failing_certificate(self, monkeypatch):
+        monkeypatch.setattr(bench, "verify_certificate", lambda *args: CertificateReport(False, True, (0,)))
+
+    def test_record_is_a_violation(self):
+        rec = run_trial(LB_BASIC, "errdep")
+        assert rec.certificate == "strict-fail" and rec.within_bound and rec.correct
+        assert rec.violation
+
+    def test_run_exits_1(self, tmp_path, capsys):
+        inst = _write(tmp_path, "inst.json", LB_BASIC.to_json())
+        assert cli.main(["run", "--instance", inst, "--alg", "errdep", "--out", str(tmp_path / "rec.json")]) == 1
+        assert capsys.readouterr().out.rstrip().endswith("[VIOLATION]")
+
+    def test_verify_fails_each_strict_tag(self, tmp_path, capsys):
+        inst = _write(tmp_path, "inst.json", LB_BASIC.to_json())
+        assert cli.main(["verify", "--instance", inst, "--all"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line.split()[1].rstrip(":") for line in lines if line.startswith("FAIL")]
+        assert failed == [tag for tag, row in TAGS.items() if row.certificate == "strict"]
+        assert all(line.endswith(" cert=strict-fail") for line in lines if line.startswith("FAIL"))
+
+    def test_sweep_counts_one_violation(self):
+        records, violations = sweep({"instances": [LB_BASIC_GROUP], "algorithms": ["errdep", "rank"]})
+        assert [rec.algorithm for rec in violations] == ["errdep"]
 
 
 class TestUnstoredTranscript:

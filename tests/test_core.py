@@ -99,7 +99,7 @@ class TestGroundSet:
         [
             ([3, 0, 2], (3, 0, 2)),
             ((w for w in [1, 2]), (1, 2)),
-            ([True, 2, False], (True, 2, False)),
+            (["2/4", "0"], (Fraction(1, 2), 0)),
             (["1/2", "3", 4], (Fraction(1, 2), 3, 4)),
             ([Fraction(2, 3), 1], (Fraction(2, 3), 1)),
             ([], ()),
@@ -120,6 +120,7 @@ class TestGroundSet:
             ([None], ValueError, "weights must be exact"),
             (["x"], ValueError, "invalid literal"),
             (["1/0"], ZeroDivisionError, None),
+            ([True, 2, False], ValueError, "got bool"),
         ],
     )
     def test_weights_rejected(self, weights, error, match):

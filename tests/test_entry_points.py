@@ -6,12 +6,14 @@ would slip past such a wrapper, so each test replaces the attribute with a
 recording pass-through and runs the trial through ``run_trial``.
 """
 
+import re
+
 import pytest
 
 import matoracle.algorithms as alg_mod
 import matoracle.bench as bench_mod
-from matoracle import ElementSet, OraclePair, QueryLedger
-from matoracle.bench import ALGORITHMS, K_ALGS, family_instance, random_instance, random_intersection_instance, run_trial
+from matoracle import ElementSet, OraclePair, QueryLedger, cli
+from matoracle.bench import ALGORITHMS, TAGS, family_instance, random_instance, random_intersection_instance, run_trial
 from matoracle.oracles import ROLE_CLEAN
 
 ENTRY_POINTS = {
@@ -42,6 +44,24 @@ def test_every_tag_has_an_entry_point():
     assert set(ENTRY_POINTS) == set(ALGORITHMS)
 
 
+def test_tag_entries_are_algorithms_functions():
+    # a tag without an entry runs through bench's own import
+    for tag, row in TAGS.items():
+        if row.entry is None:
+            assert ENTRY_POINTS[tag][0] is bench_mod
+        else:
+            assert callable(getattr(alg_mod, row.entry))
+            assert ENTRY_POINTS[tag] == (alg_mod, row.entry)
+
+
+def test_run_accepts_exactly_the_tags(capsys):
+    assert ALGORITHMS == tuple(TAGS)
+    with pytest.raises(SystemExit):
+        cli.main(["run", "--instance", "inst.json", "--alg", "nope", "--out", "rec.json"])
+    choices = capsys.readouterr().err.split("choose from", 1)[1]
+    assert tuple(re.findall(r"[\w-]+", choices)) == tuple(TAGS)
+
+
 @pytest.mark.parametrize("tag", ALGORITHMS)
 def test_run_trial_calls_the_module_entry_point(tag, monkeypatch):
     owner, name = ENTRY_POINTS[tag]
@@ -54,7 +74,7 @@ def test_run_trial_calls_the_module_entry_point(tag, monkeypatch):
         return result
 
     monkeypatch.setattr(owner, name, recording)
-    rec = run_trial(_instance(tag), tag, k=2 if tag in K_ALGS else None, p=3 if tag == "costly" else None)
+    rec = run_trial(_instance(tag), tag, k=2 if TAGS[tag].takes_k else None, p=3 if tag == "costly" else None)
     assert not rec.error and rec.correct
     if tag == "greedy":
         # the dirty basis first, then the clean run with the role positional

@@ -22,9 +22,8 @@ import pytest
 
 from matoracle import oracles
 from matoracle.bench import (
-    INTERSECTION_ALGS,
+    TAGS,
     InstanceSpec,
-    WEIGHTED_ALGS,
     family_instance,
     random_instance,
     random_intersection_instance,
@@ -82,11 +81,11 @@ def _instances():
 
 def _trials(inst):
     if inst.is_intersection:
-        tags = sorted(INTERSECTION_ALGS)
+        tags = [tag for tag, row in TAGS.items() if row.intersection]
     elif inst.weights == "unit":
         tags = UNIT_TAGS
     else:
-        tags = ("greedy",) + tuple(sorted(WEIGHTED_ALGS))
+        tags = [tag for tag, row in TAGS.items() if not (row.unit_only or row.intersection)]
     for tag in tags:
         if tag in ("robust", "weighted-robust"):
             for k in KS:
