@@ -65,24 +65,37 @@ class IntersectionOracles:
         query: each that is X + y or X + y - x leaves its record out."""
         evals = by_role(self._evals, role)
         answers = tuple(ev.rows(x_mask, inside, outside) for ev in evals)
+        unbilled = _known_false_positions(x_mask, inside, outside, known_false)
         width = len(inside) + 1
-        unbilled = set()
-        for k, fs in enumerate(known_false):
-            for f in fs:
-                extra, missing = f & ~x_mask, x_mask & ~f
-                if extra.bit_count() != 1 or missing.bit_count() > 1:
-                    continue
-                # y's index in outside and x's in inside count the elements
-                # below them outside and inside X
-                r = (extra - 1 & ~x_mask).bit_count()
-                if r >= len(outside):
-                    continue
-                i = (x_mask & missing - 1).bit_count() + 1 if missing else 0
-                row = answers[k][r] = answers[k][r].copy()  # rows may share a list
-                row[i] = False
-                unbilled.add(2 * (r * width + i) + k)
+        for p in unbilled:
+            r, i = divmod(p >> 1, width)
+            row = answers[p & 1][r] = answers[p & 1][r].copy()  # rows may share a list
+            row[i] = False
         self.ledger.record_graph(role, x_mask, inside, outside, *answers, unbilled)
         return answers
+
+
+def _known_false_positions(x_mask, inside, outside, known_false):
+    """Record positions, in the order of QueryLedger.record_graph for X =
+    x_mask, of the sets of known_false[k] (false in matroid k + 1) that lie
+    in the graph of X: 2 (r (|X| + 1) + i) + k, with r the index of y in
+    outside, and i = 0 for X + y or one more than the index of x in inside
+    for X + y - x."""
+    width = len(inside) + 1
+    positions = set()
+    for k, fs in enumerate(known_false):
+        for f in fs:
+            extra, missing = f & ~x_mask, x_mask & ~f
+            if extra.bit_count() != 1 or missing.bit_count() > 1:
+                continue
+            # y's index in outside and x's in inside count the elements
+            # below them outside and inside X
+            r = (extra - 1 & ~x_mask).bit_count()
+            if r >= len(outside):
+                continue
+            i = (x_mask & missing - 1).bit_count() + 1 if missing else 0
+            positions.add(2 * (r * width + i) + k)
+    return positions
 
 
 def unbilled_rows(specs):
@@ -98,13 +111,16 @@ class ExchangeGraph(NamedTuple):
     Arc x -> y is present iff X - x + y is independent in matroid 1, arc
     y -> x iff independent in matroid 2; arcs_in holds the same arcs
     reversed.  y1/y2 hold the elements whose single addition stays
-    independent in matroid 1/2.  Every list ascends.
+    independent in matroid 1/2.  Every list ascends.  to_y2 is filled by
+    each path search over the graph: the arc distance to y2 of every vertex
+    with a directed path to y2.
     """
 
     arcs_out: dict  # element -> list of successors
     arcs_in: dict  # element -> list of predecessors
     y1: list
     y2: list
+    to_y2: dict
 
 
 def build_exchange_graph(rows, n, x_mask):
@@ -132,13 +148,32 @@ def build_exchange_graph(rows, n, x_mask):
         arcs_in[y] = into = list(compress(inside, islice(answers1, 1, None)))
         for x in into:
             arcs_out[x].append(y)
-    return ExchangeGraph(arcs_out, arcs_in, y1, y2)
+    return ExchangeGraph(arcs_out, arcs_in, y1, y2, {})
 
 
-def _distances_to_y2(graph):
-    """Arc distance to y2 of every vertex with a directed path to y2 (BFS
-    over arcs_in)."""
-    dist_t = {t: 0 for t in graph.y2}
+def _drop_false_set(graph, x_mask, f, which):
+    """Remove from the exchange graph of X the arc, or the y1/y2 entry,
+    that the set f (X + y or X + y - x) put there as independent in matroid
+    which."""
+    y = (f & ~x_mask).bit_length() - 1
+    missing = x_mask & ~f
+    if not missing:
+        (graph.y1 if which == 1 else graph.y2).remove(y)
+        return
+    x = missing.bit_length() - 1
+    tail, head = (x, y) if which == 1 else (y, x)
+    graph.arcs_out[tail].remove(head)
+    graph.arcs_in[head].remove(tail)
+
+
+def shortest_augmenting_path(graph):
+    """Lexicographically smallest shortest y1 -> y2 vertex path, or None.
+
+    Its BFS over arcs_in from y2 refills graph.to_y2, also when y1 is
+    empty."""
+    dist_t = graph.to_y2
+    dist_t.clear()
+    dist_t.update(dict.fromkeys(graph.y2, 0))
     dq = deque(graph.y2)
     while dq:
         v = dq.popleft()
@@ -146,14 +181,6 @@ def _distances_to_y2(graph):
             if u not in dist_t:
                 dist_t[u] = dist_t[v] + 1
                 dq.append(u)
-    return dist_t
-
-
-def shortest_augmenting_path(graph):
-    """Lexicographically smallest shortest y1 -> y2 vertex path, or None."""
-    if not graph.y1:
-        return None
-    dist_t = _distances_to_y2(graph)
     reachable = [s for s in graph.y1 if s in dist_t]
     if not reachable:
         return None
@@ -178,9 +205,10 @@ def textbook_intersection(rows, specs, x_mask=0):
     build.
 
     Returns (x_mask, u_mask).  U is the set of elements with a directed
-    path to y2 in the last graph, which has no y1 -> y2 path; it comes from
-    that one BFS also when y1 or y2 is empty, and it certifies optimality:
-    |X| = rank1(U) + rank2(E \\ U) (Cunningham, SIAM J. Comput. 1986).
+    path to y2 in the last graph, which has no y1 -> y2 path; it is the
+    to_y2 of that graph's path search, also when y1 or y2 is empty, and it
+    certifies optimality: |X| = rank1(U) + rank2(E \\ U) (Cunningham, SIAM
+    J. Comput. 1986).
     """
     g = specs[0].ground
     if x_mask & ~g.full_mask or not all(spec.is_independent_mask(x_mask) for spec in specs):
@@ -189,7 +217,7 @@ def textbook_intersection(rows, specs, x_mask=0):
         graph = build_exchange_graph(rows, g.n, x_mask)
         path = shortest_augmenting_path(graph)
         if path is None:
-            return x_mask, sum(1 << e for e in _distances_to_y2(graph))
+            return x_mask, sum(1 << e for e in graph.to_y2)
         del graph  # so that the next build does not hold two graphs at once
         for v in path:
             x_mask ^= 1 << v
@@ -246,7 +274,10 @@ def dirty_intersection(ox):
     Candidate paths come from the dirty exchange graph (free queries); each is
     verified with two clean queries, and a failed verification pays at most
     ceil(log2 n) further clean queries to localize a false dirty arc, which is
-    then excluded.  Requires partition clean matroids with dirty supersets.
+    then excluded.  Each X is built once: after a failed verification its
+    graph is kept less that arc and billed again less the arc's record, as a
+    new build would bill it.  Requires partition clean matroids with dirty
+    supersets.
     At n <= PRECHECK_GUARD a pair that is not a superset raises
     SupersetViolation before any query; above it nothing detects such a
     pair, and the run may return a common independent X that is too small.
@@ -268,13 +299,19 @@ def dirty_intersection(ox):
                 f"set {m:#x} is clean-independent but dirty-dependent in matroid {1 if bad[0][m] else 2}"
             )
     false_sets = ([], [])
-    x_mask = 0
-    while True:
+    built = []  # inside, outside and the row lists of the last build
+
+    def rows(x_mask, inside, outside):
         # a set already found false is answered dependent without a query
         # wherever it lies in the graph of X
-        path = shortest_augmenting_path(
-            build_exchange_graph(partial(ox.query_rows, ROLE_DIRTY, known_false=false_sets), g.n, x_mask)
-        )
+        built[:] = inside, outside, ox.query_rows(ROLE_DIRTY, x_mask, inside, outside, false_sets)
+        return built[2]
+
+    x_mask, graph = 0, None
+    while True:
+        if graph is None:
+            graph = build_exchange_graph(rows, g.n, x_mask)
+        path = shortest_augmenting_path(graph)
         if path is None:
             return ElementSet(g.n, x_mask), ox.ledger, false_sets
         flipped = x_mask
@@ -283,10 +320,18 @@ def dirty_intersection(ox):
         ok1 = ox.query_independent(ROLE_CLEAN, 1, flipped)
         ok2 = ox.query_independent(ROLE_CLEAN, 2, flipped)
         if ok1 and ok2:
-            x_mask = flipped
+            x_mask, graph = flipped, None
             continue
         which = 1 if not ok1 else 2
-        false_sets[which - 1].append(_locate_false_set(ox, x_mask, path, which))
+        f = _locate_false_set(ox, x_mask, path, which)
+        false_sets[which - 1].append(f)
+        # a new build of X would ask the same sets and get the same answers
+        # but f's, which the path used: keep the graph less f's arc, and bill
+        # its rows again less f's record
+        _drop_false_set(graph, x_mask, f, which)
+        inside, outside, answers = built
+        unbilled = _known_false_positions(x_mask, inside, outside, false_sets)
+        ox.ledger.record_graph(ROLE_DIRTY, x_mask, inside, outside, *answers, unbilled)
 
 
 def warm_start(ox):

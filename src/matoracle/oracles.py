@@ -62,13 +62,51 @@ class QueryRecord(NamedTuple):
     mask: int | None
 
 
+class _Scan(NamedTuple):
+    """The query sets of one greedy pass (see QueryLedger.record_scan)."""
+
+    cur: int
+    candidates: tuple
+    answers: tuple
+
+    def sets(self):
+        cur, sets = self.cur, []
+        for e, ok in zip(self.candidates, self.answers):
+            grown = cur | 1 << e
+            sets.append(grown)
+            if ok:
+                cur = grown
+        return sets
+
+
+class _Graph(NamedTuple):
+    """The query sets of one exchange graph (see QueryLedger.record_graph)."""
+
+    x_mask: int
+    inside: tuple
+    outside: tuple
+    unbilled: tuple  # descending
+
+    def sets(self):
+        # X, then X - x for each x of inside, each with y added, once for
+        # ind1 and once for ind2
+        base = [self.x_mask, *[self.x_mask ^ 1 << x for x in self.inside]]
+        sets = [None] * (2 * len(base) * len(self.outside))
+        sets[::2] = sets[1::2] = [s | bit for bit in [1 << y for y in self.outside] for s in base]
+        for p in self.unbilled:
+            del sets[p]
+        return sets
+
+
 class QueryLedger:
     """Per-run transcript of clean and dirty oracle queries.
 
     Records are kept in columns: a code byte per record (its index in
     RECORD_CODES), a list of answers and, up to SET_STORAGE_LIMIT, a list of
-    the query sets.  The counts are read from the code column; no tally is
-    kept beside it."""
+    the query sets: a single record's mask, or one descriptor per greedy
+    pass or exchange graph whose sets are built only when the transcript is
+    read.  The counts are read from the code column; no tally is kept
+    beside it."""
 
     def __init__(self, n, cost_p=1):
         self.n = n
@@ -89,27 +127,19 @@ class QueryLedger:
     def record_scan(self, role, cur, candidates, answers):
         """One greedy pass as one append per column: the independence
         record of cur + e for each element e of candidates in order, cur
-        growing by e on each True answer (the sets are built only when the
-        ledger stores them)."""
+        growing by e on each True answer."""
         code = by_role(_CODE_OF, role)[KIND_IND]
-        if self.store_sets:
-            sets = []
-            for e, ok in zip(candidates, answers):
-                grown = cur | 1 << e
-                sets.append(grown)
-                if ok:
-                    cur = grown
-            self._masks += sets
         self._codes += bytes((code,)) * len(answers)
         self._answers += answers
+        if self.store_sets:
+            self._masks.append(_Scan(cur, tuple(candidates), tuple(answers)))
 
     def record_graph(self, role, x_mask, inside, outside, rows1, rows2, unbilled=()):
         """One exchange graph as one append per column: for each y of
         outside and each set of its row (X + y, then X + y - x for each x of
         inside), the set's ind1 record and then its ind2 record, with rows1
-        and rows2 the answer lists of matroid 1 and 2 per y (the sets are
-        built only when the ledger stores them).  unbilled holds the
-        positions, in that record order, of records left out."""
+        and rows2 the answer lists of matroid 1 and 2 per y.  unbilled holds
+        the positions, in that record order, of records left out."""
         codes = by_role(_CODE_OF, role)
         # every interleaved column is built before any column grows
         size = len(outside) * (len(inside) + 1)
@@ -117,26 +147,22 @@ class QueryLedger:
         answers = [None] * (2 * size)
         answers[::2] = chain.from_iterable(rows1)
         answers[1::2] = chain.from_iterable(rows2)
-        sets = None
-        if self.store_sets:
-            # X, then X - x for each x of inside, each with y added
-            base = [x_mask, *[x_mask ^ 1 << x for x in inside]]
-            sets = [None] * (2 * size)
-            sets[::2] = sets[1::2] = [s | bit for bit in [1 << y for y in outside] for s in base]
-        for p in sorted(unbilled, reverse=True):
+        unbilled = sorted(unbilled, reverse=True)
+        for p in unbilled:
             del graph_codes[p], answers[p]
-            if sets is not None:
-                del sets[p]
         self._codes += graph_codes
         self._answers += answers
-        if sets is not None:
-            self._masks += sets
+        if self.store_sets:
+            self._masks.append(_Graph(x_mask, tuple(inside), tuple(outside), tuple(unbilled)))
 
     @property
     def transcript(self):
         """Read-only view of the records: a new list of QueryRecord built
         from the columns on each access."""
-        masks = self._masks if self.store_sets else repeat(None)
+        if self.store_sets:
+            masks = chain.from_iterable(m.sets() if isinstance(m, tuple) else (m,) for m in self._masks)
+        else:
+            masks = repeat(None)
         return [
             QueryRecord(*RECORD_CODES[code], int(answer), mask)
             for code, answer, mask in zip(self._codes, self._answers, masks)
@@ -285,6 +311,8 @@ def make_dirty(clean, cfg):
         for op, idx, u, v in cfg.get("edits", ()):
             if op != "set_edge":
                 raise IncompatiblePerturbation(f"unknown stale_snapshot edit {op!r}")
+            if type(idx) is not int or not 0 <= idx < len(edges):
+                raise ValueError(f"stale_snapshot edge index must be an integer in 0..{len(edges) - 1}, got {idx!r}")
             edges[idx] = [u, v]
     return GraphicMatroid(clean.ground, nv, [tuple(e) for e in edges])
 

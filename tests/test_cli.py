@@ -415,6 +415,18 @@ def test_integer_fields_reject_other_numbers(tmp_path, capsys, field, doc):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("idx", [True, -1, 3, 5, 1.0])
+def test_stale_snapshot_edit_index_out_of_range(tmp_path, capsys, idx):
+    """An edit index of a three-edge graph that is not an integer in 0..2
+    makes gen exit 2 naming dirty, with no traceback and no file written."""
+    graphic = {"kind": "graphic", "vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]}
+    dirty = {"mode": "perturb", "kind": "stale_snapshot", "edits": [["set_edge", idx, 0, 0]]}
+    spec, out = _write(tmp_path, "spec.json", dict(U13, matroid=graphic, dirty=dirty)), tmp_path / "out.json"
+    assert cli.main(["gen", "--spec", spec, "--out", str(out)]) == 2
+    assert _one_line_error(capsys).startswith("matoracle: invalid spec: dirty: ")
+    assert not out.exists()
+
+
 class TestFailedCertificate:
     """A strict certificate that fails is a violation for run, verify and
     bench alike."""

@@ -1,5 +1,7 @@
+import copy
 import random
 from functools import partial
+from itertools import groupby
 
 import pytest
 
@@ -544,7 +546,7 @@ def per_query_graph(independent, n, x_mask):
             if independent(2, swapped):
                 arcs_out[y].append(x)
                 arcs_in[x].append(y)
-    return ExchangeGraph(arcs_out, arcs_in, y1, y2)
+    return ExchangeGraph(arcs_out, arcs_in, y1, y2, {})
 
 
 def per_query_dirty_intersection(ox):
@@ -598,14 +600,27 @@ class TestRowsMatchPerQueryBuilds:
         return builds
 
     def test_dirty_intersection(self, monkeypatch):
+        # a failed verification edits the graph it searched, so each graph
+        # is copied as its path search left it
         found = 0
         for fresh in self.instances():
             want_ox, ox = fresh(), fresh()
             want = per_query_dirty_intersection(want_ox)
+            searched, inner = [], intersection.shortest_augmenting_path
+
+            def searching(graph):
+                path = inner(graph)
+                searched.append(copy.deepcopy(graph))
+                return path
+
+            monkeypatch.setattr(intersection, "shortest_augmenting_path", searching)
             builds = self.recording_builds(monkeypatch)
             x, _, false_sets = dirty_intersection(ox)
             monkeypatch.undo()
-            assert (x.mask, [graph for _, graph in builds], false_sets) == want
+            assert (x.mask, searched, false_sets) == want
+            # one build per X, and one more search per failed verification
+            replays = len(false_sets[0]) + len(false_sets[1])
+            assert len({x_mask for x_mask, _ in builds}) == len(builds) == len(searched) - replays
             assert ox.ledger.export_lines() == want_ox.ledger.export_lines()
             found += bool(false_sets[0] or false_sets[1])
         assert found
@@ -706,14 +721,17 @@ class TestOneCallPerGraph:
             appends, inner = [], ox.ledger.record_graph
             monkeypatch.setattr(ox.ledger, "record_graph", lambda *a: appends.append(a[1]) or inner(*a))
             builds = TestRowsMatchPerQueryBuilds.recording_builds(monkeypatch)
-            getattr(intersection, run)(ox)
+            result = getattr(intersection, run)(ox)
             monkeypatch.undo()
             xs = [x_mask for x_mask, _ in builds]
             outside = [[y for y in range(n) if not x_mask >> y & 1] for x_mask in xs]
             assert len(xs) > 1
             assert calls[0] == calls[1] == []
             assert calls[2] == calls[3] == list(zip(xs, outside))
-            assert appends == xs
+            # each failed verification bills the kept graph of X once more
+            replays = sum(map(len, result[2])) if run == "dirty_intersection" else 0
+            assert [x_mask for x_mask, _ in groupby(appends)] == xs
+            assert len(appends) == len(xs) + replays
 
     def test_unbilled_builds(self, monkeypatch):
         for fresh, _ in self.instances():
@@ -768,6 +786,35 @@ class TestOneCallPerGraph:
             assert ox.ledger.transcript == records
         assert found > 2
 
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_rebilled_rows_match_a_build_with_one_more_false_set(self, where):
+        # a failed verification bills the kept rows of X again with the new
+        # false set's position unbilled: the records of a new build that
+        # knows the set false, whether that position falls before or after
+        # the positions already unbilled
+        for seed in range(3):
+            fresh = generate(random_intersection_instance(24, seed=seed, cap_raises=2)).fresh_oracles
+            ox, want_ox = fresh(), fresh()
+            n = ox.ground.n
+            x, _ = textbook_intersection(unbilled_rows(ox.clean), ox.clean)
+            inside = list(iter_bits(x))
+            outside = [y for y in range(n) if not x >> y & 1]
+            mid = len(outside) // 2
+            known = ([x & ~(1 << inside[0]) | 1 << outside[mid]], [x | 1 << outside[mid + 1]])
+            if where == "before":
+                k, f = 1, x | 1 << outside[0]
+            else:
+                k, f = 0, x & ~(1 << inside[-1]) | 1 << outside[-1]
+            unbilled = intersection._known_false_positions(x, inside, outside, known)
+            (p,) = intersection._known_false_positions(x, inside, outside, ([f], []) if k == 0 else ([], [f]))
+            assert len(unbilled) == 2 and (p < min(unbilled) if where == "before" else p > max(unbilled))
+            rows = ox.query_rows(ROLE_DIRTY, x, inside, outside, known_false=known)
+            ox.ledger.record_graph(ROLE_DIRTY, x, inside, outside, *rows, unbilled | {p})
+            want_ox.query_rows(ROLE_DIRTY, x, inside, outside, known_false=known)
+            known[k].append(f)
+            want_ox.query_rows(ROLE_DIRTY, x, inside, outside, known_false=known)
+            assert ox.ledger.export_lines() == want_ox.ledger.export_lines()
+
 
 def test_partition_rows_count_classes_once_per_x(monkeypatch):
     # each dirty evaluator counts the classes of each X once for all its rows,
@@ -784,7 +831,7 @@ def test_partition_rows_count_classes_once_per_x(monkeypatch):
     builds = TestRowsMatchPerQueryBuilds.recording_builds(monkeypatch)
     _, led, _ = dirty_intersection(ox)
     xs = {x_mask for x_mask, _ in builds}
-    assert len(builds) > len(xs) > 10
+    assert len(builds) == len(xs) > 10
     assert 2 * len(xs) <= len(counted) <= 2 * len(xs) + led.clean_count
     assert led.dirty_count > 100 * len(counted)
 

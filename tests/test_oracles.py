@@ -138,17 +138,48 @@ class TestLedger:
 
     @pytest.mark.parametrize("n", [12, SET_STORAGE_LIMIT + 1])
     def test_columns_match_a_record_list(self, n):
-        # the columns give back what a list of QueryRecord tuples would hold
+        # the columns give back what a list of QueryRecord tuples would hold,
+        # with singles, greedy passes and exchange graphs interleaved
         rng = random.Random(n)
         led = QueryLedger(n)
         kinds = ["ind", "rank", "ind1", "ind2"]
         want = []
-        for _ in range(300):
-            role, kind = rng.choice([ROLE_CLEAN, ROLE_DIRTY]), rng.choice(kinds)
-            answer = rng.randrange(n) if kind == "rank" else rng.random() < 0.5
-            mask = rng.getrandbits(n)
-            led.record(role, kind, answer, mask)
+
+        def expect(role, kind, answer, mask):
             want.append(QueryRecord(role, kind, int(answer), mask if n <= SET_STORAGE_LIMIT else None))
+
+        for _ in range(300):
+            role, append = rng.choice([ROLE_CLEAN, ROLE_DIRTY]), rng.random()
+            if append < 0.1:
+                cur = rng.getrandbits(n) & rng.getrandbits(n)
+                candidates = rng.sample(range(n), rng.randint(0, 8))
+                answers = [rng.random() < 0.5 for _ in candidates]
+                led.record_scan(role, cur, candidates, answers)
+                for e, ok in zip(candidates, answers):
+                    expect(role, "ind", ok, cur | 1 << e)
+                    cur |= ok << e
+            elif append < 0.2:
+                x_mask = sum(1 << e for e in rng.sample(range(n), rng.randint(0, 3)))
+                inside = list(iter_bits(x_mask))
+                outside = sorted(rng.sample([y for y in range(n) if not x_mask >> y & 1], rng.randint(0, 5)))
+                rows = [[[rng.random() < 0.5 for _ in range(len(inside) + 1)] for _ in outside] for _ in range(2)]
+                records = [
+                    (f"ind{k + 1}", rows[k][r][i], mask)
+                    for r, y in enumerate(outside)
+                    for i, mask in enumerate([x_mask | 1 << y, *[x_mask & ~(1 << x) | 1 << y for x in inside]])
+                    for k in (0, 1)
+                ]
+                unbilled = set(rng.sample(range(len(records)), min(len(records), rng.randint(0, 2))))
+                led.record_graph(role, x_mask, inside, outside, *rows, unbilled)
+                for p, record in enumerate(records):
+                    if p not in unbilled:
+                        expect(role, *record)
+            else:
+                kind = rng.choice(kinds)
+                answer = rng.randrange(n) if kind == "rank" else rng.random() < 0.5
+                mask = rng.getrandbits(n)
+                led.record(role, kind, answer, mask)
+                expect(role, kind, answer, mask)
         assert led.transcript == want
         assert all(type(rec.answer) is int for rec in led.transcript)
         assert led.export_lines() == [
@@ -159,6 +190,23 @@ class TestLedger:
         assert led.clean_rank_count == sum(r.kind == "rank" for r in clean)
         assert led.clean_independence_count == len(clean) - led.clean_rank_count
         assert led.dirty_count == len(want) - len(clean)
+
+    def test_transcript_ignores_later_edits_of_the_arguments(self):
+        # a pass or a graph keeps its own copy of what it was given
+        led = QueryLedger(8)
+        candidates, answers = [1, 2, 3], [True, False, True]
+        led.record_scan(ROLE_CLEAN, 0b1, candidates, answers)
+        inside, outside = [0], [1, 2]
+        rows1, rows2 = [[True, False], [False, True]], [[True, True], [False, False]]
+        unbilled = {1}
+        led.record_graph(ROLE_DIRTY, 0b1, inside, outside, rows1, rows2, unbilled)
+        before = led.export_lines()
+        assert len(before) == 3 + 2 * 2 * 2 - 1
+        candidates[:], answers[:] = [5, 6, 7], [False] * 3
+        inside[:], outside[:] = [4], [6, 7]
+        rows1[0][0], rows2[1][:] = False, [True, True]
+        unbilled.add(0)
+        assert led.export_lines() == before
 
     def test_rank_answer_above_a_byte(self):
         g = GroundSet.unit(400)
