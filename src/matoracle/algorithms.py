@@ -148,25 +148,22 @@ def weighted_basis(bd, pair):
     the working solution safe through every weight prefix.
 
     Clean queries: at most n - r + 1 + 2 eta_A + eta_R * ceil(log2 r_d).
-    Removed elements are never reconsidered.
+    Removed elements are never reconsidered.  The walk asks (cur | 1 << e) &
+    prefix through e for each e outside the dirty basis in canonical order;
+    each run of those queries up to an addition is one billed prefix pass,
+    and the addition's check of the whole solution and its removal search
+    are single queries between the passes.
     """
     g = pair.ground
     independent = partial(pair.query_independent, ROLE_CLEAN)
-    a_mask = 0
-    r_mask = bd & ~_strip_dirty_basis(independent, g, bd)
-    pre = 0  # prefix mask through position p, kept as the scan walks
-    for p in range(g.n):
-        e = g.order[p]
-        pre |= 1 << e
-        if bd >> e & 1:
-            continue
-        cur = (bd & ~r_mask) | a_mask
-        if independent((cur | 1 << e) & pre):
-            a_mask |= 1 << e
-            cur |= 1 << e
-            if not independent(cur):
-                r_mask |= _remove_smallest_dependent(independent, g, bd, cur, p)
-    return ElementSet(g.n, (bd & ~r_mask) | a_mask), pair.ledger
+    cur = _strip_dirty_basis(independent, g, bd)
+    p = pair.query_prefix_pass(ROLE_CLEAN, cur, 0, bd)
+    while p < g.n:
+        cur |= 1 << g.order[p]
+        if not independent(cur):
+            cur &= ~_remove_smallest_dependent(independent, g, bd, cur, p)
+        p = pair.query_prefix_pass(ROLE_CLEAN, cur, p + 1, bd)
+    return ElementSet(g.n, cur), pair.ledger
 
 
 def robust_weighted_basis(bd, pair, k):

@@ -764,7 +764,7 @@ def _p_text(p):
     return str(p) if p is not None else None
 
 
-def _check_k_p(k=None, p=None):
+def check_k_p(k=None, p=None):
     """Reject a trade-off k that is not a positive integer and a clean-call
     cost p below 1 (None selects the default)."""
     if k is not None and (type(k) is not int or k < 1):
@@ -803,7 +803,8 @@ def inapplicable(gen, algorithm):
 def run_trial(spec, algorithm, k=None, p=None):
     """Execute one algorithm on one instance and fill a TrialRecord.
 
-    Raises InvalidSpec for a malformed spec, k or p, or an algorithm that does
+    Raises InvalidSpec for a malformed spec, k or p, a k given to a tag that
+    takes none or a p given to any tag but costly, or an algorithm that does
     not apply (see ``inapplicable``), and TranscriptNotStored when a strict
     certificate cannot be checked because the ledger stored no query sets (n
     above SET_STORAGE_LIMIT); that exception's ``record`` is the trial's
@@ -811,7 +812,11 @@ def run_trial(spec, algorithm, k=None, p=None):
     """
     if algorithm not in ALGORITHMS:
         raise InvalidSpec("algorithm", f"unknown algorithm {algorithm!r}")
-    _check_k_p(k, p)
+    check_k_p(k, p)
+    if k is not None and not TAGS[algorithm].takes_k:
+        raise InvalidSpec("k", f"{algorithm} takes no trade-off k, got {k!r}")
+    if p is not None and algorithm != "costly":
+        raise InvalidSpec("p", f"only costly takes a clean-call cost p, got {p!r} for {algorithm}")
     gen = generate(spec)
     reason = inapplicable(gen, algorithm)
     if reason is not None:
@@ -858,7 +863,7 @@ def sweep(config, out_path=None):
         if not isinstance(grid, list):
             raise InvalidSpec(name, "must be a list")
         for value in grid:
-            _check_k_p(**{name: value})
+            check_k_p(**{name: value})
     for inst in instances:
         for algo in algorithms:
             k_grid = ks if TAGS[algo].takes_k else [None]

@@ -15,6 +15,7 @@ from .bench import (
     TAGS,
     InstanceSpec,
     InvalidSpec,
+    check_k_p,
     family_instance,
     generate,
     group_params,
@@ -76,10 +77,15 @@ def _cmd_verify(args):
     if not args.all:
         print("nothing to do (pass --all)", file=sys.stderr)
         return 2
+    check_k_p(args.k, args.p)  # before any trial, whichever tags take them
     failures = 0
     for algo in _compatible_algorithms(inst):
         try:
-            rec = run_trial(inst, algo, k=args.k, p=args.p)
+            # like bench's sweep: k only for the tags that take it, p only
+            # for costly
+            rec = run_trial(
+                inst, algo, k=args.k if TAGS[algo].takes_k else None, p=args.p if algo == "costly" else None
+            )
         except TranscriptNotStored as exc:
             # like a bench row: this tag fails, the others still run
             rec = exc.record

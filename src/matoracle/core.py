@@ -56,6 +56,14 @@ def _scan_bits(mask):
         e = bits.find("1", e + 1)
 
 
+_FLAG_OF_DIGIT = bytes.maketrans(b"01", b"\0\1")
+
+
+def _flags(mask, n):
+    """One byte per element id 0..n-1: 1 for the members of mask, else 0."""
+    return bytearray(format(mask, f"0{n}b")[::-1].encode().translate(_FLAG_OF_DIGIT))
+
+
 @dataclass(frozen=True, slots=True)
 class ElementSet:
     """Immutable subset of the ground set over ids 0..n-1: the basis an
@@ -123,19 +131,12 @@ class GroundSet:
         pos = [0] * n
         for p, e in enumerate(order):
             pos[e] = p
-        # checkpoint j holds the elements at positions < j * PREFIX_STRIDE;
-        # bits go into a byte buffer, so each checkpoint is one conversion
-        prefix_masks = [0]
-        buf = bytearray((n + 7) // 8)
-        for end in range(PREFIX_STRIDE, n + 1, PREFIX_STRIDE):
-            for e in order[end - PREFIX_STRIDE : end]:
-                buf[e >> 3] |= 1 << (e & 7)
-            prefix_masks.append(int.from_bytes(buf, "little"))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "pos", tuple(pos))
-        object.__setattr__(self, "_prefix_masks", tuple(prefix_masks))
+        # the prefix checkpoints are built by the first prefix_mask call
+        object.__setattr__(self, "_prefix_masks", ())
         object.__setattr__(self, "full_mask", (1 << n) - 1 if n else 0)
 
     def __setattr__(self, name, value):
@@ -155,16 +156,29 @@ class GroundSet:
         if p < 0:
             return 0
         j = (p + 1) // PREFIX_STRIDE
-        mask = self._prefix_masks[j]
+        mask = (self._prefix_masks or self._build_prefix_masks())[j]
         for e in self.order[j * PREFIX_STRIDE : p + 1]:
             mask |= 1 << e
         return mask
 
+    def _build_prefix_masks(self):
+        """Checkpoint j holds the elements at positions < j * PREFIX_STRIDE;
+        bits go into a byte buffer, so each checkpoint is one conversion."""
+        order = self.order
+        prefix_masks = [0]
+        buf = bytearray((self.n + 7) // 8)
+        for end in range(PREFIX_STRIDE, self.n + 1, PREFIX_STRIDE):
+            for e in order[end - PREFIX_STRIDE : end]:
+                buf[e >> 3] |= 1 << (e & 7)
+            prefix_masks.append(int.from_bytes(buf, "little"))
+        object.__setattr__(self, "_prefix_masks", tuple(prefix_masks))
+        return self._prefix_masks
+
     def outside(self, skip):
         """The elements outside the mask skip, in canonical order; skip is
         read once, as one byte per element."""
-        skipped = format(skip, f"0{self.n}b").encode()[::-1]
-        return [e for e in self.order if skipped[e] == 48]  # b"0"
+        skipped = _flags(skip, self.n)
+        return [e for e in self.order if not skipped[e]]
 
     def positions(self, mask):
         """Sorted canonical positions of the members of mask."""
@@ -197,10 +211,15 @@ class MatroidSpec:
 
     def evaluator(self):
         """A fresh per-run evaluator with independent(mask), rank(mask),
-        scan(cur, candidates) and rows(x_mask, inside, outside) that answer
-        as this spec does.  A kind without kept state is its own evaluator; kinds
-        with kept state override this."""
+        scan(cur, candidates), rows(x_mask, inside, outside) and
+        prefix_walk() that answer as this spec does.  A kind without kept
+        state is its own evaluator; kinds with kept state override this."""
         return self
+
+    def prefix_walk(self):
+        """A fresh walk for one run's prefix passes (see _PrefixWalk): here
+        one query per set."""
+        return _PrefixWalk(self.ground, self.independent)
 
     def independent(self, mask):
         return self.is_independent_mask(mask)
@@ -264,6 +283,9 @@ class UniformMatroid(MatroidSpec):
     def scan(self, cur, candidates):
         room = min(max(self.k - cur.bit_count(), 0), len(candidates))
         return [True] * room + [False] * (len(candidates) - room)
+
+    def prefix_walk(self):
+        return _CountWalk(self.ground, self.k)
 
     def to_config(self):
         return {"kind": "uniform", "k": self.k}
@@ -516,6 +538,9 @@ class _AnchoredEvaluator:
 
     rows = MatroidSpec.rows
 
+    def prefix_walk(self):
+        return _PrefixWalk(self.spec.ground, self.independent)
+
 
 class _PartitionEvaluator(_AnchoredEvaluator):
     """State: the anchor's count per class; plus an element -> class table.
@@ -560,6 +585,9 @@ class _PartitionEvaluator(_AnchoredEvaluator):
             out.append(row)
         return out
 
+    def prefix_walk(self):
+        return _ClassWalk(self)
+
     def _evaluate(self, mask, stop_if_dependent):
         counts = self.spec._class_counts(mask, stop_if_dependent)
         if counts is None:
@@ -599,6 +627,129 @@ class _GraphicEvaluator(_AnchoredEvaluator):
             return False
         parent[ru] = rv
         return True
+
+
+class _PrefixWalk:
+    """State of one run's prefix passes.
+
+    A pass answers the independence of (cur | 1 << e) & prefix_mask(pos e)
+    for each element e outside skip, position by position from start, up to
+    and including the first True; that set is e plus cur's members below
+    e's position.  The walk keeps cur's flags (one byte per element), a
+    position and the state of cur's members below it, and carries them
+    from one pass to the next: cur moves by the bits in which it differs
+    from the last pass's cur, and the position by the positions between the
+    two passes.  A walk that goes forward, as the weighted basis does,
+    therefore costs one step per position and per changed bit, not n per
+    pass.  A new skip, or a start behind the walk, starts it again at
+    position 0.
+
+    This class keeps cur's members below the position as a mask and asks
+    query(mask | 1 << e) for each set; kinds with a cheaper answer override
+    _reset, _move and _independent.
+    """
+
+    def __init__(self, ground, query=None):
+        self.ground = ground
+        self.query = query
+        self.skip = None
+
+    def prefix_pass(self, cur, start, skip):
+        """(stop, answers): the answers of the pass from position start (at
+        most n) and the position of its True answer, n when there is none."""
+        g = self.ground
+        if skip != self.skip or start < self.pos:
+            self.skip, self.skipped = skip, _flags(skip, g.n)
+            self.cur, self.in_cur, self.pos = cur, _flags(cur, g.n), 0
+            self._reset()
+        else:
+            diff = cur ^ self.cur
+            self.cur = cur
+            while diff:  # from the highest bit: each step shortens diff
+                e = diff.bit_length() - 1
+                diff ^= 1 << e
+                self.in_cur[e] ^= 1
+                if g.pos[e] < self.pos:
+                    self._move(e, 1 if self.in_cur[e] else -1)
+        order, skipped, in_cur, move, independent = g.order, self.skipped, self.in_cur, self._move, self._independent
+        for e in order[self.pos : start]:
+            if in_cur[e]:
+                move(e, 1)
+        answers = []
+        stop = g.n
+        for p in range(start, g.n):
+            e = order[p]
+            if not skipped[e]:
+                ok = independent(e)
+                answers.append(ok)
+                if ok:
+                    stop = p
+                    break
+            if in_cur[e]:
+                move(e, 1)
+        self.pos = stop
+        return stop, answers
+
+    def _reset(self):
+        """State of the empty set, at position 0."""
+        self.below = 0
+
+    def _move(self, e, sign):
+        """The member e of cur, below the position, joins (sign 1) or
+        leaves (sign -1) the state."""
+        self.below ^= 1 << e
+
+    def _independent(self, e):
+        """Independence of e plus cur's members below e's position."""
+        return self.query(self.below | 1 << e)
+
+
+class _CountWalk(_PrefixWalk):
+    """Uniform: the number of cur's members below the position."""
+
+    def __init__(self, ground, k):
+        super().__init__(ground)
+        self.k = k
+
+    def _reset(self):
+        self.count = 0
+
+    def _move(self, e, sign):
+        self.count += sign
+
+    def _independent(self, e):
+        return self.count < self.k
+
+
+class _ClassWalk(_PrefixWalk):
+    """Partition: the count per class of cur's members below the position,
+    and the number of classes over their cap.  The class table is the
+    evaluator's; the counts are kept apart from its anchor."""
+
+    def __init__(self, evaluator):
+        super().__init__(evaluator.spec.ground)
+        self.evaluator = evaluator
+
+    def _reset(self):
+        ev = self.evaluator
+        if ev.state is None:
+            ev._start()
+        self.class_of, self.caps = ev.class_of, ev.caps
+        self.counts = [0] * len(self.caps)
+        self.over = 0
+
+    def _move(self, e, sign):
+        c = self.class_of[e]
+        counts, cap = self.counts, self.caps[c]
+        was_over = counts[c] > cap
+        counts[c] += sign
+        self.over += (counts[c] > cap) - was_over
+
+    def _independent(self, e):
+        # e's class gains one, so it must be below its cap, and no other
+        # class may be over its cap
+        c = self.class_of[e]
+        return not self.over and self.counts[c] < self.caps[c]
 
 
 def elements_mask(elems, n, name):

@@ -79,6 +79,32 @@ class _Scan(NamedTuple):
         return sets
 
 
+class _PrefixPass(NamedTuple):
+    """The query sets of one run of a prefix walk (see
+    QueryLedger.record_prefix_pass)."""
+
+    cur: int
+    order: tuple
+    start: int
+    skip: int
+    size: int
+
+    def sets(self):
+        # e plus cur's members below e's position, for each e outside skip
+        # from position start on
+        cur, skip = self.cur, self.skip
+        below = cur & mask_of(self.order[: self.start], len(self.order))
+        sets = []
+        for e in self.order[self.start :]:
+            if len(sets) == self.size:
+                break
+            bit = 1 << e
+            if not skip & bit:
+                sets.append(below | bit)
+            below |= cur & bit
+        return sets
+
+
 class _Graph(NamedTuple):
     """The query sets of one exchange graph (see QueryLedger.record_graph)."""
 
@@ -104,9 +130,9 @@ class QueryLedger:
     Records are kept in columns: a code byte per record (its index in
     RECORD_CODES), a list of answers and, up to SET_STORAGE_LIMIT, a list of
     the query sets: a single record's mask, or one descriptor per greedy
-    pass or exchange graph whose sets are built only when the transcript is
-    read.  The counts are read from the code column; no tally is kept
-    beside it."""
+    pass, prefix-walk run or exchange graph whose sets are built only when
+    the transcript is read.  The counts are read from the code column; no
+    tally is kept beside it."""
 
     def __init__(self, n, cost_p=1):
         self.n = n
@@ -133,6 +159,17 @@ class QueryLedger:
         self._answers += answers
         if self.store_sets:
             self._masks.append(_Scan(cur, tuple(candidates), tuple(answers)))
+
+    def record_prefix_pass(self, role, cur, order, start, skip, answers):
+        """One run of a prefix walk as one append per column: the
+        independence record of (cur | 1 << e) & prefix through e, for each
+        element e outside the mask skip at the positions of the canonical
+        order (a tuple) from start on, one per answer."""
+        code = by_role(_CODE_OF, role)[KIND_IND]
+        self._codes += bytes((code,)) * len(answers)
+        self._answers += answers
+        if self.store_sets:
+            self._masks.append(_PrefixPass(cur, order, start, skip, len(answers)))
 
     def record_graph(self, role, x_mask, inside, outside, rows1, rows2, unbilled=()):
         """One exchange graph as one append per column: for each y of
@@ -215,6 +252,7 @@ class OraclePair:
         self.dirty = dirty.rebind(ground)
         # per-pair evaluators: kept state never outlives the pair's run
         self._evals = {ROLE_CLEAN: self.clean.evaluator(), ROLE_DIRTY: self.dirty.evaluator()}
+        self._walks = {role: ev.prefix_walk() for role, ev in self._evals.items()}
         self.ledger = ledger if ledger is not None else QueryLedger(ground.n, cost_p=cost_p)
 
     def query_independent(self, role, mask):
@@ -237,6 +275,17 @@ class OraclePair:
         answers = by_role(self._evals, role).scan(cur, candidates)
         self.ledger.record_scan(role, cur, candidates, answers)
         return cur | mask_of(compress(candidates, answers), self.ground.n)
+
+    def query_prefix_pass(self, role, cur, start, skip=0):
+        """Billed run of the role's prefix walk (see core._PrefixWalk): the
+        same records as query_independent(role, (cur | 1 << e) &
+        ground.prefix_mask(pos e)) for each element e outside the mask skip,
+        position by position from start, up to and including the first
+        True, answered and billed in one call.  Returns the position of the
+        True answer, n when there is none."""
+        stop, answers = by_role(self._walks, role).prefix_pass(cur, start, skip)
+        self.ledger.record_prefix_pass(role, cur, self.ground.order, start, skip, answers)
+        return stop
 
     def with_dirty_basis(self, bd):
         """Same oracles and ledger, rebased on the order around the dirty

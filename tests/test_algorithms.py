@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -23,9 +24,10 @@ from matoracle import (
     simple_basis,
     weighted_basis,
 )
+from matoracle import algorithms
 from matoracle.algorithms import COSTLY_A, COSTLY_B
 from matoracle.bench import bound, family_instance, generate
-from matoracle.oracles import ROLE_CLEAN, ROLE_DIRTY
+from matoracle.oracles import ROLE_CLEAN, ROLE_DIRTY, QueryLedger
 
 from conftest import fresh, make_pair, masks, random_pairs
 
@@ -192,6 +194,75 @@ class TestWeighted:
             basis, _ = weighted_basis(bd.mask, p2)
             assert len(set(basis) - set(bd)) <= rep.eta_A
             assert len(set(bd) - set(basis)) <= rep.eta_R
+
+
+    @pytest.mark.parametrize("weight_mode", ["unit", "int"])
+    def test_transcript_matches_the_per_query_walk(self, weight_mode, removals):
+        # same records, in the same order, as one billed query per element
+        # outside the dirty basis; removals included
+        removed = 0
+        for pair, bd in random_pairs(150, seed=8, n_range=(1, 16), weight_mode=weight_mode):
+            ref = fresh(pair)
+            want = _per_query_weighted(bd.mask, ref)
+            p2 = fresh(pair)
+            removals.clear()
+            basis, led = weighted_basis(bd.mask, p2)
+            removed += len(removals)
+            assert basis.mask == want
+            assert led.export_lines() == ref.ledger.export_lines()
+            assert led.clean_independence_count == ref.ledger.clean_independence_count
+        assert removed > 0
+
+    def test_one_ledger_append_per_run(self, monkeypatch):
+        # each run of queries up to an addition is one append, so a walk
+        # makes one pass per addition plus the last; billed one query at a
+        # time, it would make one append per record
+        appends = []
+        for name in ("record", "record_scan", "record_prefix_pass"):
+            inner = getattr(QueryLedger, name)
+
+            def spy(self, *args, name=name, inner=inner):
+                appends.append(name)
+                return inner(self, *args)
+
+            monkeypatch.setattr(QueryLedger, name, spy)
+        rng = random.Random(3)
+        # U(20, 60) against U(12, 60): no removal, eight additions
+        pair, bd = make_pair({"kind": "uniform", "k": 20}, {"kind": "uniform", "k": 12},
+                             weights=[rng.randint(0, 120) for _ in range(60)])
+        appends.clear()
+        basis, led = weighted_basis(bd.mask, pair)
+        assert len(basis) - len(bd) == 8
+        # the strip's check of the dirty basis, then one check per addition
+        assert appends == ["record"] + ["record_prefix_pass", "record"] * 8 + ["record_prefix_pass"]
+        assert led.clean_independence_count == 60 - 20 + 1 + 2 * 8
+        for pair, bd in random_pairs(60, seed=4, n_range=(2, 16), weight_mode="int"):
+            p2 = fresh(pair)
+            appends.clear()
+            basis, _ = weighted_basis(bd.mask, p2)
+            assert appends.count("record_prefix_pass") == len(set(basis) - set(bd)) + 1
+
+
+def _per_query_weighted(bd, pair):
+    """Reference copy of the weighted walk billed one query at a time;
+    returns the final mask."""
+    g = pair.ground
+    independent = partial(pair.query_independent, ROLE_CLEAN)
+    a_mask = 0
+    r_mask = bd & ~algorithms._strip_dirty_basis(independent, g, bd)
+    pre = 0
+    for p in range(g.n):
+        e = g.order[p]
+        pre |= 1 << e
+        if bd >> e & 1:
+            continue
+        cur = (bd & ~r_mask) | a_mask
+        if independent((cur | 1 << e) & pre):
+            a_mask |= 1 << e
+            cur |= 1 << e
+            if not independent(cur):
+                r_mask |= algorithms._remove_smallest_dependent(independent, g, bd, cur, p)
+    return (bd & ~r_mask) | a_mask
 
 
 class TestRobustWeighted:

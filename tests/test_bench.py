@@ -141,6 +141,14 @@ class TestRunTrial:
         assert rec.correct and rec.within_bound
         assert rec.certificate == "relaxed"
 
+    @pytest.mark.parametrize("algorithm, k, p", [("weighted", 3, None), ("greedy", 1, None), ("robust", 2, 4),
+                                                  ("errdep", None, 1), ("costly", 2, 4)])
+    def test_unused_param_rejected(self, algorithm, k, p):
+        inst = family_instance("lb_basic", n=8, r=4)
+        with pytest.raises(InvalidSpec) as err:
+            run_trial(inst, algorithm, k=k, p=p)
+        assert err.value.field == ("p" if algorithm != "costly" and p is not None else "k")
+
     def test_unweighted_algorithm_rejects_weights(self):
         inst = family_instance("random", n=6, kind="partition", weight_mode="int", seed=2)
         with pytest.raises(InvalidSpec):

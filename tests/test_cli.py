@@ -327,6 +327,35 @@ class TestParamErrors:
         assert f"matoracle: invalid spec: {flag[2:]}: must be" in _one_line_error(capsys)
         assert not (tmp_path / "rec.json").exists()
 
+    @pytest.mark.parametrize(
+        "alg, flag, value",
+        [("weighted", "--k", "3"), ("errdep", "--k", "2"), ("weighted", "--p", "4"), ("robust", "--p", "2")],
+    )
+    def test_run_unused_param_exits_2(self, tmp_path, capsys, alg, flag, value):
+        # a k for a tag that takes none, or a p for any tag but costly, is
+        # neither ignored nor written to the record
+        inst = _write(tmp_path, "inst.json", LB_BASIC.to_json())
+        args = ["run", "--instance", inst, "--alg", alg, flag, value, "--out", str(tmp_path / "rec.json")]
+        assert cli.main(args) == 2
+        assert f"matoracle: invalid spec: {flag[2:]}: " in _one_line_error(capsys)
+        assert not (tmp_path / "rec.json").exists()
+
+    def test_verify_passes_each_param_to_its_tags(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        inner = cli.run_trial
+
+        def spy(inst, algo, k, p):
+            calls.append((algo, k, p))
+            return inner(inst, algo, k, p)
+
+        monkeypatch.setattr(cli, "run_trial", spy)
+        inst = _write(tmp_path, "inst.json", LB_BASIC.to_json())
+        assert cli.main(["verify", "--instance", inst, "--all", "--k", "2", "--p", "3"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert {"robust", "weighted-robust", "costly", "errdep"} <= {algo for algo, _, _ in calls}
+        for algo, k, p in calls:
+            assert (k, p) == (2 if TAGS[algo].takes_k else None, 3 if algo == "costly" else None)
+
     def test_verify_exits_2(self, tmp_path, capsys):
         inst = _write(tmp_path, "inst.json", LB_BASIC.to_json())
         assert cli.main(["verify", "--instance", inst, "--all", "--p", "0"]) == 2

@@ -147,11 +147,28 @@ class TestGroundSet:
                 acc |= 1 << g.order[p]
                 assert g.prefix_mask(p) == acc
 
+    @pytest.mark.parametrize("n", [0, 5, 63, 64, 128, 200])
+    def test_prefix_checkpoints_are_built_on_first_use(self, n):
+        # a ground set builds no checkpoint until prefix_mask is called;
+        # then checkpoint j holds the first 64 j positions, and prefix_mask
+        # is the running OR at every position
+        rng = random.Random(n)
+        g = GroundSet([rng.randint(0, 2) for _ in range(n)], rng.getrandbits(n) if n else 0)
+        assert tuple(g._prefix_masks) == ()
+        g.outside(0), g.positions(g.full_mask), g.weight(g.full_mask), g.prefix_mask(-1)
+        assert tuple(g._prefix_masks) == ()
+        acc = 0
+        for p in range(n):
+            acc |= 1 << g.order[p]
+            assert g.prefix_mask(p) == acc
+        if n:
+            assert g._prefix_masks == tuple(mask_of(g.order[: 64 * j], n) for j in range(n // 64 + 1))
+
     def test_prefix_state_is_subquadratic(self):
         # every-position prefix masks took n^2 bits, about 36 MB here
         tracemalloc.start()
         try:
-            GroundSet.unit(16384)
+            GroundSet.unit(16384).prefix_mask(0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -176,6 +176,103 @@ def test_a_pass_is_not_answered_query_by_query(kind, monkeypatch):
         monkeypatch.undo()
 
 
+def _per_query_prefix_pass(query, g, cur, start, skip):
+    """Reference run: query((cur | 1 << e) & prefix through e) per element e
+    outside skip from position start, up to the first True."""
+    answers = []
+    for p in range(start, g.n):
+        e = g.order[p]
+        if not skip >> e & 1:
+            answers.append(query((cur | 1 << e) & g.prefix_mask(p)))
+            if answers[-1]:
+                return p, answers
+    return g.n, answers
+
+
+def _first_pass(rng, n):
+    """(cur, start, skip) of a walk's first pass.  cur is a random set, so it
+    is dependent (over a cap, with a cycle) as often as not."""
+    skip = rng.getrandbits(n)
+    return rng.getrandbits(n) & rng.choice([skip, rng.getrandbits(n)]), 0, skip
+
+
+def _next_pass(rng, g, cur, skip, stop):
+    """(cur, start, skip) of the pass after one that stopped at stop: mostly
+    the next run with the element at stop added and perhaps one element
+    removed, and also a start in the middle (behind or ahead of the walk),
+    at 0 or at n, a new cur or a new skip."""
+    n = g.n
+    op = rng.random()
+    if op < 0.6 and stop < n:
+        cur |= 1 << g.order[stop]
+        if rng.random() < 0.4:
+            cur &= ~(1 << rng.choice(list(iter_bits(cur))))
+        return cur, stop + 1, skip
+    if op < 0.8:
+        return cur ^ 1 << rng.randrange(n), rng.randint(0, n), skip
+    if op < 0.9:
+        return rng.getrandbits(n), rng.choice([0, n]), skip
+    return cur, rng.randint(0, n), rng.getrandbits(n)
+
+
+@pytest.mark.parametrize("kind", ["partition", "graphic", "uniform", "predicted_basis", "explicit"])
+@pytest.mark.parametrize("seed", range(3))
+def test_prefix_pass_matches_the_per_query_run(kind, seed):
+    # each walk also answers single queries between its passes
+    rng = random.Random(f"prefix:{kind}:{seed}")
+    seen = set()
+    for _ in range(30):
+        spec = _scan_spec(rng, kind, rng.randint(1, 40))
+        g, ev = spec.ground, spec.evaluator()
+        walk = ev.prefix_walk()
+        cur, start, skip = _first_pass(rng, spec.n)
+        for _ in range(20):
+            got = walk.prefix_pass(cur, start, skip)
+            assert got == _per_query_prefix_pass(spec.is_independent_mask, g, cur, start, skip)
+            seen.add((start in (0, spec.n), spec.is_independent_mask(cur & g.prefix_mask(start - 1))))
+            mask = rng.getrandbits(spec.n)
+            assert ev.independent(mask) == spec.is_independent_mask(mask)
+            cur, start, skip = _next_pass(rng, g, cur, skip, got[0])
+    # starts at 0 or n and in the middle, each below a dependent set of cur
+    # and below an independent one
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_prefix_pass_from_a_dependent_set():
+    # partition over a cap and graphic with a cycle below the start: every
+    # answer is False until a removal repairs the set
+    g = GroundSet.unit(6)
+    for spec, cur in [
+        (PartitionMatroid(g, masks([0, 1, 2], [3, 4, 5]), [1, 2]), 0b000011),
+        (GraphicMatroid(g, 4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (1, 3)]), 0b000111),
+    ]:
+        walk = spec.evaluator().prefix_walk()
+        assert walk.prefix_pass(cur, 3, 0) == (6, [False] * 3)
+        assert walk.prefix_pass(cur & ~0b10, 3, 0) == (3, [True])
+
+
+@pytest.mark.parametrize("kind", ["partition", "graphic", "uniform", "predicted_basis"])
+def test_two_pairs_over_one_spec_walk_apart(kind):
+    # two pairs over one spec take turns: each pair's walk keeps its own
+    # cur, position and skip, and bills what one query per set would
+    rng = random.Random(f"pairs:{kind}")
+    for _ in range(20):
+        spec = _scan_spec(rng, kind, rng.randint(2, 30))
+        g = spec.ground
+        pairs = [OraclePair(spec, spec, g) for _ in range(2)]
+        refs = [OraclePair(spec, spec, g) for _ in range(2)]
+        args = [_first_pass(rng, spec.n) for _ in pairs]
+        for _ in range(15):
+            for i, (pair, ref) in enumerate(zip(pairs, refs)):
+                cur, start, skip = args[i]
+                stop = pair.query_prefix_pass(ROLE_CLEAN, cur, start, skip)
+                billed_one_by_one = partial(ref.query_independent, ROLE_CLEAN)
+                assert stop == _per_query_prefix_pass(billed_one_by_one, g, cur, start, skip)[0]
+                args[i] = _next_pass(rng, g, cur, skip, stop)
+        for pair, ref in zip(pairs, refs):
+            assert pair.ledger.export_lines() == ref.ledger.export_lines()
+
+
 def _alternate(rng, evaluators, spec, steps):
     streams = [_queries(random.Random(rng.random()), spec, steps) for _ in evaluators]
     for _ in range(steps):

@@ -139,9 +139,11 @@ class TestLedger:
     @pytest.mark.parametrize("n", [12, SET_STORAGE_LIMIT + 1])
     def test_columns_match_a_record_list(self, n):
         # the columns give back what a list of QueryRecord tuples would hold,
-        # with singles, greedy passes and exchange graphs interleaved
+        # with singles, greedy passes, prefix-walk runs and exchange graphs
+        # interleaved
         rng = random.Random(n)
         led = QueryLedger(n)
+        order = tuple(rng.sample(range(n), n))
         kinds = ["ind", "rank", "ind1", "ind2"]
         want = []
 
@@ -174,6 +176,17 @@ class TestLedger:
                 for p, record in enumerate(records):
                     if p not in unbilled:
                         expect(role, *record)
+            elif append < 0.3:
+                cur, skip = rng.getrandbits(n), rng.getrandbits(n)
+                start = rng.choice([0, n, rng.randrange(n)])
+                candidates = [p for p in range(start, n) if not skip >> order[p] & 1][: rng.randint(0, 8)]
+                answers = [False] * len(candidates)
+                if answers and rng.random() < 0.7:
+                    answers[-1] = True
+                led.record_prefix_pass(role, cur, order, start, skip, answers)
+                for p, ok in zip(candidates, answers):
+                    prefix = sum(1 << e for e in order[: p + 1])
+                    expect(role, "ind", ok, (cur | 1 << order[p]) & prefix)
             else:
                 kind = rng.choice(kinds)
                 answer = rng.randrange(n) if kind == "rank" else rng.random() < 0.5
@@ -192,7 +205,7 @@ class TestLedger:
         assert led.dirty_count == len(want) - len(clean)
 
     def test_transcript_ignores_later_edits_of_the_arguments(self):
-        # a pass or a graph keeps its own copy of what it was given
+        # a pass, a run or a graph keeps its own copy of what it was given
         led = QueryLedger(8)
         candidates, answers = [1, 2, 3], [True, False, True]
         led.record_scan(ROLE_CLEAN, 0b1, candidates, answers)
@@ -200,12 +213,16 @@ class TestLedger:
         rows1, rows2 = [[True, False], [False, True]], [[True, True], [False, False]]
         unbilled = {1}
         led.record_graph(ROLE_DIRTY, 0b1, inside, outside, rows1, rows2, unbilled)
+        run = [False, True]
+        led.record_prefix_pass(ROLE_CLEAN, 0b1, tuple(range(8)), 2, 0b1000, run)
         before = led.export_lines()
-        assert len(before) == 3 + 2 * 2 * 2 - 1
+        assert len(before) == 3 + 2 * 2 * 2 - 1 + 2
+        assert before[-2:] == ["10,clean,ind,0,5", "11,clean,ind,1,11"]
         candidates[:], answers[:] = [5, 6, 7], [False] * 3
         inside[:], outside[:] = [4], [6, 7]
         rows1[0][0], rows2[1][:] = False, [True, True]
         unbilled.add(0)
+        run[:] = [True] * 5
         assert led.export_lines() == before
 
     def test_rank_answer_above_a_byte(self):
@@ -230,6 +247,9 @@ class TestLedger:
         with pytest.raises(ValueError, match="unknown oracle role"):
             led.record_scan("oracle", 0, [0, 1], [True, False])
         assert _columns_and_counts(led) == before
+        with pytest.raises(ValueError, match="unknown oracle role"):
+            led.record_prefix_pass("oracle", 0, tuple(range(8)), 0, 0, [False, True])
+        assert _columns_and_counts(led) == before
 
     def test_unknown_role_scan_touches_nothing(self):
         g = GroundSet.unit(6)
@@ -246,10 +266,18 @@ class TestLedger:
             lambda pair, ox: pair.query_independent("oracle", 0b11),
             lambda pair, ox: pair.query_rank("oracle", 0b11),
             lambda pair, ox: pair.query_scan("oracle", 0b1),
+            lambda pair, ox: pair.query_prefix_pass("oracle", 0b1, 0),
             lambda pair, ox: ox.query_independent("oracle", 1, 0b11),
             lambda pair, ox: ox.query_rows("oracle", 0b1, [0], [1, 2, 3, 4, 5]),
         ],
-        ids=["pair.query_independent", "pair.query_rank", "pair.query_scan", "ox.query_independent", "ox.query_rows"],
+        ids=[
+            "pair.query_independent",
+            "pair.query_rank",
+            "pair.query_scan",
+            "pair.query_prefix_pass",
+            "ox.query_independent",
+            "ox.query_rows",
+        ],
     )
     def test_unknown_role_evaluates_nothing(self, query):
         # partition evaluators on both sides keep state, so an evaluation
@@ -264,6 +292,7 @@ class TestLedger:
         evals = [*pair._evals.values(), *ox._evals[ROLE_CLEAN], *ox._evals[ROLE_DIRTY]]
         assert len(evals) == 6
         assert all(ev.state is None and ev.anchor == 0 for ev in evals)
+        assert all(walk.skip is None for walk in pair._walks.values())
         for led in (pair.ledger, ox.ledger):
             assert _columns_and_counts(led) == (b"", [], [], (0, 0, 0))
 
