@@ -41,7 +41,6 @@ from .intersection import (
 from .oracles import (
     ROLE_CLEAN,
     OraclePair,
-    TranscriptNotStored,
     greedy_basis,
     make_dirty,
     verify_certificate,
@@ -603,11 +602,8 @@ class TrialRecord:
 
     @property
     def violation(self):
-        """Bound exceeded, wrong output, or a strict certificate that failed or
-        was left unchecked."""
-        return (
-            self.within_bound is False or self.correct is False or self.certificate in ("strict-fail", "unverified")
-        )
+        """Bound exceeded, wrong output, or a strict certificate that failed."""
+        return self.within_bound is False or self.correct is False or self.certificate == "strict-fail"
 
 
 TrialRecord.COLUMNS = tuple(f.name for f in fields(TrialRecord))
@@ -661,16 +657,13 @@ def _basis_trial(gen, algorithm, k, p):
         bound_val = Fraction(k_eff + 1, k_eff) * g.n
     if bound_val is not None:
         within = getattr(pair.ledger, row.measured) <= bound_val
-    cert, unchecked = row.certificate, None
+    cert = row.certificate
     # on unit weights a clean-independent pairquery output is a clean basis,
     # so a wrong output is one that left the clean family
     error = "FamilyViolation" if algorithm == "pairquery" and not correct else ""
     if cert == "strict":
-        try:
-            cert = "strict-pass" if verify_certificate(pair.ledger.transcript, basis.mask, g).ok else "strict-fail"
-        except TranscriptNotStored as exc:
-            cert, error, unchecked = "unverified", f"TranscriptNotStored: {exc}", exc
-    rec = TrialRecord(
+        cert = "strict-pass" if verify_certificate(pair.ledger.records(), basis.mask, g).ok else "strict-fail"
+    return TrialRecord(
         instance_id=spec.instance_id,
         algorithm=algorithm,
         k=k,
@@ -691,10 +684,6 @@ def _basis_trial(gen, algorithm, k, p):
         error=error,
         wall_time_s=round(wall, 6),
     )
-    if unchecked is not None:
-        unchecked.record = rec
-        raise unchecked
-    return rec
 
 
 def _intersection_trial(gen, algorithm):
@@ -805,10 +794,8 @@ def run_trial(spec, algorithm, k=None, p=None):
 
     Raises InvalidSpec for a malformed spec, k or p, a k given to a tag that
     takes none or a p given to any tag but costly, or an algorithm that does
-    not apply (see ``inapplicable``), and TranscriptNotStored when a strict
-    certificate cannot be checked because the ledger stored no query sets (n
-    above SET_STORAGE_LIMIT); that exception's ``record`` is the trial's
-    row, with certificate "unverified".
+    not apply (see ``inapplicable``).  A strict certificate is checked at
+    every n.
     """
     if algorithm not in ALGORITHMS:
         raise InvalidSpec("algorithm", f"unknown algorithm {algorithm!r}")
@@ -832,9 +819,7 @@ def sweep(config, out_path=None):
 
     A malformed instance, algorithm list, family group or k / p grid raises
     InvalidSpec before any trial runs.  An algorithm that does not apply to an
-    instance gives an error row; a trial whose strict certificate could not be
-    checked gives an error row with certificate "unverified", which counts as
-    a violation.
+    instance gives an error row.
     """
     records = []
     instances = []
@@ -874,8 +859,6 @@ def sweep(config, out_path=None):
                         records.append(run_trial(inst, algo, k=k, p=p))
                     except InvalidSpec as exc:
                         records.append(TrialRecord(inst.instance_id, algo, k, _p_text(p), inst.n, error=str(exc)))
-                    except TranscriptNotStored as exc:
-                        records.append(exc.record)
     records.sort(key=lambda rec: (rec.instance_id, rec.algorithm, rec.k or 0, rec.p or ""))
     if out_path is not None:
         write_csv(records, out_path)

@@ -1,8 +1,8 @@
 """Benchmark command line: gen, run, verify, bench subcommands.
 
 Exit codes: 0 when every trial is correct and within its bound, 1 on a
-violation, an incorrect output or a failed or unchecked certificate, 2 on a
-malformed spec or command line or an output file that cannot be written.
+violation, an incorrect output or a failed certificate, 2 on a malformed
+spec or command line or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .bench import (
     summary_lines,
     sweep,
 )
-from .oracles import TranscriptNotStored
 
 
 def _load_json(path):
@@ -80,15 +79,9 @@ def _cmd_verify(args):
     check_k_p(args.k, args.p)  # before any trial, whichever tags take them
     failures = 0
     for algo in _compatible_algorithms(inst):
-        try:
-            # like bench's sweep: k only for the tags that take it, p only
-            # for costly
-            rec = run_trial(
-                inst, algo, k=args.k if TAGS[algo].takes_k else None, p=args.p if algo == "costly" else None
-            )
-        except TranscriptNotStored as exc:
-            # like a bench row: this tag fails, the others still run
-            rec = exc.record
+        # like bench's sweep: k only for the tags that take it, p only for
+        # costly
+        rec = run_trial(inst, algo, k=args.k if TAGS[algo].takes_k else None, p=args.p if algo == "costly" else None)
         ok = not (rec.error or rec.violation)
         cert = f" cert={rec.certificate}" if rec.certificate != "n/a" else ""
         print(
@@ -152,9 +145,6 @@ def main(argv=None):
     except InvalidSpec as exc:
         print(f"matoracle: invalid spec: {exc}", file=sys.stderr)
         return 2
-    except TranscriptNotStored as exc:
-        print(f"matoracle: certificate not checked: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         # inputs are read through _load_json, so this is an output file
         print(f"matoracle: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)

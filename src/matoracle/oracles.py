@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from array import array
+from itertools import chain, compress
 from typing import NamedTuple
 
 from .core import (
@@ -29,8 +30,6 @@ KIND_IND = "ind"
 KIND_RANK = "rank"
 # independence kind of each intersection matroid, by its index 1 or 2
 KIND_IND_OF = {1: "ind1", 2: "ind2"}
-
-SET_STORAGE_LIMIT = 4096  # above this n, transcript records drop the query sets
 
 # one byte per record: the index of its (role, kind) in this table
 RECORD_CODES = tuple(
@@ -59,96 +58,102 @@ class QueryRecord(NamedTuple):
     role: str
     kind: str
     answer: int
-    mask: int | None
+    mask: int
 
 
 class _Scan(NamedTuple):
-    """The query sets of one greedy pass (see QueryLedger.record_scan)."""
+    """The query sets of one greedy pass from its mask cur (see
+    QueryLedger.record_scan)."""
 
-    cur: int
     candidates: tuple
     answers: tuple
 
-    def sets(self):
-        cur, sets = self.cur, []
+    def sets(self, cur):
         for e, ok in zip(self.candidates, self.answers):
             grown = cur | 1 << e
-            sets.append(grown)
+            yield grown
             if ok:
                 cur = grown
-        return sets
 
 
 class _PrefixPass(NamedTuple):
-    """The query sets of one run of a prefix walk (see
+    """The query sets of one run of a prefix walk from its mask cur (see
     QueryLedger.record_prefix_pass)."""
 
-    cur: int
     order: tuple
     start: int
     skip: int
     size: int
 
-    def sets(self):
+    def sets(self, cur):
         # e plus cur's members below e's position, for each e outside skip
         # from position start on
-        cur, skip = self.cur, self.skip
+        skip, size = self.skip, self.size
         below = cur & mask_of(self.order[: self.start], len(self.order))
-        sets = []
         for e in self.order[self.start :]:
-            if len(sets) == self.size:
+            if not size:
                 break
             bit = 1 << e
             if not skip & bit:
-                sets.append(below | bit)
+                yield below | bit
+                size -= 1
             below |= cur & bit
-        return sets
 
 
 class _Graph(NamedTuple):
-    """The query sets of one exchange graph (see QueryLedger.record_graph)."""
+    """The query sets of one exchange graph from its mask X (see
+    QueryLedger.record_graph)."""
 
-    x_mask: int
     inside: tuple
     outside: tuple
-    unbilled: tuple  # descending
+    unbilled: tuple
 
-    def sets(self):
+    def sets(self, x_mask):
         # X, then X - x for each x of inside, each with y added, once for
         # ind1 and once for ind2
-        base = [self.x_mask, *[self.x_mask ^ 1 << x for x in self.inside]]
-        sets = [None] * (2 * len(base) * len(self.outside))
-        sets[::2] = sets[1::2] = [s | bit for bit in [1 << y for y in self.outside] for s in base]
-        for p in self.unbilled:
-            del sets[p]
-        return sets
+        base = [x_mask, *[x_mask ^ 1 << x for x in self.inside]]
+        sets = ((s | 1 << y) for y in self.outside for s in base for _kind in (1, 2))
+        return (s for p, s in enumerate(sets) if p not in self.unbilled)
 
 
 class QueryLedger:
     """Per-run transcript of clean and dirty oracle queries.
 
     Records are kept in columns: a code byte per record (its index in
-    RECORD_CODES), a list of answers and, up to SET_STORAGE_LIMIT, a list of
-    the query sets: a single record's mask, or one descriptor per greedy
-    pass, prefix-walk run or exchange graph whose sets are built only when
-    the transcript is read.  The counts are read from the code column; no
-    tally is kept beside it."""
+    RECORD_CODES) and a list of answers.  The query sets are kept per
+    append: one mask per single record, greedy pass (its cur), prefix-walk
+    run (its cur) or exchange graph (its X), and for each of the last three
+    a descriptor from which its sets are built when the records are read.
+    Each kept mask is coded as its change from the mask kept before it: the
+    XOR of the two, shifted down past its zero low bits, and the shift.  The
+    counts are read from the code column; no tally is kept beside it."""
 
     def __init__(self, n, cost_p=1):
         self.n = n
         self.cost_p = Fraction(cost_p)
         if self.cost_p < 1:
             raise ValueError("clean-call cost p must be >= 1")
-        self.store_sets = n <= SET_STORAGE_LIMIT
         self._codes = bytearray()
         self._answers = []  # a list, not bytes: a rank answer can exceed 255
-        self._masks = []
+        # per kept mask: its shifted change, the shift, and None for a
+        # single record or the descriptor of a bulk append
+        self._changes = []
+        self._shifts = array("Q")
+        self._bulk = []
+        self._last = 0  # the mask kept last
+
+    def _keep(self, mask, bulk=None):
+        change = mask ^ self._last
+        shift = (change & -change).bit_length() - 1 if change else 0
+        self._changes.append(change >> shift)
+        self._shifts.append(shift)
+        self._bulk.append(bulk)
+        self._last = mask
 
     def record(self, role, kind, answer, mask):
         self._codes.append(by_role(_CODE_OF, role)[kind])
         self._answers.append(answer)
-        if self.store_sets:
-            self._masks.append(mask)
+        self._keep(mask)
 
     def record_scan(self, role, cur, candidates, answers):
         """One greedy pass as one append per column: the independence
@@ -157,8 +162,7 @@ class QueryLedger:
         code = by_role(_CODE_OF, role)[KIND_IND]
         self._codes += bytes((code,)) * len(answers)
         self._answers += answers
-        if self.store_sets:
-            self._masks.append(_Scan(cur, tuple(candidates), tuple(answers)))
+        self._keep(cur, _Scan(tuple(candidates), tuple(answers)))
 
     def record_prefix_pass(self, role, cur, order, start, skip, answers):
         """One run of a prefix walk as one append per column: the
@@ -168,8 +172,7 @@ class QueryLedger:
         code = by_role(_CODE_OF, role)[KIND_IND]
         self._codes += bytes((code,)) * len(answers)
         self._answers += answers
-        if self.store_sets:
-            self._masks.append(_PrefixPass(cur, order, start, skip, len(answers)))
+        self._keep(cur, _PrefixPass(order, start, skip, len(answers)))
 
     def record_graph(self, role, x_mask, inside, outside, rows1, rows2, unbilled=()):
         """One exchange graph as one append per column: for each y of
@@ -189,21 +192,28 @@ class QueryLedger:
             del graph_codes[p], answers[p]
         self._codes += graph_codes
         self._answers += answers
-        if self.store_sets:
-            self._masks.append(_Graph(x_mask, tuple(inside), tuple(outside), tuple(unbilled)))
+        self._keep(x_mask, _Graph(tuple(inside), tuple(outside), tuple(unbilled)))
+
+    def _sets(self):
+        mask = 0
+        for change, shift, bulk in zip(self._changes, self._shifts, self._bulk):
+            mask ^= change << shift
+            if bulk is None:
+                yield mask
+            else:
+                yield from bulk.sets(mask)
+
+    def records(self):
+        """The records in order, one QueryRecord at a time, each query set
+        decoded as it is reached."""
+        for code, answer, mask in zip(self._codes, self._answers, self._sets()):
+            yield QueryRecord(*RECORD_CODES[code], int(answer), mask)
 
     @property
     def transcript(self):
         """Read-only view of the records: a new list of QueryRecord built
         from the columns on each access."""
-        if self.store_sets:
-            masks = chain.from_iterable(m.sets() if isinstance(m, tuple) else (m,) for m in self._masks)
-        else:
-            masks = repeat(None)
-        return [
-            QueryRecord(*RECORD_CODES[code], int(answer), mask)
-            for code, answer, mask in zip(self._codes, self._answers, masks)
-        ]
+        return list(self.records())
 
     @property
     def clean_independence_count(self):
@@ -229,11 +239,7 @@ class QueryLedger:
     def export_lines(self):
         """Line-oriented transcript: seq,role,kind,answer,hex(bitset), where
         seq is the record's position."""
-        out = []
-        for seq, rec in enumerate(self.transcript):
-            h = "-" if rec.mask is None else format(rec.mask, "x")
-            out.append(f"{seq},{rec.role},{rec.kind},{rec.answer},{h}")
-        return out
+        return [f"{seq},{rec.role},{rec.kind},{rec.answer},{rec.mask:x}" for seq, rec in enumerate(self.records())]
 
 
 class OraclePair:
@@ -366,37 +372,33 @@ def make_dirty(clean, cfg):
     return GraphicMatroid(clean.ground, nv, [tuple(e) for e in edges])
 
 
-class TranscriptNotStored(ValueError):
-    """The transcript dropped its query sets (n above SET_STORAGE_LIMIT), so
-    the certificate cannot be checked.  Raised from a trial, it carries the
-    trial's row as ``record``."""
-
-
 class CertificateReport(NamedTuple):
     ok: bool
     independence_witnessed: bool
     unwitnessed: tuple
 
 
-def verify_certificate(transcript, out, ground):
+def verify_certificate(records, out, ground):
     """Check that the clean queries alone prove the mask out is a basis.
 
+    records is read once, in order: a ledger's records() or its transcript.
     Independence needs some clean query answered independent whose set contains
     the output (the empty set is independent axiomatically).  Maximality needs,
     for each e outside the output, a clean query answered dependent whose set
     is a subset of output + e that contains e, that is, whose elements outside
-    the output are exactly {e}.  One pass over the dependent records collects
-    those single elements.
+    the output are exactly {e}.  One pass over the records collects both.
     """
-    clean_ind = [r for r in transcript if r.role == ROLE_CLEAN and not r.kind.startswith(KIND_RANK)]
-    if any(r.mask is None for r in clean_ind):
-        raise TranscriptNotStored("transcript sets were not stored; cannot verify")
-    ind_ok = out == 0 or any(r.answer and out & ~r.mask == 0 for r in clean_ind)
+    outside = ground.full_mask & ~out
+    ind_ok = out == 0
     witnessed = 0
-    for r in clean_ind:
+    for r in records:
+        if r.role != ROLE_CLEAN or r.kind == KIND_RANK:
+            continue
         if not r.answer:
-            extra = r.mask & ~out
+            extra = r.mask & outside
             if extra & (extra - 1) == 0:
                 witnessed |= extra  # zero or the single element e
-    unwitnessed = tuple(iter_bits(ground.full_mask & ~out & ~witnessed))
+        elif not ind_ok:
+            ind_ok = r.mask & out == out
+    unwitnessed = tuple(iter_bits(outside & ~witnessed))
     return CertificateReport(ind_ok and not unwitnessed, ind_ok, unwitnessed)

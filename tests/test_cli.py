@@ -5,7 +5,7 @@ import pytest
 
 from matoracle import bench, cli
 from matoracle.bench import TAGS, InstanceSpec, InvalidSpec, family_instance, generate, run_trial, sweep
-from matoracle.oracles import SET_STORAGE_LIMIT, CertificateReport
+from matoracle.oracles import CertificateReport
 
 UNCOVERED = {
     "n": 4,
@@ -29,10 +29,9 @@ WEIGHTED_EXPLICIT = {
     "dirty": {"mode": "explicit", "maximal_sets": [[0, 1], [2, 3]]},
 }
 
-# above SET_STORAGE_LIMIT the ledger keeps no query sets, so greedy's strict
-# certificate cannot be checked
-UNSTORED = {
-    "n": SET_STORAGE_LIMIT + 1,
+# greedy's strict certificate above n = 4096
+U4097 = {
+    "n": 4097,
     "weights": "unit",
     "matroid": {"kind": "uniform", "k": 4},
     "dirty": {"mode": "matroid", "kind": "uniform", "k": 4},
@@ -487,53 +486,77 @@ class TestFailedCertificate:
         assert [rec.algorithm for rec in violations] == ["errdep"]
 
 
-class TestUnstoredTranscript:
-    def test_run_trial_still_raises(self):
-        with pytest.raises(ValueError, match="transcript sets were not stored") as info:
-            run_trial(InstanceSpec.from_dict(UNSTORED), "greedy")
-        # the raised row is the trial's full record
-        rec = info.value.record
-        assert (rec.clean_queries, rec.r, rec.r_d, rec.correct) == (SET_STORAGE_LIMIT + 1, 4, 4, True)
-        assert rec.certificate == "unverified" and rec.violation
+class TestCertificateAtN4097:
+    """At n = 4097 the strict certificate is checked from the ledger's kept
+    sets like at any other n."""
 
-    def test_sweep_records_a_violation_row_and_continues(self):
-        records, violations = sweep({"instances": [UNSTORED], "algorithms": ["greedy", "rank"]})
+    def test_run_trial_passes(self):
+        rec = run_trial(InstanceSpec.from_dict(U4097), "greedy")
+        assert (rec.clean_queries, rec.r, rec.r_d, rec.correct) == (4097, 4, 4, True)
+        assert rec.certificate == "strict-pass" and not rec.violation and not rec.error
+
+    def test_run_exits_0(self, tmp_path, capsys):
+        inst = _write(tmp_path, "inst.json", U4097)
+        assert cli.main(["run", "--instance", inst, "--alg", "greedy", "--out", str(tmp_path / "rec.json")]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("greedy: clean=4097 bound=None [ok]")
+
+    def test_bench_exits_0(self, tmp_path, capsys):
+        config = _write(tmp_path, "sweep.json", {"instances": [U4097], "algorithms": ["greedy"]})
+        assert cli.main(["bench", "--config", config, "--out", str(tmp_path / "r.csv")]) == 0
+        assert "violations=0" in capsys.readouterr().out
+
+    def test_verify_prints_only_pass_lines(self, tmp_path, capsys):
+        inst = _write(tmp_path, "inst.json", U4097)
+        assert cli.main(["verify", "--instance", inst, "--all"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        status = {line.split()[1].rstrip(":"): line.split()[0] for line in lines}
+        assert status == dict.fromkeys(
+            ["greedy", "simple", "errdep", "robust", "weighted", "weighted-robust", "rank", "costly"], "PASS"
+        )
+        strict = [line for line in lines if line.split()[1].rstrip(":") in ("greedy", "simple", "errdep", "robust")]
+        assert len(strict) == 4 and all(line.endswith(" cert=strict-pass") for line in strict)
+        assert lines[0] == "PASS greedy: clean=4097 bound=None correct=True cert=strict-pass"
+
+
+class TestUnstoredTranscript:
+    """U(4, 4097), one element past where the ledger once dropped its query
+    sets: the sweep row and the verify lines carry the billed counts, and a
+    failing strict certificate there is a violation like at any other n."""
+
+    @pytest.fixture
+    def failing_certificate(self, monkeypatch):
+        monkeypatch.setattr(bench, "verify_certificate", lambda *args: CertificateReport(False, True, (0,)))
+
+    def test_sweep_row_reports_the_billed_counts(self):
+        records, violations = sweep({"instances": [U4097], "algorithms": ["greedy", "rank"]})
+        assert violations == []
         by_alg = {rec.algorithm: rec for rec in records}
-        assert by_alg["greedy"].certificate == "unverified"
-        assert "transcript sets were not stored" in by_alg["greedy"].error
+        rec = by_alg["greedy"]
+        assert (rec.clean_ind_queries, rec.dirty_queries, rec.r, rec.r_d) == (4097, 4097, 4, 4)
+        assert (rec.correct, rec.certificate, rec.error) == (True, "strict-pass", "")
+        assert by_alg["rank"].correct and not by_alg["rank"].error
+
+    def test_sweep_records_a_violation_row_and_continues(self, failing_certificate):
+        records, violations = sweep({"instances": [U4097], "algorithms": ["greedy", "rank"]})
+        by_alg = {rec.algorithm: rec for rec in records}
+        assert by_alg["greedy"].certificate == "strict-fail" and by_alg["greedy"].correct
         assert by_alg["rank"].correct and not by_alg["rank"].error
         assert violations == [by_alg["greedy"]]
 
-    def test_sweep_row_reports_the_billed_counts(self):
-        records, _ = sweep({"instances": [UNSTORED], "algorithms": ["greedy"]})
-        (rec,) = records
-        assert (rec.clean_ind_queries, rec.dirty_queries, rec.r, rec.r_d) == (SET_STORAGE_LIMIT + 1,) * 2 + (4, 4)
-        assert rec.correct is True
-
-    def test_run_exits_1(self, tmp_path, capsys):
-        inst = _write(tmp_path, "inst.json", UNSTORED)
-        assert cli.main(["run", "--instance", inst, "--alg", "greedy", "--out", str(tmp_path / "rec.json")]) == 1
-        assert "transcript sets were not stored" in _one_line_error(capsys)
-
-    def test_bench_exits_1(self, tmp_path, capsys):
-        config = _write(tmp_path, "sweep.json", {"instances": [UNSTORED], "algorithms": ["greedy"]})
-        assert cli.main(["bench", "--config", config, "--out", str(tmp_path / "r.csv")]) == 1
-        assert "violations=1" in capsys.readouterr().out
-
-    def test_verify_fails_each_strict_tag_and_runs_the_rest(self, tmp_path, capsys):
-        inst = _write(tmp_path, "inst.json", UNSTORED)
+    def test_verify_fails_each_strict_tag_and_runs_the_rest(self, tmp_path, capsys, failing_certificate):
+        inst = _write(tmp_path, "inst.json", U4097)
         assert cli.main(["verify", "--instance", inst, "--all"]) == 1
         lines = capsys.readouterr().out.splitlines()
         status = {line.split()[1].rstrip(":"): line.split()[0] for line in lines}
         assert status == {"greedy": "FAIL", "simple": "FAIL", "errdep": "FAIL", "robust": "FAIL",
                           "weighted": "PASS", "weighted-robust": "PASS", "rank": "PASS", "costly": "PASS"}
-        assert all(" cert=unverified error=TranscriptNotStored: " in line for line in lines if line.startswith("FAIL"))
+        assert all(line.endswith(" cert=strict-fail") for line in lines if line.startswith("FAIL"))
 
-    def test_verify_fail_line_reports_the_billed_counts(self, tmp_path, capsys):
-        inst = _write(tmp_path, "inst.json", UNSTORED)
+    def test_verify_fail_line_reports_the_billed_counts(self, tmp_path, capsys, failing_certificate):
+        inst = _write(tmp_path, "inst.json", U4097)
         assert cli.main(["verify", "--instance", inst, "--all"]) == 1
         first = capsys.readouterr().out.splitlines()[0]
-        assert first.startswith(f"FAIL greedy: clean={SET_STORAGE_LIMIT + 1} bound=None correct=True cert=unverified ")
+        assert first == "FAIL greedy: clean=4097 bound=None correct=True cert=strict-fail"
 
 
 class TestIntersectDirtyNeedsPartition:

@@ -18,14 +18,14 @@ from matoracle import (
 )
 from matoracle.core import ExplicitSystem, iter_bits
 from matoracle.intersection import IntersectionOracles
-from matoracle.oracles import ROLE_CLEAN, ROLE_DIRTY, SET_STORAGE_LIMIT, QueryRecord
+from matoracle.oracles import ROLE_CLEAN, ROLE_DIRTY, QueryRecord
 
 from conftest import fresh, make_pair, masks
 
 
 def _columns_and_counts(led):
     counts = (led.clean_independence_count, led.clean_rank_count, led.dirty_count)
-    return bytes(led._codes), list(led._answers), list(led._masks), counts
+    return bytes(led._codes), list(led._answers), list(zip(led._changes, led._shifts, led._bulk)), counts
 
 
 def simple_pair(n=5, k=2, cost_p=1):
@@ -130,30 +130,39 @@ class TestLedger:
                 runs.append(p2.ledger.export_lines())
             assert runs[0] == runs[1]
 
-    def test_size_guard_drops_sets(self):
-        led = QueryLedger(5000)
-        led.record(ROLE_CLEAN, "ind", True, 0b1)
-        assert led.transcript[0].mask is None
-        assert led.clean_independence_count == 1
-
-    @pytest.mark.parametrize("n", [12, SET_STORAGE_LIMIT + 1])
+    @pytest.mark.parametrize("n", [12, 4097])
     def test_columns_match_a_record_list(self, n):
         # the columns give back what a list of QueryRecord tuples would hold,
         # with singles, greedy passes, prefix-walk runs and exchange graphs
-        # interleaved
+        # interleaved; a kept mask may repeat the one before it (no change),
+        # lose bits or gain them, and a bulk append may start from the
+        # single's set before it
         rng = random.Random(n)
         led = QueryLedger(n)
         order = tuple(rng.sample(range(n), n))
         kinds = ["ind", "rank", "ind1", "ind2"]
         want = []
+        last = 0  # the mask the ledger kept last
 
         def expect(role, kind, answer, mask):
-            want.append(QueryRecord(role, kind, int(answer), mask if n <= SET_STORAGE_LIMIT else None))
+            want.append(QueryRecord(role, kind, int(answer), mask))
+
+        def next_mask():
+            # the last mask again, a subset of it, a superset of it, or a
+            # fresh one
+            pick = rng.random()
+            if pick < 0.2:
+                return last
+            if pick < 0.4:
+                return last & rng.getrandbits(n)
+            if pick < 0.6:
+                return last | 1 << rng.randrange(n)
+            return rng.getrandbits(n)
 
         for _ in range(300):
             role, append = rng.choice([ROLE_CLEAN, ROLE_DIRTY]), rng.random()
             if append < 0.1:
-                cur = rng.getrandbits(n) & rng.getrandbits(n)
+                cur = last = next_mask()
                 candidates = rng.sample(range(n), rng.randint(0, 8))
                 answers = [rng.random() < 0.5 for _ in candidates]
                 led.record_scan(role, cur, candidates, answers)
@@ -161,7 +170,8 @@ class TestLedger:
                     expect(role, "ind", ok, cur | 1 << e)
                     cur |= ok << e
             elif append < 0.2:
-                x_mask = sum(1 << e for e in rng.sample(range(n), rng.randint(0, 3)))
+                x_mask = last if rng.random() < 0.3 else sum(1 << e for e in rng.sample(range(n), rng.randint(0, 3)))
+                last = x_mask
                 inside = list(iter_bits(x_mask))
                 outside = sorted(rng.sample([y for y in range(n) if not x_mask >> y & 1], rng.randint(0, 5)))
                 rows = [[[rng.random() < 0.5 for _ in range(len(inside) + 1)] for _ in outside] for _ in range(2)]
@@ -177,7 +187,8 @@ class TestLedger:
                     if p not in unbilled:
                         expect(role, *record)
             elif append < 0.3:
-                cur, skip = rng.getrandbits(n), rng.getrandbits(n)
+                cur, skip = next_mask(), rng.getrandbits(n)
+                last = cur
                 start = rng.choice([0, n, rng.randrange(n)])
                 candidates = [p for p in range(start, n) if not skip >> order[p] & 1][: rng.randint(0, 8)]
                 answers = [False] * len(candidates)
@@ -190,15 +201,19 @@ class TestLedger:
             else:
                 kind = rng.choice(kinds)
                 answer = rng.randrange(n) if kind == "rank" else rng.random() < 0.5
-                mask = rng.getrandbits(n)
+                mask = last = next_mask()
                 led.record(role, kind, answer, mask)
                 expect(role, kind, answer, mask)
         assert led.transcript == want
+        assert list(led.records()) == want
         assert all(type(rec.answer) is int for rec in led.transcript)
-        assert led.export_lines() == [
-            f"{seq},{r.role},{r.kind},{r.answer},{'-' if r.mask is None else format(r.mask, 'x')}"
-            for seq, r in enumerate(want)
-        ]
+        assert led.export_lines() == [f"{seq},{r.role},{r.kind},{r.answer},{r.mask:x}" for seq, r in enumerate(want)]
+        # each change is kept shifted down past its zero low bits, so it is
+        # odd or zero, and a bulk append that starts from the single's set
+        # before it keeps a zero change
+        assert all(change & 1 for change in led._changes if change)
+        kept = list(zip(led._changes, led._bulk))
+        assert any(bulk is not None and change == 0 and prev is None for (_, prev), (change, bulk) in zip(kept, kept[1:]))
         clean = [r for r in want if r.role == ROLE_CLEAN]
         assert led.clean_rank_count == sum(r.kind == "rank" for r in clean)
         assert led.clean_independence_count == len(clean) - led.clean_rank_count
@@ -296,12 +311,12 @@ class TestLedger:
         for led in (pair.ledger, ox.ledger):
             assert _columns_and_counts(led) == (b"", [], [], (0, 0, 0))
 
-    @pytest.mark.parametrize("n", [12, SET_STORAGE_LIMIT + 1])
+    @pytest.mark.parametrize("n", [12, 4097])
     def test_row_equals_its_records(self, n):
         # the rows of one graph bill as their records one by one, y by y and
         # set by set, ind1 then ind2, less the unbilled positions of that
-        # order; above the storage limit X has at most two elements, so a
-        # graph stays near 6n records
+        # order; at the larger n X has at most two elements, so a graph
+        # stays near 6n records
         rng = random.Random(n)
         by_graph, by_record = QueryLedger(n), QueryLedger(n)
         for _ in range(40 if n < 100 else 3):
@@ -325,7 +340,7 @@ class TestLedger:
         assert by_graph.transcript == by_record.transcript
         assert (by_graph.clean_count, by_graph.dirty_count) == (by_record.clean_count, by_record.dirty_count)
 
-    @pytest.mark.parametrize("n", [12, SET_STORAGE_LIMIT + 1])
+    @pytest.mark.parametrize("n", [12, 4097])
     def test_scan_equals_its_queries(self, n):
         # a billed pass records what one query per candidate records, with
         # single queries before, between and after the passes
@@ -504,6 +519,43 @@ class TestCertificates:
             rep = verify_certificate(records, out, pair.ground)
             assert rep.unwitnessed == want
             assert rep.ok == (rep.independence_witnessed and not want)
+
+    def test_one_shot_stream_gives_the_list_report(self, small_random_pairs):
+        # the records are read once, as they are decoded; outputs with one
+        # element dropped or added fail the same way from both
+        from matoracle import error_dependent_basis
+
+        for pair, bd in small_random_pairs:
+            p2 = fresh(pair)
+            basis, led = error_dependent_basis(bd.mask, p2)
+            g = p2.ground
+            for out in {basis.mask, basis.mask & (basis.mask - 1), basis.mask | (g.full_mask & ~basis.mask) & 1}:
+                want = verify_certificate(led.transcript, out, g)
+                assert verify_certificate(led.records(), out, g) == want
+                assert verify_certificate(iter(led.transcript), out, g) == want
+
+    @pytest.mark.parametrize(
+        "alg, spec",
+        [
+            ("greedy", {"matroid": {"kind": "uniform", "k": 4096}, "dirty": {"kind": "uniform", "k": 4080}}),
+            (
+                "errdep",
+                {
+                    "matroid": {"kind": "partition", "classes": [list(range(c, 8192, 4)) for c in range(4)],
+                                "caps": [1024] * 4},
+                    "dirty": {"kind": "partition", "classes": [list(range(c, 8192, 4)) for c in range(4)],
+                              "caps": [1016] * 4},
+                },
+            ),
+        ],
+        ids=["greedy-uniform", "errdep-partition4"],
+    )
+    def test_strict_pass_at_n_8192(self, alg, spec):
+        from matoracle.bench import InstanceSpec, run_trial
+
+        doc = {"n": 8192, "weights": "unit", "matroid": spec["matroid"], "dirty": {"mode": "matroid", **spec["dirty"]}}
+        rec = run_trial(InstanceSpec.from_dict(doc), alg)
+        assert (rec.certificate, rec.correct, rec.violation) == ("strict-pass", True, False)
 
     def test_empty_output_needs_no_independence_witness(self):
         g = GroundSet.unit(2)
