@@ -149,6 +149,15 @@ def _checked(field_name, build, *args, **kwargs):
         raise InvalidSpec(field_name, str(exc)) from exc
 
 
+def _clean_spec(ground, cfg):
+    """The clean matroid of cfg; an explicit system need not be a matroid,
+    so it is accepted as a dirty oracle only."""
+    spec = spec_from_config(ground, cfg)
+    if isinstance(spec, ExplicitSystem):
+        raise ValueError("explicit downward-closed systems are accepted as dirty oracles only")
+    return spec
+
+
 def _build_dirty(clean, dirty_cfg, ground):
     mode = dirty_cfg.get("mode", "matroid")
     if mode == "identity":
@@ -187,13 +196,13 @@ def generate(spec):
     """
     ground = _checked("weights", GroundSet, _weights_list(spec))
     if spec.is_intersection:
-        c1 = _checked("matroid", spec_from_config, ground, spec.matroid)
-        c2 = _checked("matroid2", spec_from_config, ground, spec.matroid2)
+        c1 = _checked("matroid", _clean_spec, ground, spec.matroid)
+        c2 = _checked("matroid2", _clean_spec, ground, spec.matroid2)
         d1 = _checked("dirty", _build_dirty, c1, spec.dirty, ground)
         d2 = _checked("dirty2", _build_dirty, c2, spec.dirty2 or {"mode": "identity"}, ground)
         gen = GeneratedInstance(spec, ground, oracles=IntersectionOracles(ground, c1, c2, d1, d2))
     else:
-        clean = _checked("matroid", spec_from_config, ground, spec.matroid)
+        clean = _checked("matroid", _clean_spec, ground, spec.matroid)
         dirty = _checked("dirty", _build_dirty, clean, spec.dirty, ground)
         # the error oracle ranks an explicit system's maximal sets by size only
         if isinstance(dirty, ExplicitSystem) and not ground.unit_weights:

@@ -546,7 +546,7 @@ class _PartitionEvaluator(_AnchoredEvaluator):
     """State: the anchor's count per class; plus an element -> class table.
 
     Exchange graphs are answered from the count per class of their X,
-    computed once per X and kept apart from the anchor."""
+    counted on each rows call and kept apart from the anchor."""
 
     def _start(self):
         spec = self.spec
@@ -556,14 +556,11 @@ class _PartitionEvaluator(_AnchoredEvaluator):
                 class_of[e] = i
         self.class_of, self.class_masks, self.caps = class_of, spec.class_masks, spec.caps
         self.state = [0] * len(spec.caps)
-        self._rows_x, self._rows_counts = None, None
 
     def rows(self, x_mask, inside, outside):
         if self.state is None:
             self._start()
-        if x_mask != self._rows_x:
-            self._rows_x, self._rows_counts = x_mask, self.spec._class_counts(x_mask, stop_over_cap=True)
-        counts = self._rows_counts
+        counts = self.spec._class_counts(x_mask, stop_over_cap=True)
         if counts is None:
             # X is over a cap: removing x can repair it, so ask each set
             return _AnchoredEvaluator.rows(self, x_mask, inside, outside)

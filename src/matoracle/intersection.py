@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from itertools import compress, islice
+from itertools import compress, count, islice
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from . import algorithms as alg
-from .core import PRECHECK_GUARD, ElementSet, PartitionMatroid, iter_bits
+from .core import PRECHECK_GUARD, ElementSet, ExplicitSystem, PartitionMatroid, iter_bits
 from .errors import independence_array
 from .oracles import KIND_IND_OF, ROLE_CLEAN, ROLE_DIRTY, QueryLedger, by_role
 
@@ -38,6 +39,8 @@ class IntersectionOracles:
         for spec in (clean1, clean2, dirty1, dirty2):
             if spec.n != ground.n:
                 raise ValueError("oracles and ground set disagree on n")
+        if isinstance(clean1, ExplicitSystem) or isinstance(clean2, ExplicitSystem):
+            raise ValueError("explicit downward-closed systems are accepted as dirty oracles only")
         self.ground = ground
         self.clean = (clean1.rebind(ground), clean2.rebind(ground))
         self.dirty = (dirty1.rebind(ground), dirty2.rebind(ground))
@@ -65,25 +68,22 @@ class IntersectionOracles:
         query: each that is X + y or X + y - x leaves its record out."""
         evals = by_role(self._evals, role)
         answers = tuple(ev.rows(x_mask, inside, outside) for ev in evals)
-        unbilled = _known_false_positions(x_mask, inside, outside, known_false)
-        width = len(inside) + 1
-        for p in unbilled:
-            r, i = divmod(p >> 1, width)
-            row = answers[p & 1][r] = answers[p & 1][r].copy()  # rows may share a list
-            row[i] = False
+        unbilled = _answer_false(answers, x_mask, inside, outside, known_false)
         self.ledger.record_graph(role, x_mask, inside, outside, *answers, unbilled)
         return answers
 
 
-def _known_false_positions(x_mask, inside, outside, known_false):
-    """Record positions, in the order of QueryLedger.record_graph for X =
-    x_mask, of the sets of known_false[k] (false in matroid k + 1) that lie
-    in the graph of X: 2 (r (|X| + 1) + i) + k, with r the index of y in
-    outside, and i = 0 for X + y or one more than the index of x in inside
-    for X + y - x."""
+def _answer_false(answers, x_mask, inside, outside, false_sets):
+    """Answer False, in the row lists answers of matroid 1 and 2 for X =
+    x_mask, each set of false_sets[k] (false in matroid k + 1) that lies in
+    the graph of X.  Returns their record positions in the order of
+    QueryLedger.record_graph: 2 (r (|X| + 1) + i) + k, with r the index of
+    y in outside, and i = 0 for X + y or one more than the index of x in
+    inside for X + y - x."""
     width = len(inside) + 1
     positions = set()
-    for k, fs in enumerate(known_false):
+    for k, fs in enumerate(false_sets):
+        rows = answers[k]
         for f in fs:
             extra, missing = f & ~x_mask, x_mask & ~f
             if extra.bit_count() != 1 or missing.bit_count() > 1:
@@ -94,6 +94,9 @@ def _known_false_positions(x_mask, inside, outside, known_false):
             if r >= len(outside):
                 continue
             i = (x_mask & missing - 1).bit_count() + 1 if missing else 0
+            if rows[r][i]:
+                rows[r] = rows[r].copy()  # rows may share a list
+                rows[r][i] = False
             positions.add(2 * (r * width + i) + k)
     return positions
 
@@ -106,20 +109,24 @@ def unbilled_rows(specs):
 
 
 class ExchangeGraph(NamedTuple):
-    """Directed bipartite exchange graph for a common independent set X.
+    """Directed bipartite exchange graph for a common independent set X, as
+    the graph test answered it.
 
+    rows holds the row lists of matroid 1 and of matroid 2: per y of
+    outside, the answers for X + y and then for X + y - x, x in inside.
     Arc x -> y is present iff X - x + y is independent in matroid 1, arc
-    y -> x iff independent in matroid 2; arcs_in holds the same arcs
-    reversed.  y1/y2 hold the elements whose single addition stays
-    independent in matroid 1/2.  Every list ascends.  to_y2 is filled by
-    each path search over the graph: the arc distance to y2 of every vertex
-    with a directed path to y2.
+    y -> x iff independent in matroid 2, and y is in y1/y2 iff X + y is
+    independent in matroid 1/2.  index maps each element to its index in
+    inside or outside, both ascending.  to_y2 is filled by each path search
+    over the graph: the arc distance to y2 of every vertex with a directed
+    path to y2.
     """
 
-    arcs_out: dict  # element -> list of successors
-    arcs_in: dict  # element -> list of predecessors
-    y1: list
-    y2: list
+    x_mask: int
+    inside: list
+    outside: list
+    rows: tuple  # (rows1, rows2)
+    index: dict  # element -> its row (y) or column (x) index
     to_y2: dict
 
 
@@ -132,56 +139,38 @@ def build_exchange_graph(rows, n, x_mask):
     source/sink membership."""
     inside = list(iter_bits(x_mask))
     outside = [y for y in range(n) if not x_mask >> y & 1]
-    rows1, rows2 = rows(x_mask, inside, outside)
-    arcs_out = {e: [] for e in range(n)}
-    arcs_in = {e: [] for e in range(n)}
-    y1, y2 = [], []
-    # y ascends in the outer loop and x in each row: every list ascends
-    for y, answers1, answers2 in zip(outside, rows1, rows2):
-        if answers1[0]:
-            y1.append(y)
-        if answers2[0]:
-            y2.append(y)
-        arcs_out[y] = out = list(compress(inside, islice(answers2, 1, None)))
-        for x in out:
-            arcs_in[x].append(y)
-        arcs_in[y] = into = list(compress(inside, islice(answers1, 1, None)))
-        for x in into:
-            arcs_out[x].append(y)
-    return ExchangeGraph(arcs_out, arcs_in, y1, y2, {})
+    index = dict(zip(inside, count()))
+    index.update(zip(outside, count()))
+    return ExchangeGraph(x_mask, inside, outside, tuple(rows(x_mask, inside, outside)), index, {})
 
 
-def _drop_false_set(graph, x_mask, f, which):
-    """Remove from the exchange graph of X the arc, or the y1/y2 entry,
-    that the set f (X + y or X + y - x) put there as independent in matroid
-    which."""
-    y = (f & ~x_mask).bit_length() - 1
-    missing = x_mask & ~f
-    if not missing:
-        (graph.y1 if which == 1 else graph.y2).remove(y)
-        return
-    x = missing.bit_length() - 1
-    tail, head = (x, y) if which == 1 else (y, x)
-    graph.arcs_out[tail].remove(head)
-    graph.arcs_in[head].remove(tail)
+def neighbours(graph, v, which):
+    """The ends of the arcs into v (which = 1) or out of v (which = 2),
+    ascending.  An element y outside X reads its row of matroid which, an
+    element x of X its column in the rows of the other matroid."""
+    j = graph.index[v]
+    if graph.x_mask >> v & 1:
+        return compress(graph.outside, map(itemgetter(j + 1), graph.rows[2 - which]))
+    return compress(graph.inside, islice(graph.rows[which - 1][j], 1, None))
 
 
 def shortest_augmenting_path(graph):
     """Lexicographically smallest shortest y1 -> y2 vertex path, or None.
 
-    Its BFS over arcs_in from y2 refills graph.to_y2, also when y1 is
-    empty."""
+    Its BFS over the arcs into each vertex from y2 refills graph.to_y2, also
+    when y1 is empty."""
+    y1, y2 = (list(compress(graph.outside, map(itemgetter(0), rows))) for rows in graph.rows)
     dist_t = graph.to_y2
     dist_t.clear()
-    dist_t.update(dict.fromkeys(graph.y2, 0))
-    dq = deque(graph.y2)
+    dist_t.update(dict.fromkeys(y2, 0))
+    dq = deque(y2)
     while dq:
         v = dq.popleft()
-        for u in graph.arcs_in[v]:
+        for u in neighbours(graph, v, 1):
             if u not in dist_t:
                 dist_t[u] = dist_t[v] + 1
                 dq.append(u)
-    reachable = [s for s in graph.y1 if s in dist_t]
+    reachable = [s for s in y1 if s in dist_t]
     if not reachable:
         return None
     best = min(dist_t[s] for s in reachable)
@@ -189,7 +178,7 @@ def shortest_augmenting_path(graph):
     path = [start]
     cur = start
     while dist_t[cur] > 0:
-        cur = min(v for v in graph.arcs_out[cur] if dist_t.get(v, -1) == dist_t[cur] - 1)
+        cur = next(v for v in neighbours(graph, cur, 2) if dist_t.get(v, -1) == dist_t[cur] - 1)
         path.append(cur)
     return path
 
@@ -275,9 +264,9 @@ def dirty_intersection(ox):
     verified with two clean queries, and a failed verification pays at most
     ceil(log2 n) further clean queries to localize a false dirty arc, which is
     then excluded.  Each X is built once: after a failed verification its
-    graph is kept less that arc and billed again less the arc's record, as a
-    new build would bill it.  Requires partition clean matroids with dirty
-    supersets.
+    graph is kept with that set answered False and billed again less the
+    set's record, as a new build would bill it.  Requires partition clean
+    matroids with dirty supersets.
     At n <= PRECHECK_GUARD a pair that is not a superset raises
     SupersetViolation before any query; above it nothing detects such a
     pair, and the run may return a common independent X that is too small.
@@ -299,14 +288,9 @@ def dirty_intersection(ox):
                 f"set {m:#x} is clean-independent but dirty-dependent in matroid {1 if bad[0][m] else 2}"
             )
     false_sets = ([], [])
-    built = []  # inside, outside and the row lists of the last build
-
-    def rows(x_mask, inside, outside):
-        # a set already found false is answered dependent without a query
-        # wherever it lies in the graph of X
-        built[:] = inside, outside, ox.query_rows(ROLE_DIRTY, x_mask, inside, outside, false_sets)
-        return built[2]
-
+    # a set already found false is answered dependent without a query
+    # wherever it lies in the graph of X
+    rows = partial(ox.query_rows, ROLE_DIRTY, known_false=false_sets)
     x_mask, graph = 0, None
     while True:
         if graph is None:
@@ -326,12 +310,10 @@ def dirty_intersection(ox):
         f = _locate_false_set(ox, x_mask, path, which)
         false_sets[which - 1].append(f)
         # a new build of X would ask the same sets and get the same answers
-        # but f's, which the path used: keep the graph less f's arc, and bill
-        # its rows again less f's record
-        _drop_false_set(graph, x_mask, f, which)
-        inside, outside, answers = built
-        unbilled = _known_false_positions(x_mask, inside, outside, false_sets)
-        ox.ledger.record_graph(ROLE_DIRTY, x_mask, inside, outside, *answers, unbilled)
+        # but f's, which the path used: keep the graph with f answered
+        # False, and bill its rows again less the false sets' records
+        unbilled = _answer_false(graph.rows, x_mask, graph.inside, graph.outside, false_sets)
+        ox.ledger.record_graph(ROLE_DIRTY, x_mask, graph.inside, graph.outside, *graph.rows, unbilled)
 
 
 def warm_start(ox):

@@ -61,6 +61,27 @@ class QueryRecord(NamedTuple):
     mask: int
 
 
+class _Prefixes:
+    """Masks of the first positions of a canonical order, asked run by run
+    of the prefix walks in a ledger's record order (see _PrefixPass): the
+    mask is carried from one run's start to the next while the order stays
+    the same and the start does not go back, and built from position 0
+    otherwise, so a walk that goes forward costs one step per position."""
+
+    def __init__(self):
+        self.order, self.pos, self.prefix = None, 0, 0
+
+    def mask(self, order, start):
+        """The mask of order[:start]."""
+        if order is not self.order or start < self.pos:
+            self.order, self.pos, self.prefix = order, 0, 0
+        prefix = self.prefix
+        for p in range(self.pos, start):
+            prefix |= 1 << order[p]
+        self.pos, self.prefix = start, prefix
+        return prefix
+
+
 class _Scan(NamedTuple):
     """The query sets of one greedy pass from its mask cur (see
     QueryLedger.record_scan)."""
@@ -68,7 +89,7 @@ class _Scan(NamedTuple):
     candidates: tuple
     answers: tuple
 
-    def sets(self, cur):
+    def sets(self, cur, _prefixes):
         for e, ok in zip(self.candidates, self.answers):
             grown = cur | 1 << e
             yield grown
@@ -85,15 +106,15 @@ class _PrefixPass(NamedTuple):
     skip: int
     size: int
 
-    def sets(self, cur):
+    def sets(self, cur, prefixes):
         # e plus cur's members below e's position, for each e outside skip
         # from position start on
-        skip, size = self.skip, self.size
-        below = cur & mask_of(self.order[: self.start], len(self.order))
-        for e in self.order[self.start :]:
+        order, skip, size = self.order, self.skip, self.size
+        below = cur & prefixes.mask(order, self.start)
+        for p in range(self.start, len(order)):
             if not size:
                 break
-            bit = 1 << e
+            bit = 1 << order[p]
             if not skip & bit:
                 yield below | bit
                 size -= 1
@@ -108,7 +129,7 @@ class _Graph(NamedTuple):
     outside: tuple
     unbilled: tuple
 
-    def sets(self, x_mask):
+    def sets(self, x_mask, _prefixes):
         # X, then X - x for each x of inside, each with y added, once for
         # ind1 and once for ind2
         base = [x_mask, *[x_mask ^ 1 << x for x in self.inside]]
@@ -196,12 +217,13 @@ class QueryLedger:
 
     def _sets(self):
         mask = 0
+        prefixes = _Prefixes()  # shared by the prefix-walk runs
         for change, shift, bulk in zip(self._changes, self._shifts, self._bulk):
             mask ^= change << shift
             if bulk is None:
                 yield mask
             else:
-                yield from bulk.sets(mask)
+                yield from bulk.sets(mask, prefixes)
 
     def records(self):
         """The records in order, one QueryRecord at a time, each query set

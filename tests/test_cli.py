@@ -139,6 +139,24 @@ class TestSpecErrors:
         assert cli.main(args) == 2
         assert "matoracle: invalid spec: family.eta: must be" in _one_line_error(capsys)
 
+    @pytest.mark.parametrize("n", [4, 17])
+    @pytest.mark.parametrize("field", ["matroid", "matroid2"])
+    def test_explicit_clean_side_of_an_intersection_exits_2(self, tmp_path, capsys, n, field):
+        # the clean reference is exact only for matroids: with {0} and
+        # {1, 2} maximal, warmstart reported r = 1 although {1, 2} is common
+        # independent, and only brute force at n = 4 caught it
+        doc = {"n": n, "weights": "unit", "dirty": {"mode": "identity"},
+               "matroid": {"kind": "uniform", "k": 2}, "matroid2": {"kind": "uniform", "k": 2}}
+        doc[field] = {"kind": "explicit", "maximal_sets": [[0], [1, 2]]}
+        inst, out = _write(tmp_path, "inst.json", doc), tmp_path / "out.json"
+        for args in (["gen", "--spec", inst, "--out", str(out)],
+                     ["run", "--instance", inst, "--alg", "warmstart", "--out", str(out)],
+                     ["verify", "--instance", inst, "--all"]):
+            assert cli.main(args) == 2
+            err = _one_line_error(capsys)
+            assert f"matoracle: invalid spec: {field}: explicit downward-closed systems" in err
+            assert not out.exists()
+
     @pytest.mark.parametrize("command", ["gen", "run", "verify", "bench"])
     def test_missing_input_file_exits_2(self, tmp_path, capsys, command):
         missing = str(tmp_path / "missing.json")

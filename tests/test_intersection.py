@@ -1,11 +1,13 @@
 import copy
 import random
+from collections import deque
 from functools import partial
 from itertools import groupby
 
 import pytest
 
 from matoracle import (
+    ExplicitSystem,
     GraphicMatroid,
     GroundSet,
     IntersectionOracles,
@@ -23,7 +25,7 @@ from matoracle import (
 from matoracle import intersection
 from matoracle.bench import generate, random_intersection_instance, run_trial
 from matoracle.core import iter_bits
-from matoracle.intersection import ExchangeGraph, _locate_false_set, shortest_augmenting_path
+from matoracle.intersection import _locate_false_set, neighbours, shortest_augmenting_path
 from matoracle.oracles import ROLE_CLEAN, ROLE_DIRTY, QueryRecord
 
 from conftest import masks
@@ -83,16 +85,25 @@ def _first_superset_violation(ox):
     return None
 
 
+def arc_lists(graph):
+    """(arcs_out, y1, y2) of graph: each element's successors read through
+    the path search's neighbour function, and the elements whose single
+    addition stays independent in matroid 1 and 2, each list ascending."""
+    arcs_out = {e: list(neighbours(graph, e, 2)) for e in range(len(graph.index))}
+    y1, y2 = ([y for y, row in zip(graph.outside, rows) if row[0]] for rows in graph.rows)
+    return arcs_out, y1, y2
+
+
 class TestExchangeGraph:
     def test_empty_x(self):
         g = GroundSet.unit(4)
         c1 = UniformMatroid(g, 2)
         c2 = PartitionMatroid(g, masks([0, 1], [2, 3]), [1, 0])
         ox = IntersectionOracles(g, c1, c2, c1, c2)
-        graph = clean_graph(ox, 0)
-        assert all(not v for v in graph.arcs_out.values())
-        assert graph.y1 == [0, 1, 2, 3]
-        assert graph.y2 == [0, 1]
+        arcs_out, y1, y2 = arc_lists(clean_graph(ox, 0))
+        assert all(not v for v in arcs_out.values())
+        assert y1 == [0, 1, 2, 3]
+        assert y2 == [0, 1]
 
     def test_arcs_match_direct_tests(self):
         g = GroundSet.unit(3)
@@ -100,11 +111,11 @@ class TestExchangeGraph:
         c2 = UniformMatroid(g, 1)
         ox = IntersectionOracles(g, c1, c2, c1, c2)
         x = 0b001
-        graph = clean_graph(ox, x)
+        arcs_out, _, _ = arc_lists(clean_graph(ox, x))
         for y in (1, 2):
             swapped = x & ~0b001 | 1 << y
-            assert (y in graph.arcs_out[0]) == c1.is_independent_mask(swapped)
-            assert (0 in graph.arcs_out[y]) == c2.is_independent_mask(swapped)
+            assert (y in arcs_out[0]) == c1.is_independent_mask(swapped)
+            assert (0 in arcs_out[y]) == c2.is_independent_mask(swapped)
 
     def test_query_budget(self):
         g = GroundSet.unit(5)
@@ -123,11 +134,13 @@ class TestExchangeGraph:
         ox = IntersectionOracles(g, c1, c2, c1, c2)
         x = 0b001
         forbidden = x & ~0b001 | 0b010  # the swap set {1}
-        full = build_exchange_graph(partial(ox.query_rows, ROLE_DIRTY), 3, x)
+        full, _, _ = arc_lists(build_exchange_graph(partial(ox.query_rows, ROLE_DIRTY), 3, x))
         billed = len(ox.ledger.transcript)
-        pruned = build_exchange_graph(partial(ox.query_rows, ROLE_DIRTY, known_false=({forbidden}, ())), 3, x)
-        assert set(full.arcs_out[0]) - set(pruned.arcs_out[0]) == {1}
-        assert pruned.arcs_out[1] == full.arcs_out[1]
+        pruned, _, _ = arc_lists(
+            build_exchange_graph(partial(ox.query_rows, ROLE_DIRTY, known_false=({forbidden}, ())), 3, x)
+        )
+        assert set(full[0]) - set(pruned[0]) == {1}
+        assert pruned[1] == full[1]
         # the excluded set is answered unbilled; every other record repeats
         full_records, pruned_records = ox.ledger.transcript[:billed], ox.ledger.transcript[billed:]
         assert pruned_records == [r for r in full_records if (r.kind, r.mask) != ("ind1", forbidden)]
@@ -143,21 +156,22 @@ class TestExchangeGraph:
             x = rng.getrandbits(n)
             while not (c1.is_independent_mask(x) and c2.is_independent_mask(x)):
                 x &= x - 1  # drop the lowest element until X is common independent
-            graph = clean_graph(ox, x)
+            arcs_out, y1, y2 = arc_lists(clean_graph(ox, x))
             outside = [y for y in range(n) if not x >> y & 1]
-            assert graph.y1 == [y for y in outside if c1.is_independent_mask(x | 1 << y)]
-            assert graph.y2 == [y for y in outside if c2.is_independent_mask(x | 1 << y)]
+            assert y1 == [y for y in outside if c1.is_independent_mask(x | 1 << y)]
+            assert y2 == [y for y in outside if c2.is_independent_mask(x | 1 << y)]
             for e in range(n):
                 if x >> e & 1:
                     want = [y for y in outside if c1.is_independent_mask(x & ~(1 << e) | 1 << y)]
                 else:
                     want = [v for v in iter_bits(x) if c2.is_independent_mask(x & ~(1 << v) | 1 << e)]
-                assert graph.arcs_out[e] == want
+                assert arcs_out[e] == want
 
     def test_arcs_in_reverse_arcs_out(self):
         # on common independent X and on X over a dirty cap (whose partition
-        # graph asks each set), arcs_in holds every arc of arcs_out reversed,
-        # each list ascending
+        # graph asks each set), the arcs into each vertex (a row of matroid 1
+        # for y, a column of matroid 2 for x) are the arcs out of each vertex
+        # (a row of matroid 2, a column of matroid 1) reversed, each ascending
         rng = random.Random(20)
         for _ in range(40):
             n = rng.randint(4, 64)
@@ -166,12 +180,12 @@ class TestExchangeGraph:
             x = rng.choice([x & rng.getrandbits(n), x | rng.getrandbits(n) & rng.getrandbits(n)])
             for role in (ROLE_CLEAN, ROLE_DIRTY):
                 graph = build_exchange_graph(partial(ox.query_rows, role), n, x)
+                arcs_out, _, _ = arc_lists(graph)
                 want = {e: [] for e in range(n)}
                 for u in range(n):
-                    for v in graph.arcs_out[u]:
+                    for v in arcs_out[u]:
                         want[v].append(u)
-                assert graph.arcs_in == want
-                assert list(graph.arcs_in) == list(graph.arcs_out) == list(range(n))
+                assert {e: list(neighbours(graph, e, 1)) for e in range(n)} == want
 
 
 class TestShortestPath:
@@ -190,6 +204,73 @@ class TestShortestPath:
         ox = IntersectionOracles(g, c1, c2, c1, c2)
         graph = clean_graph(ox, 0)
         assert shortest_augmenting_path(graph) == [0]
+
+    @staticmethod
+    def reference_search(arcs_out, y1, y2):
+        """(path, to_y2) by the path search's rule over explicit arc lists:
+        BFS from y2 over the reversed arcs, then the smallest start of least
+        distance and, at each step, the smallest successor one closer."""
+        arcs_in = {e: [] for e in arcs_out}
+        for u, heads in arcs_out.items():
+            for v in heads:
+                arcs_in[v].append(u)
+        dist = dict.fromkeys(y2, 0)
+        queue = deque(y2)
+        while queue:
+            v = queue.popleft()
+            for u in arcs_in[v]:
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+        reachable = [s for s in y1 if s in dist]
+        if not reachable:
+            return None, dist
+        path = [min(reachable, key=lambda s: (dist[s], s))]
+        while dist[path[-1]]:
+            path.append(min(v for v in arcs_out[path[-1]] if dist.get(v) == dist[path[-1]] - 1))
+        return path, dist
+
+    def test_matches_a_search_over_explicit_arc_lists(self):
+        # the test keeps explicit arc lists, built from the rows and edited
+        # by hand for each false set that the graph answers False in its row
+        rng = random.Random(21)
+        found = 0
+        for _ in range(60):
+            n = rng.randint(2, 40)
+            ox = random_pair_instance(rng, n)
+            x, _ = textbook_intersection(unbilled_rows(ox.clean), ox.clean)
+            x &= rng.getrandbits(n) | rng.getrandbits(n)
+            graph = build_exchange_graph(partial(ox.query_rows, ROLE_DIRTY), n, x)
+            inside, outside, (rows1, rows2) = graph.inside, graph.outside, graph.rows
+            arcs_out = {e: [] for e in range(n)}
+            for y, row1, row2 in zip(outside, rows1, rows2):
+                arcs_out[y] = [e for e, ok in zip(inside, row2[1:]) if ok]
+                for e, ok in zip(inside, row1[1:]):
+                    if ok:
+                        arcs_out[e].append(y)
+            y1 = [y for y, row in zip(outside, rows1) if row[0]]
+            y2 = [y for y, row in zip(outside, rows2) if row[0]]
+            false_sets = ([], [])
+            for _ in range(4):
+                path = shortest_augmenting_path(graph)
+                assert (path, graph.to_y2) == self.reference_search(arcs_out, y1, y2)
+                if path is None:
+                    break
+                found += 1
+                # one exchange the path used, as a failed verification finds
+                steps = [(1, None, path[0])] + [
+                    (1, u, v) if x >> u & 1 else (2, v, u) for u, v in zip(path, path[1:])
+                ] + [(2, None, path[-1])]
+                which, out, y = rng.choice(steps)
+                false_sets[which - 1].append((x if out is None else x & ~(1 << out)) | 1 << y)
+                intersection._answer_false(graph.rows, x, inside, outside, false_sets)
+                if out is None:
+                    (y1 if which == 1 else y2).remove(y)
+                elif which == 1:
+                    arcs_out[out].remove(y)
+                else:
+                    arcs_out[y].remove(out)
+        assert found > 150
 
 
 class TestTextbook:
@@ -523,34 +604,38 @@ class TestIntersectionOraclesFailLoudly:
             ox.query_rows("oracle", 0b1, [0], [1, 2, 3])
         assert (ox.ledger.clean_count, ox.ledger.dirty_count, ox.ledger.transcript) == (0, 0, [])
 
+    def test_explicit_clean_raises(self):
+        g = GroundSet.unit(3)
+        ex, u = ExplicitSystem(g, masks([0], [1, 2])), UniformMatroid(g, 2)
+        for clean in ((ex, u), (u, ex)):
+            with pytest.raises(ValueError, match="explicit downward-closed systems"):
+                IntersectionOracles(g, *clean, u, u)
+        IntersectionOracles(g, u, u, ex, ex)
 
-def per_query_graph(independent, n, x_mask):
-    """Reference for graph builds: the exchange graph through one call of
-    independent(which, mask) per set, in the order a graph bills them."""
-    outside = [e for e in range(n) if not x_mask >> e & 1]
-    inside = list(iter_bits(x_mask))
-    arcs_out = {e: [] for e in range(n)}
-    arcs_in = {e: [] for e in range(n)}
-    y1, y2 = [], []
-    for y in outside:
-        grown = x_mask | 1 << y
-        if independent(1, grown):
-            y1.append(y)
-        if independent(2, grown):
-            y2.append(y)
-        for x in inside:
-            swapped = grown & ~(1 << x)
-            if independent(1, swapped):
-                arcs_out[x].append(y)
-                arcs_in[y].append(x)
-            if independent(2, swapped):
-                arcs_out[y].append(x)
-                arcs_in[x].append(y)
-    return ExchangeGraph(arcs_out, arcs_in, y1, y2, {})
+
+def per_query_rows(independent):
+    """Reference graph test for builds: the row lists of matroid 1 and 2
+    through one call of independent(which, mask) per set, in the order a
+    graph bills them."""
+
+    def rows(x_mask, inside, outside):
+        rows1, rows2 = [], []
+        for y in outside:
+            grown = x_mask | 1 << y
+            row1, row2 = [], []
+            for s in [grown, *[grown & ~(1 << x) for x in inside]]:
+                row1.append(independent(1, s))
+                row2.append(independent(2, s))
+            rows1.append(row1)
+            rows2.append(row2)
+        return rows1, rows2
+
+    return rows
 
 
 def per_query_dirty_intersection(ox):
-    """dirty_intersection over per_query_graph: (X, graphs, (F1, F2))."""
+    """dirty_intersection with a new per-query build after each failed
+    verification: (X, graphs, (F1, F2))."""
     false_sets = ([], [])
 
     def independent(which, mask):
@@ -558,7 +643,7 @@ def per_query_dirty_intersection(ox):
 
     graphs, x_mask = [], 0
     while True:
-        graphs.append(per_query_graph(independent, ox.ground.n, x_mask))
+        graphs.append(build_exchange_graph(per_query_rows(independent), ox.ground.n, x_mask))
         path = shortest_augmenting_path(graphs[-1])
         if path is None:
             return x_mask, graphs, false_sets
@@ -631,7 +716,8 @@ class TestRowsMatchPerQueryBuilds:
             want_builds = []
 
             def per_query(rows, n, x_mask):
-                want_builds.append((x_mask, per_query_graph(partial(want_ox.query_independent, ROLE_DIRTY), n, x_mask)))
+                want_rows = per_query_rows(partial(want_ox.query_independent, ROLE_DIRTY))
+                want_builds.append((x_mask, build_exchange_graph(want_rows, n, x_mask)))
                 return want_builds[-1][1]
 
             monkeypatch.setattr(intersection, "build_exchange_graph", per_query)
@@ -671,7 +757,7 @@ class TestRowsMatchPerQueryBuilds:
             def independent(which, mask):
                 return mask not in known[which - 1] and want_ox.query_independent(ROLE_DIRTY, which, mask)
 
-            want = per_query_graph(independent, n, x_mask)
+            want = build_exchange_graph(per_query_rows(independent), n, x_mask)
             got = build_exchange_graph(partial(got_ox.query_rows, ROLE_DIRTY, known_false=known), n, x_mask)
             assert got == want
             assert got_ox.ledger.export_lines() == want_ox.ledger.export_lines()
@@ -805,10 +891,10 @@ class TestOneCallPerGraph:
                 k, f = 1, x | 1 << outside[0]
             else:
                 k, f = 0, x & ~(1 << inside[-1]) | 1 << outside[-1]
-            unbilled = intersection._known_false_positions(x, inside, outside, known)
-            (p,) = intersection._known_false_positions(x, inside, outside, ([f], []) if k == 0 else ([], [f]))
-            assert len(unbilled) == 2 and (p < min(unbilled) if where == "before" else p > max(unbilled))
             rows = ox.query_rows(ROLE_DIRTY, x, inside, outside, known_false=known)
+            unbilled = intersection._answer_false(rows, x, inside, outside, known)
+            (p,) = intersection._answer_false(rows, x, inside, outside, ([f], []) if k == 0 else ([], [f]))
+            assert len(unbilled) == 2 and (p < min(unbilled) if where == "before" else p > max(unbilled))
             ox.ledger.record_graph(ROLE_DIRTY, x, inside, outside, *rows, unbilled | {p})
             want_ox.query_rows(ROLE_DIRTY, x, inside, outside, known_false=known)
             known[k].append(f)

@@ -219,6 +219,35 @@ class TestLedger:
         assert led.clean_independence_count == len(clean) - led.clean_rank_count
         assert led.dirty_count == len(want) - len(clean)
 
+    def test_prefix_runs_over_two_orders_and_a_start_behind(self):
+        # a read carries each run's prefix mask from the run before while the
+        # order stays and the start does not go back; runs that walk forward
+        # between singles and passes, switch to a second order (as
+        # with_dirty_basis does on a shared ledger), come back to the first
+        # order past where it stopped, or start behind, all read as their
+        # per-query records
+        rng = random.Random(5)
+        n = 40
+        orders = [tuple(rng.sample(range(n), n)) for _ in range(2)]
+        led, want = QueryLedger(n), []
+        for which, start in [(0, 0), (0, 7), (0, 15), (1, 3), (1, 20), (0, 21), (0, 9), (0, 30), (1, 0)]:
+            order = orders[which]
+            cur, skip = rng.getrandbits(n), rng.getrandbits(n)
+            positions = [p for p in range(start, n) if not skip >> order[p] & 1][: rng.randint(1, 6)]
+            answers = [False] * (len(positions) - 1) + [True]
+            led.record_prefix_pass(ROLE_CLEAN, cur, order, start, skip, answers)
+            for p, ok in zip(positions, answers):
+                prefix = sum(1 << e for e in order[: p + 1])
+                want.append(QueryRecord(ROLE_CLEAN, "ind", int(ok), (cur | 1 << order[p]) & prefix))
+            mask = rng.getrandbits(n)
+            if rng.random() < 0.5:
+                led.record(ROLE_DIRTY, "ind", True, mask)
+                want.append(QueryRecord(ROLE_DIRTY, "ind", 1, mask))
+            else:
+                led.record_scan(ROLE_DIRTY, mask, [0], [False])
+                want.append(QueryRecord(ROLE_DIRTY, "ind", 0, mask | 1))
+        assert list(led.records()) == want
+
     def test_transcript_ignores_later_edits_of_the_arguments(self):
         # a pass, a run or a graph keeps its own copy of what it was given
         led = QueryLedger(8)
