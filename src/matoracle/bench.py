@@ -22,9 +22,10 @@ from typing import NamedTuple
 from . import algorithms as alg
 from . import errors as errmod
 from .core import (
+    ENUM_GUARD,
+    INTERSECTION_GUARD,
     ExplicitSystem,
     GroundSet,
-    GuardExceeded,
     PartitionMatroid,
     ceil_log2,
     greedy_native,
@@ -610,6 +611,14 @@ class TrialRecord:
         return self.clean_ind_queries + self.clean_rank_queries
 
     @property
+    def measured(self):
+        """(name, value) of what the tag's bound caps: ("cost", dirty + p *
+        clean) for costly's total cost, ("clean", clean queries) otherwise."""
+        if TAGS[self.algorithm].measured == "total_cost":
+            return "cost", self.dirty_queries + Fraction(self.p or 1) * self.clean_queries
+        return "clean", self.clean_queries
+
+    @property
     def violation(self):
         """Bound exceeded, wrong output, or a strict certificate that failed."""
         return self.within_bound is False or self.correct is False or self.certificate == "strict-fail"
@@ -618,14 +627,38 @@ class TrialRecord:
 TrialRecord.COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 
+# the canonical spec of the last instance whose errors were brute-forced, and
+# its report: sweep, verify --all and perfbench each run an instance's trials
+# back to back, so one entry serves every repeat
+_last_errors = [None, None]
+
+
+def _bruteforced(gen, compute):
+    """compute()'s error report for gen's instance, computed once for trials
+    of the same instance in a row; an exception it raises is not kept."""
+    key = gen.spec.to_json()
+    if _last_errors[0] != key:
+        _last_errors[:] = key, compute()
+    return _last_errors[1]
+
+
 def _eta_for_trial(gen, pair):
     if gen.known_eta:
         return gen.known_eta.get("eta_A"), gen.known_eta.get("eta_R"), "construction"
-    try:
-        report = errmod.compute_eta(pair)
-        return report.eta_A, report.eta_R, "bruteforce"
-    except GuardExceeded:
+    if pair.ground.n > ENUM_GUARD:
         return None, None, "skipped"
+    report = _bruteforced(gen, lambda: errmod.compute_eta(pair))
+    return report.eta_A, report.eta_R, "bruteforce"
+
+
+def _intersection_errors(ox):
+    try:
+        return errmod.compute_intersection_errors(ox.dirty[0], ox.dirty[1], ox.clean[0], ox.clean[1])
+    except ValueError:
+        # not a superset pair: at n <= PRECHECK_GUARD the algorithm raises
+        # SupersetViolation, and above it nothing detects the pair, so a
+        # wrong X shows only as correct = False
+        return None
 
 
 def _basis_trial(gen, algorithm, k, p):
@@ -699,15 +732,8 @@ def _intersection_trial(gen, algorithm):
     spec = gen.spec
     ox = gen.fresh_oracles()
     g = ox.ground
-    try:
-        eta = errmod.compute_intersection_errors(ox.dirty[0], ox.dirty[1], ox.clean[0], ox.clean[1])
-        eta_source = "bruteforce"
-    except (GuardExceeded, ValueError):
-        # too large to enumerate, or not a superset pair: at n <= PRECHECK_GUARD
-        # the algorithm raises SupersetViolation, and above it nothing detects
-        # the pair, so a wrong X shows only as correct = False
-        eta = None
-        eta_source = "skipped"
+    eta = _bruteforced(gen, lambda: _intersection_errors(ox)) if g.n <= INTERSECTION_GUARD else None
+    eta_source = "skipped" if eta is None else "bruteforce"
     x = None
     bound_val = within = correct = None
     error, wall = "", 0.0
@@ -892,7 +918,7 @@ def summary_lines(records):
     for algo in sorted(by_algo):
         recs = by_algo[algo]
         ratios = [
-            Fraction(rec.clean_queries) / Fraction(rec.bound)
+            rec.measured[1] / Fraction(rec.bound)
             for rec in recs
             if rec.bound not in (None, "", "0") and rec.within_bound is not None
         ]

@@ -61,7 +61,8 @@ def _cmd_run(args):
     with open(args.out, "w") as fh:
         fh.write(rec.to_json() + "\n")
     status = rec.error or ("VIOLATION" if rec.violation else "ok")
-    print(f"{rec.instance_id} {rec.algorithm}: clean={rec.clean_queries} bound={rec.bound} [{status}]")
+    name, value = rec.measured
+    print(f"{rec.instance_id} {rec.algorithm}: {name}={value} bound={rec.bound} [{status}]")
     return 0 if status == "ok" else 1
 
 
@@ -84,8 +85,9 @@ def _cmd_verify(args):
         rec = run_trial(inst, algo, k=args.k if TAGS[algo].takes_k else None, p=args.p if algo == "costly" else None)
         ok = not (rec.error or rec.violation)
         cert = f" cert={rec.certificate}" if rec.certificate != "n/a" else ""
+        name, value = rec.measured
         print(
-            f"{'PASS' if ok else 'FAIL'} {algo}: clean={rec.clean_queries} "
+            f"{'PASS' if ok else 'FAIL'} {algo}: {name}={value} "
             f"bound={rec.bound} correct={rec.correct}{cert}"
             + (f" error={rec.error}" if rec.error else "")
         )

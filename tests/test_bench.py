@@ -204,6 +204,106 @@ class TestRunTrial:
         assert created[1].dirty_count == rec.dirty_queries
 
 
+# r = 2 and r_d = 3: brute force gives eta_A = 0 and eta_R = 1
+U24_DIRTY_U3 = {
+    "n": 4,
+    "weights": "unit",
+    "matroid": {"kind": "uniform", "k": 2},
+    "dirty": {"mode": "matroid", "kind": "uniform", "k": 3},
+}
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of errors.<name>, which run_trial looks up at call time."""
+    calls = []
+    original = getattr(bench.errmod, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bench.errmod, name, counted)
+    return calls
+
+
+class TestErrorMemo:
+    """The brute-forced errors of an instance are computed once for its
+    trials in a row, and never served to another instance."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(bench, "_last_errors", [None, None])
+
+    def test_sweep_brute_forces_each_instance_once(self, monkeypatch):
+        calls = _counting(monkeypatch, "compute_eta")
+        config = {
+            "instances": [{"family": "random", "params": {"n": 10, "kind": "partition", "weight_mode": "unit"},
+                           "seeds": [0, 1]}],
+            "algorithms": ["greedy", "simple", "errdep", "robust", "weighted", "rank"],
+            "k": [1, 2],
+        }
+        records, violations = sweep(config)
+        assert len(records) == 2 * 7 and not violations
+        assert all(rec.eta_source == "bruteforce" for rec in records)
+        assert len(calls) == 2
+
+    def test_alternating_specs_each_get_their_own_eta(self, monkeypatch):
+        calls = _counting(monkeypatch, "compute_eta")
+        a = family_instance("random", n=10, kind="partition", weight_mode="unit", seed=3)
+        b = family_instance("random", n=10, kind="graphic", weight_mode="int", seed=4)
+        want = {}
+        for spec in (a, b):
+            rep = compute_eta(generate(spec).fresh_pair())
+            want[spec.instance_id] = (rep.eta_A, rep.eta_R)
+        assert want[a.instance_id] != want[b.instance_id]
+        for spec in (a, b, a):
+            rec = run_trial(spec, "weighted")
+            assert (rec.eta_A, rec.eta_R) == want[spec.instance_id]
+        assert len(calls) == 3
+
+    def test_spec_edited_in_place_is_brute_forced_again(self):
+        spec = InstanceSpec.from_json(json.dumps(U24_DIRTY_U3))
+        rec = run_trial(spec, "errdep")
+        assert (rec.eta_A, rec.eta_R) == (0, 1)
+        spec.dirty["k"] = 1
+        rec = run_trial(spec, "errdep")
+        assert (rec.eta_A, rec.eta_R) == (1, 0)
+        rep = compute_eta(generate(spec).fresh_pair())
+        assert (rec.eta_A, rec.eta_R) == (rep.eta_A, rep.eta_R)
+
+    def test_intersection_errors_once_for_both_tags(self, monkeypatch):
+        calls = _counting(monkeypatch, "compute_intersection_errors")
+        inst = family_instance("random_intersection", n=10, seed=2)
+        recs = [run_trial(inst, algo) for algo in ("intersect-dirty", "warmstart")]
+        assert len(calls) == 1
+        assert all(rec.eta_source == "bruteforce" and rec.within_bound for rec in recs)
+        assert recs[0].eta_1 == recs[1].eta_1 and recs[0].eta_r == recs[1].eta_r
+
+    def test_non_superset_pair_gives_the_same_record_on_repeat(self, monkeypatch):
+        calls = _counting(monkeypatch, "compute_intersection_errors")
+        # n = 15 is above the superset precheck, so the algorithm runs and
+        # only the brute force sees that the dirty caps sit below the clean
+        doc = json.loads(family_instance("random_intersection", n=15, seed=1).to_json())
+        doc["dirty"] = dict(doc["dirty"], caps=[0 for _ in doc["matroid"]["caps"]])
+        bad = InstanceSpec.from_dict(doc)
+        first, again = (run_trial(bad, "warmstart") for _ in range(2))
+        assert first.eta_source == again.eta_source == "skipped"
+        first.wall_time_s = again.wall_time_s = 0.0
+        assert first == again
+        assert len(calls) == 1
+
+    def test_no_serialization_above_the_guard(self, monkeypatch):
+        serialized = []
+        to_json = InstanceSpec.to_json
+        monkeypatch.setattr(InstanceSpec, "to_json", lambda self: serialized.append(self.n) or to_json(self))
+        spec = InstanceSpec.from_json(json.dumps(dict(U24_DIRTY_U3, n=24)))
+        serialized.clear()
+        rec = run_trial(spec, "errdep")
+        assert rec.eta_source == "skipped"
+        # the one call builds the record's instance id
+        assert serialized == [24]
+
+
 class TestSweep:
     def test_empty_config(self, tmp_path):
         records, violations = sweep({}, out_path=tmp_path / "r.csv")
@@ -268,6 +368,16 @@ class TestSweep:
         series = plot_data_series(recs)
         assert {pt["k"] for pt in series["by_k"]} == {1, 2}
         assert all(pt["eta_R"] == 1 for pt in series["by_eta"])
+
+    def test_summary_measures_costly_by_total_cost(self):
+        # lb_basic has an exact dirty oracle, so costly's total cost dirty +
+        # p * clean sits exactly at its bound for every p
+        config = {"instances": [{"family": "lb_basic", "params": {"n": 16, "r": 5}, "seeds": [0, 1, 2]}],
+                  "algorithms": ["costly"], "p": [1, 4]}
+        records, violations = sweep(config)
+        assert len(records) == 6 and not violations
+        assert all(rec.measured == ("cost", Fraction(rec.bound)) for rec in records)
+        assert summary_lines(records) == ["costly: trials=6 max(measured/bound)=1.000 violations=0"]
 
     def test_k_sweep_100_seeds_no_violations(self, tmp_path):
         config = {

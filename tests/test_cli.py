@@ -634,6 +634,13 @@ class TestUntracedBranches:
         assert capsys.readouterr().out.rstrip().endswith(": clean=16 bound=7 [VIOLATION]")
         assert json.loads(out.read_text())["within_bound"] is False
 
+    def test_run_reports_costly_total_cost(self, tmp_path, capsys):
+        # costly's bound caps dirty + p * clean, not the 13 clean queries
+        inst = _write(tmp_path, "inst.json", family_instance("lb_basic", n=16, r=5).to_json())
+        args = ["run", "--instance", inst, "--alg", "costly", "--out", str(tmp_path / "rec.json")]
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out.rstrip().endswith(" costly: cost=29 bound=29 [ok]")
+
     def test_verify_without_all_exits_2(self, tmp_path, capsys):
         inst = _write(tmp_path, "inst.json", LB_BASIC.to_json())
         assert cli.main(["verify", "--instance", inst]) == 2
