@@ -680,9 +680,9 @@ def _basis_trial(gen, algorithm, k, p):
     wall = time.perf_counter() - t0
     g = pair.ground
     clean = pair.clean
-    r = clean.full_rank()
-    r_d = pair.dirty.full_rank()
     baseline = greedy_native(clean, g)
+    r = baseline.bit_count()  # a basis of the clean matroid
+    r_d = pair.dirty.full_rank()
     correct = g.weight(basis.mask) == g.weight(baseline) and clean.is_independent_mask(basis.mask)
     eta_a, eta_r_, eta_source = _eta_for_trial(gen, pair)
     # a closed-form bound needs eta; costly's strategy costs hold only with an

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import compress
 
 
@@ -212,14 +213,15 @@ class MatroidSpec:
     def evaluator(self):
         """A fresh per-run evaluator with independent(mask), rank(mask),
         scan(cur, candidates), rows(x_mask, inside, outside) and
-        prefix_walk() that answer as this spec does.  A kind without kept
-        state is its own evaluator; kinds with kept state override this."""
+        prefix_walk() that answer as this spec does.  Partition and graphic
+        give an _AnchoredEvaluator over their state; other kinds keep no
+        state and are their own evaluator."""
         return self
 
     def prefix_walk(self):
-        """A fresh walk for one run's prefix passes (see _PrefixWalk): here
-        one query per set."""
-        return _PrefixWalk(self.ground, self.independent)
+        """A fresh walk for one run's prefix passes (see _PrefixWalk), here
+        over _Members states, which ask for each set in full."""
+        return _PrefixWalk(self.ground, partial(_Members, self.independent))
 
     def independent(self, mask):
         return self.is_independent_mask(mask)
@@ -230,8 +232,8 @@ class MatroidSpec:
     def scan(self, cur, candidates):
         """Answers of one greedy pass: the independence of cur + e for each
         element e of the list candidates in order (none of them in cur), cur
-        growing by e on each True.  Kinds with a cheaper pass override this
-        per-query loop."""
+        growing by e on each True.  Uniform answers in closed form and the
+        anchored evaluators from their state; other kinds ask per query."""
         return greedy_scan(self.independent, cur, candidates)
 
     def rows(self, x_mask, inside, outside):
@@ -285,7 +287,7 @@ class UniformMatroid(MatroidSpec):
         return [True] * room + [False] * (len(candidates) - room)
 
     def prefix_walk(self):
-        return _CountWalk(self.ground, self.k)
+        return _PrefixWalk(self.ground, partial(_Count, self.k))
 
     def to_config(self):
         return {"kind": "uniform", "k": self.k}
@@ -457,17 +459,92 @@ def _find(parent, x):
     return x
 
 
+class _Count:
+    """Uniform: the size of the set."""
+
+    __slots__ = ("k", "size")
+
+    def __init__(self, k):
+        self.k, self.size = k, 0
+
+    def fits(self, e):
+        return self.size < self.k
+
+    def grow(self, e):
+        ok = self.size < self.k
+        self.size += ok
+        return ok
+
+
+class _ClassCounts:
+    """Partition: the count per class of the set, over an element -> class
+    table."""
+
+    __slots__ = ("class_of", "caps", "counts")
+
+    def __init__(self, class_of, caps, counts):
+        self.class_of, self.caps, self.counts = class_of, caps, counts
+
+    def fits(self, e):
+        c = self.class_of[e]
+        return self.counts[c] < self.caps[c]
+
+    def grow(self, e):
+        c = self.class_of[e]
+        ok = self.counts[c] < self.caps[c]
+        self.counts[c] += ok
+        return ok
+
+
+class _Forest:
+    """Graphic: the union-find of the set's forest."""
+
+    __slots__ = ("edges", "parent")
+
+    def __init__(self, edges, parent):
+        self.edges, self.parent = edges, parent
+
+    def fits(self, e):
+        u, v = self.edges[e]
+        return _find(self.parent, u) != _find(self.parent, v)
+
+    def grow(self, e):
+        parent = self.parent
+        u, v = self.edges[e]
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru != rv:
+            parent[ru] = rv
+        return ru != rv
+
+
+class _Members:
+    """Any kind: the set as a mask, and query(mask) for each set in full.
+    grow adds e and says True: fits asks about the whole set, so once the
+    set is dependent every later answer is False."""
+
+    __slots__ = ("query", "mask")
+
+    def __init__(self, query):
+        self.query, self.mask = query, 0
+
+    def fits(self, e):
+        return self.query(self.mask | 1 << e)
+
+    def grow(self, e):
+        self.mask |= 1 << e
+        return True
+
+
 class _AnchoredEvaluator:
     """Evaluator that keeps the last set it found independent (the anchor)
-    and that set's state.
+    and that set's state: fits(e) says whether the set plus e is
+    independent, and grow(e) adds e when it fits and says whether it did.
 
-    A subset of the anchor and the anchor plus one element are answered from
-    the state; a True on the anchor plus one element moves the anchor there.
-    Any other set with exactly one element outside the anchor is answered by
-    ``_one_outside`` where the kind implements it.  Every other set gets one
-    full evaluation through the spec's own implementation, and becomes the
-    anchor if it is independent.  The state is built on the first query,
-    never at construction.
+    A subset of the anchor is answered True, and the anchor plus one element
+    by grow, which moves the anchor there on True.  Every other set gets one
+    full evaluation (the kind's _load), and becomes the anchor if it is
+    independent.  The state is built on the first query (the kind's
+    _empty), never at construction.
     """
 
     def __init__(self, spec):
@@ -479,35 +556,27 @@ class _AnchoredEvaluator:
         """Independence of mask from the kept state, or None when mask has
         none of the answered shapes."""
         if self.state is None:
-            self._start()
+            self.state = self._empty()
         # one xor and one and over the mask tell the shapes apart; bit_count
         # and bit_length build no new int
         diff = mask ^ self.anchor
         extra = diff & mask
         if not extra:
             return True
-        if extra.bit_count() != 1:
+        if diff.bit_count() != 1:
             return None
-        e = extra.bit_length() - 1
-        if diff.bit_count() == 1:
-            if self._extends(e):
-                self.anchor = mask
-                return True
-            return False
-        return self._one_outside(mask, e)
+        ok = self.state.grow(extra.bit_length() - 1)
+        if ok:
+            self.anchor = mask
+        return ok
 
     def _full(self, mask, stop_if_dependent):
         """Rank of mask by full evaluation (-1 for a dependent mask when
         stop_if_dependent is set); an independent mask becomes the anchor."""
-        size, state = self._evaluate(mask, stop_if_dependent)
+        size, state = self._load(mask, stop_if_dependent)
         if size == mask.bit_count():
             self.anchor, self.state = mask, state
         return size
-
-    def _one_outside(self, mask, e):
-        """Independence of mask, whose only element outside the anchor is e
-        and which misses some of the anchor; None to evaluate it in full."""
-        return None
 
     def independent(self, mask):
         known = self._known(mask)
@@ -525,41 +594,50 @@ class _AnchoredEvaluator:
     def scan(self, cur, candidates):
         """MatroidSpec.scan from one state: the anchor's when cur is the
         anchor, else one full evaluation of cur (for the empty set, the empty
-        state).  Each candidate is one extension of that state, and the final
-        set becomes the anchor."""
+        state).  Each candidate is one grow of that state, and the final set
+        becomes the anchor."""
         if self.state is None:
-            self._start()
+            self.state = self._empty()
         if cur != self.anchor and self._full(cur, True) < 0:
             # every superset of a dependent set is dependent
             return [False] * len(candidates)
-        answers = list(map(self._extends, candidates))
+        answers = list(map(self.state.grow, candidates))
         self.anchor = cur | mask_of(compress(candidates, answers), self.spec.n)
         return answers
 
     rows = MatroidSpec.rows
 
     def prefix_walk(self):
-        return _PrefixWalk(self.spec.ground, self.independent)
+        return _PrefixWalk(self.spec.ground, self._empty)
 
 
 class _PartitionEvaluator(_AnchoredEvaluator):
-    """State: the anchor's count per class; plus an element -> class table.
+    """_ClassCounts states over one element -> class table, built on first
+    use and shared by the anchor's state, the walk's states and rows; rows
+    answers an exchange graph from its X's count per class, kept apart from
+    the anchor."""
 
-    Exchange graphs are answered from the count per class of their X,
-    counted on each rows call and kept apart from the anchor."""
+    class_of = None
 
-    def _start(self):
+    def _empty(self):
         spec = self.spec
-        class_of = [0] * spec.n
-        for i, m in enumerate(spec.class_masks):
-            for e in _scan_bits(m):
-                class_of[e] = i
-        self.class_of, self.class_masks, self.caps = class_of, spec.class_masks, spec.caps
-        self.state = [0] * len(spec.caps)
+        if self.class_of is None:
+            self.class_of = [0] * spec.n
+            for i, m in enumerate(spec.class_masks):
+                for e in _scan_bits(m):
+                    self.class_of[e] = i
+        return _ClassCounts(self.class_of, spec.caps, [0] * len(spec.caps))
+
+    def _load(self, mask, stop_if_dependent):
+        # the anchor's state exists, so the class table does
+        counts = self.spec._class_counts(mask, stop_if_dependent)
+        if counts is None:
+            return -1, None
+        return sum(map(min, counts, self.spec.caps)), _ClassCounts(self.class_of, self.spec.caps, counts)
 
     def rows(self, x_mask, inside, outside):
         if self.state is None:
-            self._start()
+            self.state = self._empty()
         counts = self.spec._class_counts(x_mask, stop_over_cap=True)
         if counts is None:
             # X is over a cap: removing x can repair it, so ask each set
@@ -567,7 +645,7 @@ class _PartitionEvaluator(_AnchoredEvaluator):
         # X is independent: X + y is independent iff y's class c has room,
         # and X + y - x also when x is in class c; so every y of one class
         # shares one row
-        class_of, caps = self.class_of, self.caps
+        class_of, caps = self.class_of, self.spec.caps
         row_of = {}
         out = []
         for y in outside:
@@ -582,48 +660,16 @@ class _PartitionEvaluator(_AnchoredEvaluator):
             out.append(row)
         return out
 
-    def prefix_walk(self):
-        return _ClassWalk(self)
-
-    def _evaluate(self, mask, stop_if_dependent):
-        counts = self.spec._class_counts(mask, stop_if_dependent)
-        if counts is None:
-            return -1, None
-        return sum(map(min, counts, self.caps)), counts
-
-    def _extends(self, e):
-        c = self.class_of[e]
-        counts = self.state
-        if counts[c] < self.caps[c]:
-            counts[c] += 1
-            return True
-        return False
-
-    def _one_outside(self, mask, e):
-        # mask - e lies inside the independent anchor, so only e's class can
-        # be over its cap
-        c = self.class_of[e]
-        return (mask & self.class_masks[c]).bit_count() <= self.caps[c]
-
 
 class _GraphicEvaluator(_AnchoredEvaluator):
-    """State: the union-find of the anchor's forest."""
+    """_Forest states."""
 
-    def _start(self):
-        self.edges = self.spec.edges
-        self.state = list(range(self.spec.num_vertices))
+    def _empty(self):
+        return _Forest(self.spec.edges, list(range(self.spec.num_vertices)))
 
-    def _evaluate(self, mask, stop_if_dependent):
-        return self.spec._forest(mask, stop_if_dependent)
-
-    def _extends(self, e):
-        parent = self.state
-        u, v = self.edges[e]
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-        return True
+    def _load(self, mask, stop_if_dependent):
+        size, parent = self.spec._forest(mask, stop_if_dependent)
+        return size, _Forest(self.spec.edges, parent)
 
 
 class _PrefixWalk:
@@ -633,120 +679,51 @@ class _PrefixWalk:
     for each element e outside skip, position by position from start, up to
     and including the first True; that set is e plus cur's members below
     e's position.  The walk keeps cur's flags (one byte per element), a
-    position and the state of cur's members below it, and carries them
-    from one pass to the next: cur moves by the bits in which it differs
-    from the last pass's cur, and the position by the positions between the
-    two passes.  A walk that goes forward, as the weighted basis does,
-    therefore costs one step per position and per changed bit, not n per
-    pass.  A new skip, or a start behind the walk, starts it again at
-    position 0.
-
-    This class keeps cur's members below the position as a mask and asks
-    query(mask | 1 << e) for each set; kinds with a cheaper answer override
-    _reset, _move and _independent.
+    position, and a state from new_state() of cur's members below it,
+    grown as the walk passes them; a member that does not fit sets
+    dependent, and every later answer is False.  All of it carries over to
+    the next pass, so a walk that goes forward, as the weighted basis does,
+    costs one step per position, not n per pass.  A new skip, a start behind
+    the walk or a change of cur below the position starts it again at
+    position 0 with a new state: a state never shrinks.
     """
 
-    def __init__(self, ground, query=None):
+    def __init__(self, ground, new_state):
         self.ground = ground
-        self.query = query
-        self.skip = None
+        self.new_state = new_state
+        self.skip, self.cur, self.pos = None, 0, 0
 
     def prefix_pass(self, cur, start, skip):
         """(stop, answers): the answers of the pass from position start (at
         most n) and the position of its True answer, n when there is none."""
         g = self.ground
-        if skip != self.skip or start < self.pos:
+        diff = cur ^ self.cur
+        self.cur = cur
+        if skip != self.skip or start < self.pos or any(g.pos[e] < self.pos for e in iter_bits(diff)):
             self.skip, self.skipped = skip, _flags(skip, g.n)
-            self.cur, self.in_cur, self.pos = cur, _flags(cur, g.n), 0
-            self._reset()
+            self.in_cur, self.pos = _flags(cur, g.n), 0
+            self.state, self.dependent = self.new_state(), False
         else:
-            diff = cur ^ self.cur
-            self.cur = cur
-            while diff:  # from the highest bit: each step shortens diff
-                e = diff.bit_length() - 1
-                diff ^= 1 << e
+            for e in iter_bits(diff):
                 self.in_cur[e] ^= 1
-                if g.pos[e] < self.pos:
-                    self._move(e, 1 if self.in_cur[e] else -1)
-        order, skipped, in_cur, move, independent = g.order, self.skipped, self.in_cur, self._move, self._independent
+        order, skipped, in_cur, dependent = g.order, self.skipped, self.in_cur, self.dependent
+        fits, grow = self.state.fits, self.state.grow
         for e in order[self.pos : start]:
-            if in_cur[e]:
-                move(e, 1)
-        answers = []
-        stop = g.n
+            if in_cur[e] and not grow(e):
+                dependent = True
+        answers, stop = [], g.n
         for p in range(start, g.n):
             e = order[p]
             if not skipped[e]:
-                ok = independent(e)
+                ok = not dependent and fits(e)
                 answers.append(ok)
                 if ok:
                     stop = p
                     break
-            if in_cur[e]:
-                move(e, 1)
-        self.pos = stop
+            if in_cur[e] and not grow(e):
+                dependent = True
+        self.pos, self.dependent = stop, dependent
         return stop, answers
-
-    def _reset(self):
-        """State of the empty set, at position 0."""
-        self.below = 0
-
-    def _move(self, e, sign):
-        """The member e of cur, below the position, joins (sign 1) or
-        leaves (sign -1) the state."""
-        self.below ^= 1 << e
-
-    def _independent(self, e):
-        """Independence of e plus cur's members below e's position."""
-        return self.query(self.below | 1 << e)
-
-
-class _CountWalk(_PrefixWalk):
-    """Uniform: the number of cur's members below the position."""
-
-    def __init__(self, ground, k):
-        super().__init__(ground)
-        self.k = k
-
-    def _reset(self):
-        self.count = 0
-
-    def _move(self, e, sign):
-        self.count += sign
-
-    def _independent(self, e):
-        return self.count < self.k
-
-
-class _ClassWalk(_PrefixWalk):
-    """Partition: the count per class of cur's members below the position,
-    and the number of classes over their cap.  The class table is the
-    evaluator's; the counts are kept apart from its anchor."""
-
-    def __init__(self, evaluator):
-        super().__init__(evaluator.spec.ground)
-        self.evaluator = evaluator
-
-    def _reset(self):
-        ev = self.evaluator
-        if ev.state is None:
-            ev._start()
-        self.class_of, self.caps = ev.class_of, ev.caps
-        self.counts = [0] * len(self.caps)
-        self.over = 0
-
-    def _move(self, e, sign):
-        c = self.class_of[e]
-        counts, cap = self.counts, self.caps[c]
-        was_over = counts[c] > cap
-        counts[c] += sign
-        self.over += (counts[c] > cap) - was_over
-
-    def _independent(self, e):
-        # e's class gains one, so it must be below its cap, and no other
-        # class may be over its cap
-        c = self.class_of[e]
-        return not self.over and self.counts[c] < self.caps[c]
 
 
 def elements_mask(elems, n, name):

@@ -238,17 +238,100 @@ def test_prefix_pass_matches_the_per_query_run(kind, seed):
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
+def _count_new_states(walk):
+    calls = []
+    inner = walk.new_state
+    walk.new_state = lambda: calls.append(1) or inner()
+    return calls
+
+
 def test_prefix_pass_from_a_dependent_set():
-    # partition over a cap and graphic with a cycle below the start: every
-    # answer is False until a removal repairs the set
+    # partition over a cap, graphic with a cycle and uniform over k below the
+    # start: every answer is False, also where e alone would fit the state,
+    # until a removal repairs the set on a new state
     g = GroundSet.unit(6)
-    for spec, cur in [
-        (PartitionMatroid(g, masks([0, 1, 2], [3, 4, 5]), [1, 2]), 0b000011),
-        (GraphicMatroid(g, 4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (1, 3)]), 0b000111),
+    for spec, cur, repaired in [
+        (PartitionMatroid(g, masks([0, 1, 2], [3, 4, 5]), [1, 2]), 0b000011, 0b000001),
+        (GraphicMatroid(g, 4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (1, 3)]), 0b000111, 0b000101),
+        (UniformMatroid(g, 2), 0b000111, 0b000001),
     ]:
         walk = spec.evaluator().prefix_walk()
+        states = _count_new_states(walk)
         assert walk.prefix_pass(cur, 3, 0) == (6, [False] * 3)
-        assert walk.prefix_pass(cur & ~0b10, 3, 0) == (3, [True])
+        assert walk.prefix_pass(cur, 6, 0) == (6, [])
+        assert len(states) == 1
+        assert walk.prefix_pass(repaired, 3, 0) == (3, [True])
+        assert len(states) == 2
+
+
+@pytest.mark.parametrize("kind", ["partition", "graphic", "uniform", "predicted_basis", "explicit"])
+def test_prefix_walk_starts_again_when_cur_changes_below_it(kind):
+    # adding the element at the walk's stop and removing a member above it
+    # keep the walk's state, as in the weighted basis; removing a member
+    # below the stop builds a new state
+    rng = random.Random(f"restart:{kind}")
+    seen = 0
+    for _ in range(40):
+        spec = _scan_spec(rng, kind, rng.randint(4, 30))
+        g, n = spec.ground, spec.n
+        walk = spec.evaluator().prefix_walk()
+        states = _count_new_states(walk)
+        skip = rng.getrandbits(n)
+        cur = greedy_native(spec) & skip
+        stop = walk.prefix_pass(cur, 0, skip)[0]
+        for restart in (False, True):
+            if stop == n:
+                break
+            cur |= 1 << g.order[stop]
+            side = [e for e in iter_bits(cur) if (g.pos[e] < stop) == restart and g.pos[e] != stop]
+            if not side:
+                break
+            cur &= ~(1 << rng.choice(side))
+            got = walk.prefix_pass(cur, stop + 1, skip)
+            assert got == _per_query_prefix_pass(spec.is_independent_mask, g, cur, stop + 1, skip)
+            assert len(states) == 1 + restart
+            seen += restart
+            stop = got[0]
+    assert seen >= 10
+
+
+def _traced_pass(pair, in_pass):
+    inner = pair.query_prefix_pass
+
+    def traced(*args):
+        in_pass.append(True)
+        try:
+            return inner(*args)
+        finally:
+            in_pass.clear()
+
+    return traced
+
+
+@pytest.mark.parametrize("kind", ["partition", "graphic", "uniform"])
+def test_a_weighted_walk_asks_for_no_set_in_full(kind, monkeypatch):
+    # these kinds keep the walk's state: no prefix pass of a weighted basis
+    # run asks the evaluator or the spec about a whole set, and the run
+    # builds one state
+    rng = random.Random(f"stateful:{kind}")
+    for _ in range(10):
+        n = rng.randint(10, 40)
+        spec = _random_spec(rng, kind, n).rebind(GroundSet(rng.sample(range(4 * n), n)))
+        bd = greedy_native(spec) & rng.getrandbits(n) | rng.getrandbits(n) & rng.getrandbits(n)
+        pair = OraclePair(spec, spec, spec.ground).with_dirty_basis(bd)
+        in_pass, asked = [], []
+        ev = pair._evals[ROLE_CLEAN]
+        for obj, name in ((pair.clean, "_class_counts"), (pair.clean, "_forest"), (ev, "independent")):
+            if hasattr(obj, name):
+                inner = getattr(obj, name)
+                monkeypatch.setattr(obj, name, lambda *a, name=name, inner=inner: in_pass and asked.append(name) or inner(*a))
+        monkeypatch.setattr(pair, "query_prefix_pass", _traced_pass(pair, in_pass))
+        states = _count_new_states(pair._walks[ROLE_CLEAN])
+        out, _ = weighted_basis(bd, pair)
+        assert pair.ground.weight(out.mask) == pair.ground.weight(greedy_native(pair.clean))
+        assert asked == []
+        assert len(states) == 1
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("kind", ["partition", "graphic", "uniform", "predicted_basis"])
@@ -394,8 +477,9 @@ def test_exchange_graph_needs_no_full_evaluation_after_x(monkeypatch):
 
 def test_weighted_partition_scan_needs_one_full_evaluation(monkeypatch):
     # the dirty basis is the clean max-weight basis less some elements: after
-    # the full evaluation of the dirty basis, every scan query is the
-    # working set plus one element, or a subset of it plus one element
+    # the full evaluation of the dirty basis, every single query is the
+    # working set plus one element, and the walk answers its runs from its
+    # own class counts
     rng = random.Random(9)
     for _ in range(10):
         n = rng.randint(10, 40)
