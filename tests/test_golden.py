@@ -30,12 +30,13 @@ from matoracle.bench import (
     run_trial,
 )
 
-LEDGER_DIGEST = "2095331d7eaece5937ac809296166d9b18f5ac55141f2ebe85dbc0f1d287b206"
-RECORD_DIGEST = "713c864e17c6351c5db5f9732541fd8b49d7a5e449c7da41855199a6baaa06db"
+LEDGER_DIGEST = "9c6be8dd51f6f8795389f8ae6dee63c1289e5647c38df784785a801a398572eb"
+RECORD_DIGEST = "d5a8d9fb6cd596c01890e600158ba23308b5326d958cac954ad87d689eca9faf"
 
 BASIS_SIZES = (1, 5, 9, 13, 40, 200)
 SMALL_SIZES = (6, 10, 14, 24)
 EXPLICIT_SIZES = (6, 10)
+PREDICTED_SIZES = (5, 13, 40)
 KS = (1, 2, 3, 5)
 PS = (1, 4)
 SEEDS = (1, 2)
@@ -63,6 +64,16 @@ def _explicit_dirty_instance(n, seed):
     return InstanceSpec(n=n, weights="unit", matroid=clean, dirty={"mode": "explicit", "maximal_sets": sets}, seed=seed)
 
 
+def _predicted_basis_instance(n, kind, weight_mode, seed):
+    # a predicted-basis dirty oracle: a random subset of the ground set, over
+    # the clean matroid and weights of a random instance
+    rng = random.Random(seed)
+    inst = random_instance(n, kind=kind, weight_mode=weight_mode, seed=seed)
+    basis = [e for e in range(n) if rng.random() < 0.5]
+    return InstanceSpec(n=n, weights=inst.weights, matroid=inst.matroid,
+                        dirty={"mode": "predicted_basis", "basis": basis}, seed=seed)
+
+
 def _instances():
     for kind in ("partition", "graphic", "uniform"):
         for weight_mode in ("unit", "int"):
@@ -77,6 +88,10 @@ def _instances():
     for n in EXPLICIT_SIZES:
         for seed in SEEDS:
             yield _explicit_dirty_instance(n, 7 * n + seed)
+    for kind in ("partition", "graphic", "uniform"):
+        for weight_mode in ("unit", "int"):
+            for n in PREDICTED_SIZES:
+                yield _predicted_basis_instance(n, kind, weight_mode, 11 * n + len(kind))
 
 
 def _trials(inst):
