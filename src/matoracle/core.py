@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import compress
 
 
@@ -196,7 +195,10 @@ class GroundSet:
 
 
 class MatroidSpec:
-    """Base class for independence-system specifications bound to a ground set."""
+    """Base class for independence-system specifications bound to a ground
+    set.  A kind gives its incremental state (_empty) and one full pass over
+    a set (_load); independence and rank follow from the pass, and every
+    query goes through the evaluator built over the two."""
 
     kind = "abstract"
 
@@ -204,52 +206,27 @@ class MatroidSpec:
         self.ground = ground
         self.n = ground.n
 
-    def is_independent_mask(self, mask):
+    def _empty(self):
+        """The state of the empty set: fits(e) says whether the set plus e is
+        independent, grow(e) adds e when it fits and says whether it did,
+        and scan(candidates) grows by each candidate in turn."""
         raise NotImplementedError
+
+    def _load(self, mask, stop_if_dependent):
+        """(size, state): the rank of mask and the state of the independent
+        set of that size the pass kept, mask itself when it is independent;
+        (-1, None) for a dependent mask when stop_if_dependent is set."""
+        raise NotImplementedError
+
+    def is_independent_mask(self, mask):
+        return self._load(mask, True)[0] >= 0
 
     def rank_mask(self, mask):
-        raise NotImplementedError
+        return self._load(mask, False)[0]
 
     def evaluator(self):
-        """A fresh per-run evaluator with independent(mask), rank(mask),
-        scan(cur, candidates), rows(x_mask, inside, outside) and
-        prefix_walk() that answer as this spec does.  Partition and graphic
-        give an _AnchoredEvaluator over their state; other kinds keep no
-        state and are their own evaluator."""
-        return self
-
-    def prefix_walk(self):
-        """A fresh walk for one run's prefix passes (see _PrefixWalk), here
-        over _Members states, which ask for each set in full."""
-        return _PrefixWalk(self.ground, partial(_Members, self.independent))
-
-    def independent(self, mask):
-        return self.is_independent_mask(mask)
-
-    def rank(self, mask):
-        return self.rank_mask(mask)
-
-    def scan(self, cur, candidates):
-        """Answers of one greedy pass: the independence of cur + e for each
-        element e of the list candidates in order (none of them in cur), cur
-        growing by e on each True.  Uniform answers in closed form and the
-        anchored evaluators from their state; other kinds ask per query."""
-        return greedy_scan(self.independent, cur, candidates)
-
-    def rows(self, x_mask, inside, outside):
-        """Exchange-graph rows of X = x_mask, one answer list per element y
-        of outside (every element outside X, ascending): the independence
-        of X + y, then of X + y - x for each x of inside (X's elements,
-        ascending).  Rows may share one list, so a caller copies a row
-        before changing it; kinds with a cheaper graph override this
-        per-query loop."""
-        independent = self.independent
-        bits = [1 << x for x in inside]
-        out = []
-        for y in outside:
-            grown = x_mask | 1 << y
-            out.append([independent(grown), *[independent(grown ^ b) for b in bits]])
-        return out
+        """A fresh per-run evaluator (see _AnchoredEvaluator)."""
+        return _AnchoredEvaluator(self)
 
     def rebind(self, ground):
         """Same independence rule over a reordered copy of the ground set."""
@@ -276,18 +253,14 @@ class UniformMatroid(MatroidSpec):
             raise ValueError(f"uniform matroid needs an integer k >= 0, got {k!r}")
         self.k = k
 
-    def is_independent_mask(self, mask):
-        return mask.bit_count() <= self.k
+    def _empty(self):
+        return _Count(self.k, 0)
 
-    def rank_mask(self, mask):
-        return min(mask.bit_count(), self.k)
-
-    def scan(self, cur, candidates):
-        room = min(max(self.k - cur.bit_count(), 0), len(candidates))
-        return [True] * room + [False] * (len(candidates) - room)
-
-    def prefix_walk(self):
-        return _PrefixWalk(self.ground, partial(_Count, self.k))
+    def _load(self, mask, stop_if_dependent):
+        size = mask.bit_count()
+        if size > self.k and stop_if_dependent:
+            return -1, None
+        return min(size, self.k), _Count(self.k, min(size, self.k))
 
     def to_config(self):
         return {"kind": "uniform", "k": self.k}
@@ -313,6 +286,18 @@ class PartitionMatroid(MatroidSpec):
             raise ValueError(f"caps must be non-negative integers, got {caps!r}")
         self.class_masks = tuple(class_masks)
         self.caps = tuple(caps)
+        # the element -> class table, filled by the first _class_of call and
+        # shared with rebind clones
+        self._classes = []
+
+    def _class_of(self):
+        if len(self._classes) != self.n:
+            table = [0] * self.n
+            for i, m in enumerate(self.class_masks):
+                for e in _scan_bits(m):
+                    table[e] = i
+            self._classes += table
+        return self._classes
 
     def _class_counts(self, mask, stop_over_cap):
         """Members of mask per class; None as soon as one class is over its
@@ -330,6 +315,15 @@ class PartitionMatroid(MatroidSpec):
 
     def rank_mask(self, mask):
         return sum(map(min, self._class_counts(mask, stop_over_cap=False), self.caps))
+
+    def _empty(self):
+        return _ClassCounts(self._class_of(), self.caps, [0] * len(self.caps))
+
+    def _load(self, mask, stop_if_dependent):
+        counts = self._class_counts(mask, stop_if_dependent)
+        if counts is None:
+            return -1, None
+        return sum(map(min, counts, self.caps)), _ClassCounts(self._class_of(), self.caps, counts)
 
     def evaluator(self):
         return _PartitionEvaluator(self)
@@ -361,31 +355,12 @@ class GraphicMatroid(MatroidSpec):
         self.num_vertices = num_vertices
         self.edges = tuple((u, v) for u, v in edges)
 
-    def _forest(self, mask, stop_on_cycle):
-        """(size, parent): the number of edges of a spanning forest of mask
-        and its union-find; size is -1 at the first cycle when stop_on_cycle
-        is set."""
-        parent = list(range(self.num_vertices))
-        size = 0
-        for e in iter_bits(mask):
-            u, v = self.edges[e]
-            ru, rv = _find(parent, u), _find(parent, v)
-            if ru == rv:
-                if stop_on_cycle:
-                    return -1, parent
-                continue
-            parent[ru] = rv
-            size += 1
-        return size, parent
+    def _empty(self):
+        return _Forest(self.edges, list(range(self.num_vertices)))
 
-    def is_independent_mask(self, mask):
-        return self._forest(mask, stop_on_cycle=True)[0] >= 0
-
-    def rank_mask(self, mask):
-        return self._forest(mask, stop_on_cycle=False)[0]
-
-    def evaluator(self):
-        return _GraphicEvaluator(self)
+    def _load(self, mask, stop_if_dependent):
+        # a spanning forest of mask, edge by edge
+        return _grow_all(self._empty(), iter_bits(mask), mask, stop_if_dependent)
 
     def to_config(self):
         return {"kind": "graphic", "vertices": self.num_vertices, "edges": [list(e) for e in self.edges]}
@@ -401,12 +376,16 @@ class PredictedBasisOracle(MatroidSpec):
         self.basis_mask = basis_mask
         if basis_mask >> self.n:
             raise ValueError("predicted basis outside the ground set")
+        # one state serves every set: it keeps nothing of the set
+        self._inside = _Inside(_flags(basis_mask, self.n))
 
-    def is_independent_mask(self, mask):
-        return mask & ~self.basis_mask == 0
+    def _empty(self):
+        return self._inside
 
-    def rank_mask(self, mask):
-        return (mask & self.basis_mask).bit_count()
+    def _load(self, mask, stop_if_dependent):
+        if stop_if_dependent and mask & ~self.basis_mask:
+            return -1, None
+        return (mask & self.basis_mask).bit_count(), self._inside
 
     def to_config(self):
         return {"kind": "predicted_basis", "basis": sorted(iter_bits(self.basis_mask))}
@@ -442,10 +421,14 @@ class ExplicitSystem(MatroidSpec):
     def is_independent_mask(self, mask):
         return any(mask & ~m == 0 for m in self.maximal_masks)
 
-    def rank_mask(self, mask):
-        # greedy scan of mask in canonical order using the independence rule
-        # (internal, never billed); exact for matroids, defined behavior otherwise
-        return sum(self.scan(0, self.ground.outside(self.ground.full_mask & ~mask)))
+    def _empty(self):
+        return _Members(self.is_independent_mask)
+
+    def _load(self, mask, stop_if_dependent):
+        # a greedy pass over mask in canonical order: exact for matroids,
+        # defined behavior otherwise
+        elements = self.ground.outside(self.ground.full_mask & ~mask)
+        return _grow_all(self._empty(), elements, mask, stop_if_dependent)
 
     def to_config(self):
         return {"kind": "explicit", "maximal_sets": [sorted(iter_bits(m)) for m in self.maximal_masks]}
@@ -459,13 +442,30 @@ def _find(parent, x):
     return x
 
 
-class _Count:
-    """Uniform: the size of the set."""
+def _grow_all(state, elements, mask, stop_if_dependent):
+    """MatroidSpec._load by growing state by each of elements, the members
+    of mask, in turn."""
+    if stop_if_dependent:
+        return (mask.bit_count(), state) if all(map(state.grow, elements)) else (-1, None)
+    return sum(map(state.grow, elements)), state
+
+
+class _State:
+    """The incremental state of a set (see MatroidSpec._empty)."""
+
+    __slots__ = ()
+
+    def scan(self, candidates):
+        return list(map(self.grow, candidates))
+
+
+class _Count(_State):
+    """Uniform: the size of the set; a scan is answered in closed form."""
 
     __slots__ = ("k", "size")
 
-    def __init__(self, k):
-        self.k, self.size = k, 0
+    def __init__(self, k, size):
+        self.k, self.size = k, size
 
     def fits(self, e):
         return self.size < self.k
@@ -475,8 +475,13 @@ class _Count:
         self.size += ok
         return ok
 
+    def scan(self, candidates):
+        room = min(max(self.k - self.size, 0), len(candidates))
+        self.size += room
+        return [True] * room + [False] * (len(candidates) - room)
 
-class _ClassCounts:
+
+class _ClassCounts(_State):
     """Partition: the count per class of the set, over an element -> class
     table."""
 
@@ -496,7 +501,7 @@ class _ClassCounts:
         return ok
 
 
-class _Forest:
+class _Forest(_State):
     """Graphic: the union-find of the set's forest."""
 
     __slots__ = ("edges", "parent")
@@ -517,10 +522,23 @@ class _Forest:
         return ru != rv
 
 
-class _Members:
-    """Any kind: the set as a mask, and query(mask) for each set in full.
-    grow adds e and says True: fits asks about the whole set, so once the
-    set is dependent every later answer is False."""
+class _Inside(_State):
+    """Predicted basis: nothing of the set, as e fits iff it is in the
+    basis (one flag per element)."""
+
+    __slots__ = ("flags",)
+
+    def __init__(self, flags):
+        self.flags = flags
+
+    def fits(self, e):
+        return self.flags[e] == 1
+
+    grow = fits
+
+
+class _Members(_State):
+    """Explicit: the set as a mask, and query(mask) for each set in full."""
 
     __slots__ = ("query", "mask")
 
@@ -531,20 +549,21 @@ class _Members:
         return self.query(self.mask | 1 << e)
 
     def grow(self, e):
-        self.mask |= 1 << e
-        return True
+        ok = self.query(self.mask | 1 << e)
+        if ok:
+            self.mask |= 1 << e
+        return ok
 
 
 class _AnchoredEvaluator:
-    """Evaluator that keeps the last set it found independent (the anchor)
-    and that set's state: fits(e) says whether the set plus e is
-    independent, and grow(e) adds e when it fits and says whether it did.
+    """Per-run evaluator of a spec that keeps the last set it found
+    independent (the anchor) and that set's state.
 
     A subset of the anchor is answered True, and the anchor plus one element
-    by grow, which moves the anchor there on True.  Every other set gets one
-    full evaluation (the kind's _load), and becomes the anchor if it is
-    independent.  The state is built on the first query (the kind's
-    _empty), never at construction.
+    by the state's grow, which moves the anchor there on True.  Every other
+    set gets one full evaluation (the spec's _load), and becomes the anchor
+    if it is independent.  The state is built on the first query (the
+    spec's _empty), never at construction.
     """
 
     def __init__(self, spec):
@@ -556,7 +575,7 @@ class _AnchoredEvaluator:
         """Independence of mask from the kept state, or None when mask has
         none of the answered shapes."""
         if self.state is None:
-            self.state = self._empty()
+            self.state = self.spec._empty()
         # one xor and one and over the mask tell the shapes apart; bit_count
         # and bit_length build no new int
         diff = mask ^ self.anchor
@@ -573,7 +592,7 @@ class _AnchoredEvaluator:
     def _full(self, mask, stop_if_dependent):
         """Rank of mask by full evaluation (-1 for a dependent mask when
         stop_if_dependent is set); an independent mask becomes the anchor."""
-        size, state = self._load(mask, stop_if_dependent)
+        size, state = self.spec._load(mask, stop_if_dependent)
         if size == mask.bit_count():
             self.anchor, self.state = mask, state
         return size
@@ -585,67 +604,62 @@ class _AnchoredEvaluator:
         return known
 
     def rank(self, mask):
-        known = self._known(mask)
-        if known is None:
-            return self._full(mask, False)
-        # one element over an independent set adds at most one to the rank
-        return mask.bit_count() - (not known)
+        # the anchor plus one element that does not fit is evaluated in full
+        # too: in a system that is not a matroid its rank can be below the
+        # anchor's size
+        if self._known(mask):
+            return mask.bit_count()
+        return self._full(mask, False)
 
     def scan(self, cur, candidates):
-        """MatroidSpec.scan from one state: the anchor's when cur is the
-        anchor, else one full evaluation of cur (for the empty set, the empty
-        state).  Each candidate is one grow of that state, and the final set
-        becomes the anchor."""
+        """(answers, mask) of one greedy pass: the independence of cur + e
+        for each element e of the list candidates in order (none of them in
+        cur), cur growing by e on each True, and the final cur.  The pass
+        grows one state: the anchor's when cur is the anchor, else that of
+        one full evaluation of cur (for the empty set, the empty state).
+        The final set becomes the anchor."""
         if self.state is None:
-            self.state = self._empty()
+            self.state = self.spec._empty()
         if cur != self.anchor and self._full(cur, True) < 0:
             # every superset of a dependent set is dependent
-            return [False] * len(candidates)
-        answers = list(map(self.state.grow, candidates))
+            return [False] * len(candidates), cur
+        answers = self.state.scan(candidates)
         self.anchor = cur | mask_of(compress(candidates, answers), self.spec.n)
-        return answers
+        return answers, self.anchor
 
-    rows = MatroidSpec.rows
+    def rows(self, x_mask, inside, outside):
+        """Exchange-graph rows of X = x_mask, one answer list per element y
+        of outside (every element outside X, ascending): the independence
+        of X + y, then of X + y - x for each x of inside (X's elements,
+        ascending).  Rows may share one list, so a caller copies a row
+        before changing it."""
+        independent = self.independent
+        bits = [1 << x for x in inside]
+        out = []
+        for y in outside:
+            grown = x_mask | 1 << y
+            out.append([independent(grown), *[independent(grown ^ b) for b in bits]])
+        return out
 
     def prefix_walk(self):
-        return _PrefixWalk(self.spec.ground, self._empty)
+        """A fresh walk for one run's prefix passes (see _PrefixWalk)."""
+        return _PrefixWalk(self.spec.ground, self.spec._empty)
 
 
 class _PartitionEvaluator(_AnchoredEvaluator):
-    """_ClassCounts states over one element -> class table, built on first
-    use and shared by the anchor's state, the walk's states and rows; rows
-    answers an exchange graph from its X's count per class, kept apart from
-    the anchor."""
-
-    class_of = None
-
-    def _empty(self):
-        spec = self.spec
-        if self.class_of is None:
-            self.class_of = [0] * spec.n
-            for i, m in enumerate(spec.class_masks):
-                for e in _scan_bits(m):
-                    self.class_of[e] = i
-        return _ClassCounts(self.class_of, spec.caps, [0] * len(spec.caps))
-
-    def _load(self, mask, stop_if_dependent):
-        # the anchor's state exists, so the class table does
-        counts = self.spec._class_counts(mask, stop_if_dependent)
-        if counts is None:
-            return -1, None
-        return sum(map(min, counts, self.spec.caps)), _ClassCounts(self.class_of, self.spec.caps, counts)
+    """rows answers an exchange graph from its X's count per class, kept
+    apart from the anchor."""
 
     def rows(self, x_mask, inside, outside):
-        if self.state is None:
-            self.state = self._empty()
-        counts = self.spec._class_counts(x_mask, stop_over_cap=True)
+        spec = self.spec
+        counts = spec._class_counts(x_mask, stop_over_cap=True)
         if counts is None:
             # X is over a cap: removing x can repair it, so ask each set
-            return _AnchoredEvaluator.rows(self, x_mask, inside, outside)
+            return super().rows(x_mask, inside, outside)
         # X is independent: X + y is independent iff y's class c has room,
         # and X + y - x also when x is in class c; so every y of one class
         # shares one row
-        class_of, caps = self.class_of, self.spec.caps
+        class_of, caps = spec._class_of(), spec.caps
         row_of = {}
         out = []
         for y in outside:
@@ -659,17 +673,6 @@ class _PartitionEvaluator(_AnchoredEvaluator):
                 row_of[c] = row
             out.append(row)
         return out
-
-
-class _GraphicEvaluator(_AnchoredEvaluator):
-    """_Forest states."""
-
-    def _empty(self):
-        return _Forest(self.spec.edges, list(range(self.spec.num_vertices)))
-
-    def _load(self, mask, stop_if_dependent):
-        size, parent = self.spec._forest(mask, stop_if_dependent)
-        return size, _Forest(self.spec.edges, parent)
 
 
 class _PrefixWalk:
@@ -769,22 +772,8 @@ def mask_of(elements, n):
     return int(flags[::-1], 2)
 
 
-def greedy_scan(query, cur, candidates):
-    """The per-query greedy pass: query(cur | 1 << e) for each element e of
-    candidates in order, keeping e when it answers True.  Returns the
-    answers."""
-    answers = []
-    for e in candidates:
-        grown = cur | 1 << e
-        ok = query(grown)
-        if ok:
-            cur = grown
-        answers.append(ok)
-    return answers
-
-
 def greedy_native(spec, ground=None):
     """Mask of the unbilled greedy baseline against the spec's own
     independence rule: one pass of a fresh evaluator."""
     order = (ground or spec.ground).order
-    return mask_of(compress(order, spec.evaluator().scan(0, order)), spec.n)
+    return spec.evaluator().scan(0, order)[1]

@@ -49,7 +49,7 @@ class IntersectionOracles:
             ROLE_CLEAN: tuple(spec.evaluator() for spec in self.clean),
             ROLE_DIRTY: tuple(spec.evaluator() for spec in self.dirty),
         }
-        self.ledger = QueryLedger(ground.n)
+        self.ledger = QueryLedger()
 
     def query_independent(self, role, which, mask):
         if type(which) is not int or which not in KIND_IND_OF:
@@ -60,9 +60,10 @@ class IntersectionOracles:
 
     def query_rows(self, role, x_mask, inside, outside, known_false=((), ())):
         """Billed exchange graph of X = x_mask in both matroids: the row
-        lists of matroid 1 and of matroid 2 (see MatroidSpec.rows; inside and
-        outside hold every element in and outside X, ascending), billed in
-        one ledger append, y by y and set by set, ind1 then ind2.
+        lists of matroid 1 and of matroid 2 (see _AnchoredEvaluator.rows in
+        core; inside and outside hold every element in and outside X,
+        ascending), billed in one ledger append, y by y and set by set, ind1
+        then ind2.
 
         known_false holds, per matroid, sets answered dependent without a
         query: each that is X + y or X + y - x leaves its record out."""
@@ -134,9 +135,9 @@ def build_exchange_graph(rows, n, x_mask):
     """Exchange graph of X over elements 0..n-1 through one call of the
     graph test rows(x_mask, inside, outside), with inside and outside the
     elements in and outside X ascending, which returns the row lists of
-    matroid 1 and of matroid 2 (see MatroidSpec.rows): n - |X| rows of
-    |X| + 1 answers each.  A set answered dependent produces no arc and no
-    source/sink membership."""
+    matroid 1 and of matroid 2 (see _AnchoredEvaluator.rows in core): n - |X|
+    rows of |X| + 1 answers each.  A set answered dependent produces no arc
+    and no source/sink membership."""
     inside = list(iter_bits(x_mask))
     outside = [y for y in range(n) if not x_mask >> y & 1]
     index = dict(zip(inside, count()))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from array import array
-from itertools import chain, compress
+from itertools import chain
 from typing import NamedTuple
 
 from .core import (
@@ -20,7 +20,6 @@ from .core import (
     GraphicMatroid,
     PartitionMatroid,
     iter_bits,
-    mask_of,
 )
 
 ROLE_CLEAN = "clean"
@@ -149,8 +148,7 @@ class QueryLedger:
     XOR of the two, shifted down past its zero low bits, and the shift.  The
     counts are read from the code column; no tally is kept beside it."""
 
-    def __init__(self, n, cost_p=1):
-        self.n = n
+    def __init__(self, cost_p=1):
         self.cost_p = Fraction(cost_p)
         if self.cost_p < 1:
             raise ValueError("clean-call cost p must be >= 1")
@@ -281,7 +279,7 @@ class OraclePair:
         # per-pair evaluators: kept state never outlives the pair's run
         self._evals = {ROLE_CLEAN: self.clean.evaluator(), ROLE_DIRTY: self.dirty.evaluator()}
         self._walks = {role: ev.prefix_walk() for role, ev in self._evals.items()}
-        self.ledger = ledger if ledger is not None else QueryLedger(ground.n, cost_p=cost_p)
+        self.ledger = ledger if ledger is not None else QueryLedger(cost_p=cost_p)
 
     def query_independent(self, role, mask):
         answer = by_role(self._evals, role).independent(mask)
@@ -300,9 +298,9 @@ class OraclePair:
         by e on each True, answered and billed in one call each.  Returns the
         final mask."""
         candidates = self.ground.outside(skip)
-        answers = by_role(self._evals, role).scan(cur, candidates)
+        answers, grown = by_role(self._evals, role).scan(cur, candidates)
         self.ledger.record_scan(role, cur, candidates, answers)
-        return cur | mask_of(compress(candidates, answers), self.ground.n)
+        return grown
 
     def query_prefix_pass(self, role, cur, start, skip=0):
         """Billed run of the role's prefix walk (see core._PrefixWalk): the

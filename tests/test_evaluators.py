@@ -21,11 +21,13 @@ from matoracle import (
     weighted_basis,
 )
 from matoracle.bench import generate, random_instance, random_intersection_instance
-from matoracle.core import greedy_scan, iter_bits, mask_of, spec_from_config
+from matoracle.core import _AnchoredEvaluator, iter_bits, mask_of
 from matoracle.intersection import build_exchange_graph, textbook_intersection
 from matoracle.oracles import ROLE_CLEAN, ROLE_DIRTY, QueryRecord
 
 from conftest import masks
+
+KINDS = ["partition", "graphic", "uniform", "predicted_basis", "explicit"]
 
 
 def _random_spec(rng, kind, n):
@@ -40,6 +42,17 @@ def _random_spec(rng, kind, n):
     assignment = [rng.randrange(k) for _ in range(n)]
     classes = [c for c in ([e for e in range(n) if assignment[e] == i] for i in range(k)) if c]
     return PartitionMatroid(g, masks(*classes), [rng.randint(0, len(c)) for c in classes])
+
+
+def _any_spec(rng, kind, n):
+    """A random spec of any kind; the explicit systems are mostly not
+    matroids."""
+    if kind == "predicted_basis":
+        return PredictedBasisOracle(GroundSet([rng.randint(0, 3) for _ in range(n)]), rng.getrandbits(n))
+    if kind == "explicit":
+        g = GroundSet([rng.randint(0, 3) for _ in range(n)])
+        return ExplicitSystem(g, [rng.getrandbits(n) for _ in range(rng.randint(1, 4))])
+    return _random_spec(rng, kind, n)
 
 
 def _queries(rng, spec, steps):
@@ -69,33 +82,18 @@ def _queries(rng, spec, steps):
             cur = mask
 
 
-@pytest.mark.parametrize("kind", ["partition", "graphic", "uniform"])
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("seed", range(4))
 def test_evaluator_matches_the_spec(kind, seed):
     rng = random.Random(f"{kind}:{seed}")
     for _ in range(60):
-        spec = _random_spec(rng, kind, rng.randint(1, 40))
+        spec = _any_spec(rng, kind, rng.randint(1, 40))
         ev = spec.evaluator()
         for mask in _queries(rng, spec, 80):
             if rng.random() < 0.3:
                 assert ev.rank(mask) == spec.rank_mask(mask)
             else:
                 assert ev.independent(mask) == spec.is_independent_mask(mask)
-
-
-@pytest.mark.parametrize("kind", ["partition", "graphic"])
-def test_greedy_scan_needs_no_full_evaluation(kind, monkeypatch):
-    # every query of a greedy scan is the last independent set plus one element
-    rng = random.Random(kind)
-    spec = _random_spec(rng, kind, 40)
-    order = spec.ground.order
-    want = mask_of(compress(order, greedy_scan(spec.is_independent_mask, 0, order)), spec.n)
-    full = {"partition": "_class_counts", "graphic": "_forest"}[kind]
-    calls = []
-    inner = getattr(spec, full)
-    monkeypatch.setattr(spec, full, lambda *args: calls.append(args) or inner(*args))
-    assert greedy_native(spec) == want
-    assert calls == []
 
 
 def _per_query_scan(spec, cur, candidates):
@@ -108,32 +106,38 @@ def _per_query_scan(spec, cur, candidates):
     return answers
 
 
-def _scan_spec(rng, kind, n):
-    if kind == "predicted_basis":
-        return PredictedBasisOracle(GroundSet([rng.randint(0, 3) for _ in range(n)]), rng.getrandbits(n))
-    if kind == "explicit":
-        g = GroundSet([rng.randint(0, 3) for _ in range(n)])
-        return ExplicitSystem(g, [rng.getrandbits(n) for _ in range(rng.randint(1, 4))])
-    return _random_spec(rng, kind, n)
+@pytest.mark.parametrize("kind", KINDS)
+def test_greedy_scan_needs_no_full_evaluation(kind, monkeypatch):
+    # every query of a greedy scan is the last independent set plus one element
+    rng = random.Random(kind)
+    spec = _any_spec(rng, kind, 40)
+    order = spec.ground.order
+    want = mask_of(compress(order, _per_query_scan(spec, 0, order)), spec.n)
+    calls = []
+    inner = spec._load
+    monkeypatch.setattr(spec, "_load", lambda *args: calls.append(args) or inner(*args))
+    assert greedy_native(spec) == want
+    assert calls == []
 
 
-@pytest.mark.parametrize("kind", ["partition", "graphic", "uniform", "predicted_basis", "explicit"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_scan_matches_the_per_query_pass(kind):
     # passes from the empty set, from the evaluator's anchor and from a
     # random set (independent or not) inside skip, each on the evaluator the
     # passes before it left behind, with single queries in between
     rng = random.Random(kind)
     for _ in range(40):
-        spec = _scan_spec(rng, kind, rng.randint(1, 40))
+        spec = _any_spec(rng, kind, rng.randint(1, 40))
         g, ev, last = spec.ground, spec.evaluator(), 0
         for _ in range(6):
             cur = rng.choice([0, last, rng.getrandbits(spec.n)])
             skip = cur | rng.getrandbits(spec.n) & rng.getrandbits(spec.n)
             candidates = g.outside(skip)
             assert candidates == [e for e in g.order if not skip >> e & 1]
-            answers = ev.scan(cur, candidates)
+            answers, grown = ev.scan(cur, candidates)
             assert answers == _per_query_scan(spec, cur, candidates)
             last = cur | mask_of(compress(candidates, answers), spec.n)
+            assert grown == last
             for mask in (last, last | rng.getrandbits(spec.n), last & rng.getrandbits(spec.n)):
                 assert ev.independent(mask) == spec.is_independent_mask(mask)
 
@@ -147,32 +151,33 @@ def test_scan_matches_the_per_query_pass(kind):
 def test_scan_from_a_dependent_set_answers_false(spec, cur):
     candidates = spec.ground.outside(cur)
     ev = spec.evaluator()
-    assert ev.scan(cur, candidates) == [False] * len(candidates) == _per_query_scan(spec, cur, candidates)
+    assert ev.scan(cur, candidates) == ([False] * len(candidates), cur)
+    assert _per_query_scan(spec, cur, candidates) == [False] * len(candidates)
     # the dependent start did not become the anchor
     assert ev.independent(0b1) and not ev.independent(cur)
 
 
-@pytest.mark.parametrize("kind", ["partition", "graphic", "uniform"])
+@pytest.mark.parametrize("kind", ["partition", "graphic", "uniform", "predicted_basis"])
 def test_a_pass_is_not_answered_query_by_query(kind, monkeypatch):
     # at most one full evaluation (of the start set) per pass and no
-    # independence query; the uniform pass needs no evaluation at all
+    # independence query; an explicit state asks its maximal-set test for
+    # each candidate, so it is not here
     rng = random.Random(kind)
     for _ in range(10):
-        spec = _random_spec(rng, kind, rng.randint(8, 40))
+        spec = _any_spec(rng, kind, rng.randint(8, 40))
         ev = spec.evaluator()
         ev.independent(rng.getrandbits(spec.n))  # some anchor
         calls = []
-        for name in ("independent", "is_independent_mask", "rank_mask", "_class_counts", "_forest"):
-            for obj in {spec, ev}:
+        for name in ("independent", "is_independent_mask", "rank_mask", "_load"):
+            for obj in (spec, ev):
                 if hasattr(obj, name):
                     inner = getattr(obj, name)
                     monkeypatch.setattr(obj, name, lambda *args, name=name, inner=inner: calls.append(name) or inner(*args))
-        full = {"partition": ["_class_counts"], "graphic": ["_forest"], "uniform": []}[kind]
         for start in ("empty", "random", "anchor"):
-            cur = {"empty": 0, "random": rng.getrandbits(spec.n), "anchor": getattr(ev, "anchor", 0)}[start]
+            cur = {"empty": 0, "random": rng.getrandbits(spec.n), "anchor": ev.anchor}[start]
             calls.clear()
             ev.scan(cur, spec.ground.outside(cur | rng.getrandbits(spec.n)))
-            assert calls in ([], full), (start, calls)
+            assert calls in ([], ["_load"]), (start, calls)
         monkeypatch.undo()
 
 
@@ -215,14 +220,14 @@ def _next_pass(rng, g, cur, skip, stop):
     return cur, rng.randint(0, n), rng.getrandbits(n)
 
 
-@pytest.mark.parametrize("kind", ["partition", "graphic", "uniform", "predicted_basis", "explicit"])
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("seed", range(3))
 def test_prefix_pass_matches_the_per_query_run(kind, seed):
     # each walk also answers single queries between its passes
     rng = random.Random(f"prefix:{kind}:{seed}")
     seen = set()
     for _ in range(30):
-        spec = _scan_spec(rng, kind, rng.randint(1, 40))
+        spec = _any_spec(rng, kind, rng.randint(1, 40))
         g, ev = spec.ground, spec.evaluator()
         walk = ev.prefix_walk()
         cur, start, skip = _first_pass(rng, spec.n)
@@ -264,7 +269,7 @@ def test_prefix_pass_from_a_dependent_set():
         assert len(states) == 2
 
 
-@pytest.mark.parametrize("kind", ["partition", "graphic", "uniform", "predicted_basis", "explicit"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_prefix_walk_starts_again_when_cur_changes_below_it(kind):
     # adding the element at the walk's stop and removing a member above it
     # keep the walk's state, as in the weighted basis; removing a member
@@ -272,7 +277,7 @@ def test_prefix_walk_starts_again_when_cur_changes_below_it(kind):
     rng = random.Random(f"restart:{kind}")
     seen = 0
     for _ in range(40):
-        spec = _scan_spec(rng, kind, rng.randint(4, 30))
+        spec = _any_spec(rng, kind, rng.randint(4, 30))
         g, n = spec.ground, spec.n
         walk = spec.evaluator().prefix_walk()
         states = _count_new_states(walk)
@@ -308,7 +313,7 @@ def _traced_pass(pair, in_pass):
     return traced
 
 
-@pytest.mark.parametrize("kind", ["partition", "graphic", "uniform"])
+@pytest.mark.parametrize("kind", ["partition", "graphic", "uniform", "predicted_basis"])
 def test_a_weighted_walk_asks_for_no_set_in_full(kind, monkeypatch):
     # these kinds keep the walk's state: no prefix pass of a weighted basis
     # run asks the evaluator or the spec about a whole set, and the run
@@ -316,12 +321,12 @@ def test_a_weighted_walk_asks_for_no_set_in_full(kind, monkeypatch):
     rng = random.Random(f"stateful:{kind}")
     for _ in range(10):
         n = rng.randint(10, 40)
-        spec = _random_spec(rng, kind, n).rebind(GroundSet(rng.sample(range(4 * n), n)))
+        spec = _any_spec(rng, kind, n).rebind(GroundSet(rng.sample(range(4 * n), n)))
         bd = greedy_native(spec) & rng.getrandbits(n) | rng.getrandbits(n) & rng.getrandbits(n)
         pair = OraclePair(spec, spec, spec.ground).with_dirty_basis(bd)
         in_pass, asked = [], []
         ev = pair._evals[ROLE_CLEAN]
-        for obj, name in ((pair.clean, "_class_counts"), (pair.clean, "_forest"), (ev, "independent")):
+        for obj, name in ((pair.clean, "_class_counts"), (pair.clean, "_load"), (ev, "independent")):
             if hasattr(obj, name):
                 inner = getattr(obj, name)
                 monkeypatch.setattr(obj, name, lambda *a, name=name, inner=inner: in_pass and asked.append(name) or inner(*a))
@@ -340,7 +345,7 @@ def test_two_pairs_over_one_spec_walk_apart(kind):
     # cur, position and skip, and bills what one query per set would
     rng = random.Random(f"pairs:{kind}")
     for _ in range(20):
-        spec = _scan_spec(rng, kind, rng.randint(2, 30))
+        spec = _any_spec(rng, kind, rng.randint(2, 30))
         g = spec.ground
         pairs = [OraclePair(spec, spec, g) for _ in range(2)]
         refs = [OraclePair(spec, spec, g) for _ in range(2)]
@@ -465,7 +470,7 @@ def test_exchange_graph_needs_no_full_evaluation_after_x(monkeypatch):
     rng = random.Random(3)
     for seed in range(6):
         ox = generate(random_intersection_instance(rng.randint(12, 30), seed=seed)).fresh_oracles()
-        direct = lambda x, inside, outside: tuple(spec.rows(x, inside, outside) for spec in ox.clean)  # noqa: E731
+        direct = lambda x, inside, outside: tuple(_per_query_rows(spec, x, outside) for spec in ox.clean)  # noqa: E731
         x_mask, _ = textbook_intersection(direct, ox.clean)
         x_mask &= ~(1 << next(iter_bits(x_mask), 0))  # the optimum less one element
         want = build_exchange_graph(direct, ox.ground.n, x_mask)
@@ -515,30 +520,35 @@ def test_fresh_evaluators_build_no_state():
     assert ev.state is not None
 
 
-@pytest.mark.parametrize("kind", ["uniform", "predicted_basis", "explicit"])
-def test_stateless_spec_is_its_own_evaluator(kind, monkeypatch):
-    # a wrapper installed on the class method sees every billed query
-    g = GroundSet.unit(4)
-    cfg = {"uniform": {"k": 2}, "predicted_basis": {"basis": [0, 2]}, "explicit": {"maximal_sets": [[0, 1]]}}[kind]
-    spec = spec_from_config(g, {"kind": kind, **cfg})
-    assert spec.evaluator() is spec
-    seen = []
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_answers_through_an_anchored_evaluator(kind):
+    # a spec gives its state and its full pass; the queries are the
+    # evaluator's alone
+    spec = _any_spec(random.Random(kind), kind, 12)
+    ev = spec.evaluator()
+    assert isinstance(ev, _AnchoredEvaluator) and ev.spec is spec and ev.state is None
+    assert not any(hasattr(spec, name) for name in ("independent", "rank", "scan", "prefix_walk", "rows"))
 
-    def traced(name):
-        inner = getattr(type(spec), name)
-        return lambda self, mask: seen.append(name) or inner(self, mask)
 
-    for name in ("is_independent_mask", "rank_mask"):
-        monkeypatch.setattr(type(spec), name, traced(name))
-    pair = OraclePair(UniformMatroid(g, 2), spec, g)
-    assert pair.query_independent(ROLE_DIRTY, 0b11) == (kind != "predicted_basis")
-    assert pair.query_rank(ROLE_DIRTY, 0b111) == 2
-    assert seen[:2] == ["is_independent_mask", "rank_mask"]
+def test_explicit_rank_of_a_dependent_one_element_extension():
+    # a system that is not a matroid: with the anchor {0, 1}, the rank of
+    # {0, 1, 2} is that of the greedy pass in canonical order (2 first,
+    # then neither 0 nor 1 fits), not the anchor's size
+    g = GroundSet([1, 1, 2])
+    pair = OraclePair(UniformMatroid(g, 3), ExplicitSystem(g, masks([0, 1], [2])), g)
+    assert pair.query_independent(ROLE_DIRTY, 0b011)
+    assert pair._evals[ROLE_DIRTY].anchor == 0b011
+    assert pair.query_rank(ROLE_DIRTY, 0b111) == 1 == pair.dirty.rank_mask(0b111)
 
 
 def _row_masks(x_mask, y):
     grown = x_mask | 1 << y
     return [grown, *[grown ^ 1 << x for x in iter_bits(x_mask)]]
+
+
+def _per_query_rows(spec, x_mask, outside):
+    """Reference rows: one spec query per set."""
+    return [[spec.is_independent_mask(m) for m in _row_masks(x_mask, y)] for y in outside]
 
 
 def _full_class_start(rng, spec):
@@ -569,7 +579,7 @@ def test_partition_row_matches_the_spec(seed):
                 x_mask |= 1 << rng.choice(addable)
             inside = list(iter_bits(x_mask))
             outside = list(iter_bits(spec.ground.full_mask & ~x_mask))
-            want = [[spec.is_independent_mask(m) for m in _row_masks(x_mask, y)] for y in outside]
+            want = _per_query_rows(spec, x_mask, outside)
             for y in outside:
                 c = next(i for i, m in enumerate(spec.class_masks) if m >> y & 1)
                 seen.add((over, room[c]))
@@ -581,27 +591,26 @@ def test_partition_row_matches_the_spec(seed):
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
-@pytest.mark.parametrize("kind", ["graphic", "uniform"])
+@pytest.mark.parametrize("kind", ["graphic", "uniform", "predicted_basis", "explicit"])
 def test_generic_row_matches_the_spec(kind):
-    # a pair of one kind through the billed graph: the answers and the
+    # a dirty pair of one kind through the billed graph: the answers and the
     # records, y by y and set by set, ind1 then ind2, are those of the specs
     rng = random.Random(f"row:{kind}")
     for _ in range(20):
         n = rng.randint(2, 30)
-        specs = (_random_spec(rng, kind, n), _random_spec(rng, kind, n))
-        ox = IntersectionOracles(specs[0].ground, *specs, *specs)
+        specs = (_any_spec(rng, kind, n), _any_spec(rng, kind, n))
+        g = specs[0].ground
+        ox = IntersectionOracles(g, UniformMatroid(g, n), UniformMatroid(g, n), *specs)
         want_records = []
         for _ in range(3):
             # a subset of a basis of matroid 1, or any set
-            x_mask = rng.getrandbits(n) & (greedy_native(ox.clean[0]) if rng.random() < 0.7 else -1)
+            x_mask = rng.getrandbits(n) & (greedy_native(ox.dirty[0]) if rng.random() < 0.7 else -1)
             inside = list(iter_bits(x_mask))
-            outside = list(iter_bits(ox.ground.full_mask & ~x_mask))
-            want = tuple(
-                [[spec.is_independent_mask(m) for m in _row_masks(x_mask, y)] for y in outside] for spec in ox.clean
-            )
-            assert ox.query_rows(ROLE_CLEAN, x_mask, inside, outside) == want
+            outside = list(iter_bits(g.full_mask & ~x_mask))
+            want = tuple(_per_query_rows(spec, x_mask, outside) for spec in ox.dirty)
+            assert ox.query_rows(ROLE_DIRTY, x_mask, inside, outside) == want
             want_records += [
-                QueryRecord(ROLE_CLEAN, f"ind{w}", int(want[w - 1][r][i]), m)
+                QueryRecord(ROLE_DIRTY, f"ind{w}", int(want[w - 1][r][i]), m)
                 for r, y in enumerate(outside)
                 for i, m in enumerate(_row_masks(x_mask, y))
                 for w in (1, 2)

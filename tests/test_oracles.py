@@ -102,7 +102,7 @@ class TestLedger:
         pair = simple_pair(cost_p=Fraction(7, 2))
         assert pair.ledger.cost_p == Fraction(7, 2)
         with pytest.raises(ValueError):
-            QueryLedger(4, cost_p=Fraction(1, 2))
+            QueryLedger(cost_p=Fraction(1, 2))
 
     def test_replay_reproduces_answers(self):
         pair, bd = make_pair({"kind": "partition", "classes": [[0, 1, 2], [3, 4]], "caps": [2, 1]})
@@ -138,7 +138,7 @@ class TestLedger:
         # lose bits or gain them, and a bulk append may start from the
         # single's set before it
         rng = random.Random(n)
-        led = QueryLedger(n)
+        led = QueryLedger()
         order = tuple(rng.sample(range(n), n))
         kinds = ["ind", "rank", "ind1", "ind2"]
         want = []
@@ -229,7 +229,7 @@ class TestLedger:
         rng = random.Random(5)
         n = 40
         orders = [tuple(rng.sample(range(n), n)) for _ in range(2)]
-        led, want = QueryLedger(n), []
+        led, want = QueryLedger(), []
         for which, start in [(0, 0), (0, 7), (0, 15), (1, 3), (1, 20), (0, 21), (0, 9), (0, 30), (1, 0)]:
             order = orders[which]
             cur, skip = rng.getrandbits(n), rng.getrandbits(n)
@@ -250,7 +250,7 @@ class TestLedger:
 
     def test_transcript_ignores_later_edits_of_the_arguments(self):
         # a pass, a run or a graph keeps its own copy of what it was given
-        led = QueryLedger(8)
+        led = QueryLedger()
         candidates, answers = [1, 2, 3], [True, False, True]
         led.record_scan(ROLE_CLEAN, 0b1, candidates, answers)
         inside, outside = [0], [1, 2]
@@ -277,7 +277,7 @@ class TestLedger:
         assert pair.ledger.export_lines() == [f"0,clean,rank,300,{g.full_mask:x}"]
 
     def test_unknown_role_leaves_the_columns(self):
-        led = QueryLedger(8)
+        led = QueryLedger()
         led.record(ROLE_DIRTY, "ind2", False, 0b11)
         before = _columns_and_counts(led)
         assert before[3] == (0, 0, 1)
@@ -347,7 +347,7 @@ class TestLedger:
         # order; at the larger n X has at most two elements, so a graph
         # stays near 6n records
         rng = random.Random(n)
-        by_graph, by_record = QueryLedger(n), QueryLedger(n)
+        by_graph, by_record = QueryLedger(), QueryLedger()
         for _ in range(40 if n < 100 else 3):
             role = rng.choice([ROLE_CLEAN, ROLE_DIRTY])
             x_mask = rng.getrandbits(n) if n < 100 else 1 << rng.randrange(n) | 1 << rng.randrange(n)
