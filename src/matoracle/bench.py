@@ -683,7 +683,8 @@ def _basis_trial(gen, algorithm, k, p):
     baseline = greedy_native(clean, g)
     r = baseline.bit_count()  # a basis of the clean matroid
     r_d = pair.dirty.full_rank()
-    correct = g.weight(basis.mask) == g.weight(baseline) and clean.is_independent_mask(basis.mask)
+    same_weight = basis.mask == baseline or g.weight(basis.mask) == g.weight(baseline)
+    correct = same_weight and clean.is_independent_mask(basis.mask)
     eta_a, eta_r_, eta_source = _eta_for_trial(gen, pair)
     # a closed-form bound needs eta; costly's strategy costs hold only with an
     # exact dirty oracle, and pairquery's accounting only on its own family

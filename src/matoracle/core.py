@@ -48,7 +48,9 @@ def iter_bits(mask):
 def _scan_bits(mask):
     """Set bit positions of mask in ascending order, by one scan of its binary
     string: linear in the mask's length, where iter_bits rewrites the whole
-    int at every step (iter_bits stays faster for masks of a few words)."""
+    int at every step (iter_bits stays faster for masks of a few words).
+    The partition class table uses it: one scan per class reads each id
+    once, where a byte flag pass per class would read all n."""
     bits = bin(mask)[:1:-1]
     e = bits.find("1")
     while e >= 0:
@@ -105,37 +107,45 @@ class GroundSet:
 
     Sorting is by non-increasing weight; among equal weights, members of the
     designated dirty basis precede non-members; input position breaks any
-    remaining tie.  The order is computed once and is immutable.
+    remaining tie.  The order is computed once and is immutable.  The ground
+    also keeps the weight order alone (ids by non-increasing weight, id
+    ascending), from which with_dirty_basis derives the order around a new
+    dirty basis; pos, the position of each id, is built on first use (the
+    prefix walk and tests read it).
     """
 
-    __slots__ = ("n", "weights", "order", "pos", "_prefix_masks", "full_mask")
+    __slots__ = ("n", "weights", "order", "_by_weight", "_pos", "_prefix_masks", "full_mask")
 
-    def __init__(self, weights, dirty_basis=0):
-        weights = tuple(weights)
-        # plain ints are checked at C speed; other weights are converted one
-        # by one
-        if not set(map(type, weights)) <= {int}:
-            weights = tuple(map(_as_weight, weights))
-        if weights and min(weights) < 0:
-            raise ValueError("weights must be non-negative")
+    def __init__(self, weights, dirty_basis=0, _by_weight=None):
+        # _by_weight, the weight order of weights, is passed only by
+        # with_dirty_basis, whose weights are already checked
+        if _by_weight is None:
+            weights = tuple(weights)
+            # plain ints are checked at C speed; other weights are converted
+            # one by one
+            if not set(map(type, weights)) <= {int}:
+                weights = tuple(map(_as_weight, weights))
+            if weights and min(weights) < 0:
+                raise ValueError("weights must be non-negative")
+            _by_weight = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
         n = len(weights)
         if dirty_basis >> n:
             raise ValueError("dirty basis has elements outside the ground set")
-        outside = bytearray(b"\1") * n  # 0 for the dirty basis members
-        for e in _scan_bits(dirty_basis):
-            outside[e] = 0
-        # two stable sorts of ascending ids with C-level keys: weight first,
-        # then dirty basis members first, then id
-        order = sorted(range(n), key=outside.__getitem__)
-        order.sort(key=weights.__getitem__, reverse=True)
-        pos = [0] * n
-        for p, e in enumerate(order):
-            pos[e] = p
+        order = _by_weight
+        if dirty_basis:
+            # a stable partition of the weight order, dirty basis members
+            # first, then one stable weight sort: a merge of the two runs
+            inside = _flags(dirty_basis, n)
+            order = [e for e in _by_weight if inside[e]]
+            order += [e for e in _by_weight if not inside[e]]
+            order.sort(key=weights.__getitem__, reverse=True)
+        order = tuple(order)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "order", tuple(order))
-        object.__setattr__(self, "pos", tuple(pos))
-        # the prefix checkpoints are built by the first prefix_mask call
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "_by_weight", _by_weight if dirty_basis else order)
+        # the position table and the prefix checkpoints are built on first use
+        object.__setattr__(self, "_pos", ())
         object.__setattr__(self, "_prefix_masks", ())
         object.__setattr__(self, "full_mask", (1 << n) - 1 if n else 0)
 
@@ -148,8 +158,19 @@ class GroundSet:
 
     def with_dirty_basis(self, dirty_basis):
         """Rebuild the canonical order around a (newly computed) dirty basis
-        mask."""
-        return GroundSet(self.weights, dirty_basis)
+        mask, from the kept weight order: no weight is checked or sorted
+        again."""
+        return GroundSet(self.weights, dirty_basis, self._by_weight)
+
+    @property
+    def pos(self):
+        """The canonical position of each id."""
+        if len(self._pos) != self.n:
+            pos = [0] * self.n
+            for p, e in enumerate(self.order):
+                pos[e] = p
+            object.__setattr__(self, "_pos", tuple(pos))
+        return self._pos
 
     def prefix_mask(self, p):
         """Mask of elements with canonical position <= p (empty for p < 0)."""
@@ -174,6 +195,13 @@ class GroundSet:
         object.__setattr__(self, "_prefix_masks", tuple(prefix_masks))
         return self._prefix_masks
 
+    def _members(self, mask):
+        """mask as one byte per element id; a ValueError for bits outside
+        0..n-1."""
+        if mask >> self.n:
+            raise ValueError("mask has bits outside 0..n-1")
+        return _flags(mask, self.n)
+
     def outside(self, skip):
         """The elements outside the mask skip, in canonical order; skip is
         read once, as one byte per element."""
@@ -181,17 +209,16 @@ class GroundSet:
         return [e for e in self.order if not skipped[e]]
 
     def positions(self, mask):
-        """Sorted canonical positions of the members of mask."""
-        pos = self.pos
-        return sorted([pos[e] for e in _scan_bits(mask)])
+        """Ascending canonical positions of the members of mask."""
+        members = self._members(mask)
+        return [p for p, e in enumerate(self.order) if members[e]]
 
     def weight(self, mask):
-        weights = self.weights
-        return sum([weights[e] for e in _scan_bits(mask)])
+        return sum(compress(self.weights, self._members(mask)))
 
     @property
     def unit_weights(self):
-        return all(w == self.weights[0] for w in self.weights) if self.n else True
+        return not self.n or self.weights.count(self.weights[0]) == self.n
 
 
 class MatroidSpec:
@@ -702,7 +729,7 @@ class _PrefixWalk:
         g = self.ground
         diff = cur ^ self.cur
         self.cur = cur
-        if skip != self.skip or start < self.pos or any(g.pos[e] < self.pos for e in iter_bits(diff)):
+        if skip != self.skip or start < self.pos or (diff and min(map(g.pos.__getitem__, iter_bits(diff))) < self.pos):
             self.skip, self.skipped = skip, _flags(skip, g.n)
             self.in_cur, self.pos = _flags(cur, g.n), 0
             self.state, self.dependent = self.new_state(), False
@@ -734,6 +761,12 @@ def elements_mask(elems, n, name):
     ValueError naming the field for anything but a list of ints in 0..n-1."""
     if not isinstance(elems, list):
         raise ValueError(f"{name}: must be a list of element ids, got {elems!r}")
+    # a long list is checked at C speed and read through one byte per
+    # element, where a shift per element would be quadratic in n; a short
+    # one, or one that fails the check, is walked (naming its first bad
+    # element), as its shifts cost less than mask_of's pass over n bytes
+    if len(elems) > 64 and set(map(type, elems)) <= {int} and 0 <= min(elems) and max(elems) < n:
+        return mask_of(elems, n)
     mask = 0
     for e in elems:
         if type(e) is not int:  # JSON true and false would pass as 1 and 0

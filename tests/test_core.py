@@ -56,9 +56,28 @@ class TestElementSet:
 
     def test_element_lists_read_as_masks(self):
         assert elements_mask([0, 2, 4, 2], 6, "basis") == 0b10101
+        assert elements_mask([], 0, "basis") == 0
+        ids = random.Random(5).sample(range(1000), 300)
+        assert elements_mask(ids, 1000, "basis") == sum(1 << e for e in ids)
         for bad in (5, [True], [0, 1.0], "01", None):
             with pytest.raises(ValueError, match="^basis: "):
                 elements_mask(bad, 6, "basis")
+
+    @pytest.mark.parametrize(
+        "elems, match",
+        [
+            ([1, 9, "x", -1], "element 9 outside 0..5$"),
+            ([1, -1, 9], "element -1 outside 0..5$"),
+            ([1, True, 9], "element True is not an integer$"),
+            ([2, 7, 1.0], "element 7 outside 0..5$"),
+            # longer lists, which a valid one takes through mask_of
+            ([*range(6)] * 12 + [9, "x"], "element 9 outside 0..5$"),
+            ([*range(6)] * 12 + [True, -1], "element True is not an integer$"),
+        ],
+    )
+    def test_element_list_error_names_the_first_bad_element(self, elems, match):
+        with pytest.raises(ValueError, match="^basis: " + match):
+            elements_mask(elems, 6, "basis")
 
     def test_immutable(self):
         s = ElementSet(4, 0b1010)
@@ -126,14 +145,56 @@ class TestGroundSet:
         with pytest.raises(error, match=match):
             GroundSet(weights)
 
-    @pytest.mark.parametrize("n", [1, 7, 64, 65, 300])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 65, 300])
     def test_positions_match_bit_walk(self, n):
+        # empty, one-bit, sparse, dense, full and random masks, against
+        # per-element references
         rng = random.Random(n)
-        g = GroundSet([rng.choice([0, 3, Fraction(1, 3)]) for _ in range(n)])
-        masks = [0, g.full_mask] + [rng.getrandbits(n) for _ in range(20)]
-        for mask in masks:
-            assert g.positions(mask) == sorted(g.pos[e] for e in iter_bits(mask))
-            assert g.weight(mask) == sum(g.weights[e] for e in iter_bits(mask))
+        g = GroundSet([rng.choice([0, 3, Fraction(1, 3)]) for _ in range(n)], rng.getrandbits(n))
+        sparse = mask_of(rng.sample(range(n), min(n, 3)), n)
+        masks = [0, 1 << rng.randrange(n), sparse, g.full_mask & ~sparse, g.full_mask]
+        for mask in masks + [rng.getrandbits(n) for _ in range(20)]:
+            members = list(iter_bits(mask))
+            assert g.positions(mask) == sorted(g.order.index(e) for e in members)
+            assert g.weight(mask) == sum(g.weights[e] for e in members)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 64, 300])
+    @pytest.mark.parametrize("kind", ["int", "fraction"])
+    def test_order_around_a_dirty_basis_matches_the_reference_sort(self, n, kind):
+        # the order built from scratch and the one with_dirty_basis derives
+        # from the kept weight order are both the sort by (-w, e not in bd, e)
+        rng = random.Random(f"{kind}:{n}")
+        values = [0, 1, 2] if kind == "int" else [Fraction(1, 3), Fraction(2, 3), 1]
+        w = [rng.choice(values) for _ in range(n)]
+        other = GroundSet(w, rng.getrandbits(n) if n else 0)
+        for bd in [0, (1 << n) - 1] + [rng.getrandbits(n) if n else 0 for _ in range(5)]:
+            want = tuple(sorted(range(n), key=lambda e: (-w[e], not bd >> e & 1, e)))
+            assert GroundSet(w, bd).order == want
+            assert GroundSet(w).with_dirty_basis(bd).order == want
+            assert other.with_dirty_basis(bd).order == want
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 64, 300])
+    def test_pos_is_the_inverse_of_order(self, n):
+        rng = random.Random(n)
+        g = GroundSet([rng.randint(0, 3) for _ in range(n)])
+        for h in (g, g.with_dirty_basis(rng.getrandbits(n) if n else 0)):
+            assert len(h.pos) == n
+            assert [h.pos[e] for e in h.order] == list(range(n))
+
+    @pytest.mark.parametrize("n", [0, 1, 64])
+    def test_positions_and_weight_reject_bits_outside_the_ground(self, n):
+        g = GroundSet.unit(n)
+        for mask in (1 << n, g.full_mask | 1 << (n + 70), -1):
+            for read in (g.positions, g.weight):
+                with pytest.raises(ValueError, match="outside 0..n-1"):
+                    read(mask)
+
+    @pytest.mark.parametrize(
+        "weights, want",
+        [([], True), ([0], True), ([2, 2, 2], True), ([Fraction(2, 2), 1], True), ([1, 1, 2], False), ([3, 1, 1], False)],
+    )
+    def test_unit_weights(self, weights, want):
+        assert GroundSet(weights).unit_weights is want
 
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130, 1000])
     def test_prefix_mask_is_running_or(self, n):
